@@ -38,7 +38,6 @@ from .pgf_core import (
 )
 from .fl_bounds import (
     BoundDirection,
-    FLParams,
     bound_direction,
     fl_iterate_params,
     fl_survival_by_n,
@@ -89,5 +88,10 @@ from .genetics import (
 )
 from .specfun import exp_e1, exp_integral_e1, lambert_w0
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+# The public classes and functions; the submodule objects that the imports
+# above bind in this namespace are not part of the API.
+__all__ = [name for name, obj in globals().items()
+           if not name.startswith("_") and not isinstance(obj, _ModuleType)]
 __version__ = "0.1.0"

@@ -13,8 +13,15 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .fl_bounds import FLParams
-from .pgf_core import FixedPoint
+from .fl_bounds import (
+    LOWER_ON_S,
+    SWITCHES,
+    UPPER_ON_S,
+    BoundDirection,
+    _check_consistency,
+    switch_generation,
+)
+from .pgf_core import FiniteThree, FixedPoint, FractionalLinear, f3_p_inf
 
 LOWER_BOUND_ON_P = "LowerBoundOnP"    # FL iterates <= P^(n): upper bound on survival
 UPPER_BOUND_ON_P = "UpperBoundOnP"    # FL iterates >= P^(n): lower bound on survival
@@ -38,7 +45,7 @@ class F3Class:
     thresholds: F3Thresholds
     p_inf: float
     gamma: float
-    fl: FLParams
+    fl: FractionalLinear
     sign_profile: Tuple[int, int, int]  # sign of f at x = 0, P_inf/2, (P_inf+1)/2
 
 
@@ -51,15 +58,23 @@ def _require_region(p0: float, p2: float, p3: float) -> None:
         raise DomainError(f"supercriticality requires p0 < p2 + 2*p3, got ({p0}, {p2}, {p3})")
 
 
+def _p0_r_gamma(p2, p3, sqrt=math.sqrt):
+    """(p0_r, p0_gamma) for floats, or elementwise for numpy arrays with
+    sqrt=np.sqrt."""
+    q = p2 + p3
+    p0_r = 0.5 - (q / (8.0 * p3)) * (q + sqrt(8.0 * p3 + q * q))
+    t = p2 + 3.0 * p3
+    p0_gamma = 0.5 - (1.0 / (8.0 * p3)) * (
+        2.0 * q * q + t * sqrt(8.0 * p3 + t * t) - t * t)
+    return p0_r, p0_gamma
+
+
 def thresholds_f3(p2: float, p3: float) -> F3Thresholds:
     if not (p2 >= 0.0 and p3 > 0.0 and p2 + p3 < 1.0):
         raise DomainError(f"require p2 >= 0, p3 > 0, p2 + p3 < 1, got ({p2}, {p3})")
     q = p2 + p3
     p0_plus = (p3 - q * q) / (4.0 * p3)
-    p0_r = 0.5 - (q / (8.0 * p3)) * (q + math.sqrt(8.0 * p3 + q * q))
-    t = p2 + 3.0 * p3
-    p0_gamma = 0.5 - (1.0 / (8.0 * p3)) * (
-        2.0 * q * q + t * math.sqrt(8.0 * p3 + t * t) - t * t)
+    p0_r, p0_gamma = _p0_r_gamma(p2, p3)
     return F3Thresholds(
         p0_plus=p0_plus,
         p0_r=p0_r,
@@ -70,22 +85,17 @@ def thresholds_f3(p2: float, p3: float) -> F3Thresholds:
     )
 
 
-def f3_p_inf(p0: float, p2: float, p3: float) -> float:
-    q = p2 + p3
-    return (math.sqrt(4.0 * p0 * p3 + q * q) - q) / (2.0 * p3)
-
-
 def f3_gamma(p0: float, p2: float, p3: float) -> float:
     q = p2 + p3
     root = math.sqrt(4.0 * p0 * p3 + q * q)
     return 1.0 - ((p2 + 3.0 * p3) * root - 4.0 * p0 * p3 - q * q) / (2.0 * p3)
 
 
-def f3_fl_params(p0: float, p2: float, p3: float) -> FLParams:
+def f3_fl_params(p0: float, p2: float, p3: float) -> FractionalLinear:
     q = p2 + p3
     root = math.sqrt(4.0 * p0 * p3 + q * q)
     rho = 2.0 * p0 * root / (q + (1.0 + 2.0 * p0) * root)
-    return FLParams(pi=rho / f3_p_inf(p0, p2, p3), rho=rho)
+    return FractionalLinear(pi=rho / f3_p_inf(p0, p2, p3), rho=rho)
 
 
 def f3_f_value(p0: float, p2: float, p3: float, x: float) -> float:
@@ -162,7 +172,7 @@ def f3_p3zero(p0: float, p2: float) -> Tuple[FixedPoint, F3Class]:
     if not (0.0 < p0 < p2 <= 1.0 - p0):
         raise DomainError(f"p3 = 0 requires 0 < p0 < p2 <= 1 - p0, got ({p0}, {p2})")
     p_inf = p0 / p2
-    fl = FLParams(pi=p2 / (1.0 + p0), rho=p0 / (1.0 + p0))
+    fl = FractionalLinear(pi=p2 / (1.0 + p0), rho=p0 / (1.0 + p0))
     th = F3Thresholds(p0_plus=0.0, p0_r=0.0, p0_gamma=0.0,
                       p0_plus_admissible=False, p0_r_admissible=False,
                       p0_gamma_admissible=False)
@@ -183,6 +193,23 @@ def f3_p3zero(p0: float, p2: float) -> Tuple[FixedPoint, F3Class]:
     return fp, cls
 
 
+def f3_bound_direction(model: FiniteThree, fp: FixedPoint) -> BoundDirection:
+    """bound_direction for an F3 law: the direction its region gives, checked
+    by a sign scan of f on [0, P_inf]."""
+    if model.p3 == 0.0:
+        region = f3_p3zero(model.p0, model.p2)[1].region
+    else:
+        region = classify_f3(model.p0, model.p2, model.p3).region
+    if region == LOWER_BOUND_ON_P:
+        out = BoundDirection(UPPER_ON_S)
+    elif region == UPPER_BOUND_ON_P:
+        out = BoundDirection(LOWER_ON_S)
+    else:
+        out = BoundDirection(SWITCHES, switch_n=switch_generation(model))
+    _check_consistency(out.kind, model, fp)
+    return out
+
+
 def f3_region_volumes(n_samples: int = 1_000_000, seed: int = 0) -> Tuple[float, float, float]:
     """Monte-Carlo fractions of the admissible region occupied by the three
     classes, in the order (LowerBoundOnP, Switches, UpperBoundOnP).
@@ -197,11 +224,7 @@ def f3_region_volumes(n_samples: int = 1_000_000, seed: int = 0) -> Tuple[float,
     p3 = rng.random(n_samples)
     in_region = (p0 > 0) & (p3 > 0) & (p0 + p2 + p3 <= 1.0) & (p0 < p2 + 2.0 * p3)
     p0, p2, p3 = p0[in_region], p2[in_region], p3[in_region]
-    q = p2 + p3
-    p0_r = 0.5 - (q / (8.0 * p3)) * (q + np.sqrt(8.0 * p3 + q * q))
-    t = p2 + 3.0 * p3
-    p0_gamma = 0.5 - (1.0 / (8.0 * p3)) * (
-        2.0 * q * q + t * np.sqrt(8.0 * p3 + t * t) - t * t)
+    p0_r, p0_gamma = _p0_r_gamma(p2, p3, np.sqrt)
     total = p0.size
     if total == 0:
         raise DomainError("no samples fell in the admissible region")

@@ -7,7 +7,6 @@ conjectural in the switch region and is flagged as such.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
@@ -19,7 +18,7 @@ from .fl_bounds import (
     matching_fl,
     switch_generation,
 )
-from .pgf_core import extinction_probability, gp_from_s, pgf_eval
+from .pgf_core import extinction_probability, gp_from_s, pgf_derivative, pgf_eval
 
 
 @dataclass(frozen=True)
@@ -27,7 +26,7 @@ class GPThresholds:
     s: float
     lambda_c0: float        # f(0) changes sign (exact, by bisection)
     lambda_c1: float        # f'(1) = 1 + s - 1/gamma changes sign (exact)
-    lambda_c2: float        # f''(P_inf) changes sign (exact)
+    lambda_c2: float        # f''(P_inf) changes sign (exact, by bisection)
     lambda_c0_approx: float  # 0.25915 + 0.1997*s
     lambda_c1_approx: float  # (1 + 3*s/4)/4
     lambda_c2_approx: float  # 1/4 + 0.202*s
@@ -36,7 +35,7 @@ class GPThresholds:
 def _f_at(s: float, lam: float, x: float) -> float:
     model = gp_from_s(lam, s)
     fp = extinction_probability(model)
-    fl = matching_fl(fp).to_model()
+    fl = matching_fl(fp)
     return pgf_eval(model, x) - pgf_eval(fl, x)
 
 
@@ -50,16 +49,10 @@ def _fprime1(s: float, lam: float) -> float:
 
 
 def _f2_pinf(s: float, lam: float) -> float:
-    # Second central difference of f at P_inf with Richardson extrapolation.
-    fp = extinction_probability(gp_from_s(lam, s))
-    p = fp.p_inf
-    h = 1e-4
-
-    def d2(step: float) -> float:
-        return (_f_at(s, lam, p + step) - 2.0 * _f_at(s, lam, p)
-                + _f_at(s, lam, p - step)) / (step * step)
-
-    return (4.0 * d2(h / 2.0) - d2(h)) / 3.0
+    # f''(P_inf) = phi''(P_inf) - phi_FL''(P_inf), both in closed form.
+    model = gp_from_s(lam, s)
+    fp = extinction_probability(model)
+    return pgf_derivative(model, fp.p_inf, 2) - pgf_derivative(matching_fl(fp), fp.p_inf, 2)
 
 
 def _bisect_root(fn, s: float, lo: float = 1e-6, hi: float = 0.6,

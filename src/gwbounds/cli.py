@@ -33,12 +33,12 @@ from .pgf_core import (
     iterate_extinction,
     moments,
     negbinomial_from_s,
+    pgf_eval,
     poisson_from_s,
     survival_curve,
 )
 from . import fl_bounds
 from .fl_bounds import (
-    bound_direction,
     matching_fl,
     sn_fl_bound,
     sn_pollak_bound,
@@ -114,52 +114,42 @@ def write_output(text: str, out: Optional[str]) -> None:
 # Model construction from flags
 # ---------------------------------------------------------------------------
 
+# --dist -> (model class, the flags that both forms take, constructor of the
+# --s form). The one remaining field of the class is the explicit form's flag.
+_S_FAMILIES = {
+    "poisson": (Poisson, (), poisson_from_s),
+    "binomial": (Binomial, ("n",), binomial_from_s),
+    "negbinomial": (NegBinomial, ("r",), negbinomial_from_s),
+    "fl": (FractionalLinear, ("pi",), fl_from_s),
+    "gp": (GeneralizedPoisson, ("lam",), gp_from_s),
+}
+
+
+def _flag(name: str) -> str:
+    return "--lambda" if name == "lam" else f"--{name}"
+
+
 def build_model(args) -> OffspringModel:
+    """The model named by --dist, from its parameter flags or from --s."""
     dist = args.dist
-    if dist == "poisson":
-        if args.m is not None:
-            return Poisson(m=args.m)
-        if args.s is not None:
-            return poisson_from_s(args.s)
-        raise DomainError("poisson requires --m or --s")
-    if dist == "binomial":
-        if args.n is None:
-            raise DomainError("binomial requires --n")
-        if args.p is not None:
-            return Binomial(n=args.n, p=args.p)
-        if args.s is not None:
-            return binomial_from_s(args.n, args.s)
-        raise DomainError("binomial requires --p or --s")
-    if dist == "negbinomial":
-        if args.r is None:
-            raise DomainError("negbinomial requires --r")
-        if args.p is not None:
-            return NegBinomial(r=args.r, p=args.p)
-        if args.s is not None:
-            return negbinomial_from_s(args.r, args.s)
-        raise DomainError("negbinomial requires --p or --s")
-    if dist == "fl":
-        if args.pi is None:
-            raise DomainError("fl requires --pi")
-        if args.rho is not None:
-            return FractionalLinear(pi=args.pi, rho=args.rho)
-        if args.s is not None:
-            return fl_from_s(args.pi, args.s)
-        raise DomainError("fl requires --rho or --s")
     if dist == "f3":
         if args.p0 is None or args.p2 is None or args.p3 is None:
             raise DomainError("f3 requires --p0, --p2, --p3 (p1 is inferred)")
         p1 = 1.0 - args.p0 - args.p2 - args.p3
         return FiniteThree(p0=args.p0, p1=p1, p2=args.p2, p3=args.p3)
-    if dist == "gp":
-        if args.lam is None:
-            raise DomainError("gp requires --lambda")
-        if args.mu is not None:
-            return GeneralizedPoisson(mu=args.mu, lam=args.lam)
-        if args.s is not None:
-            return gp_from_s(args.lam, args.s)
-        raise DomainError("gp requires --mu or --s")
-    raise DomainError(f"unknown distribution {dist!r}")
+    if dist not in _S_FAMILIES:
+        raise DomainError(f"unknown distribution {dist!r}")
+    cls, shared, from_s = _S_FAMILIES[dist]
+    for name in shared:
+        if getattr(args, name) is None:
+            raise DomainError(f"{dist} requires {_flag(name)}")
+    names = [field.name for field in dataclasses.fields(cls)]
+    (own,) = (name for name in names if name not in shared)
+    if getattr(args, own) is not None:
+        return cls(**{name: getattr(args, name) for name in names})
+    if args.s is not None:
+        return from_s(*(getattr(args, name) for name in shared), args.s)
+    raise DomainError(f"{dist} requires {_flag(own)} or --s")
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +319,8 @@ def cmd_sinf(args) -> int:
         series3 = haldane = None
     note = ""
     if bounds is not None and bounds.dn_upper is None:
-        note = "dn_upper not applicable: 8c(m-1) >= 3b^2"
+        note = ("dn_upper not applicable: phi'''(1) <= 0" if mom.c <= 0.0
+                else "dn_upper not applicable: 8c(m-1) >= 3b^2")
     header = ["quantity", "value", "note"]
     rows = [
         ["m", mom.m, ""],
@@ -418,8 +409,7 @@ def cmd_figdata(args) -> int:
         header = ["x"] + [f"f_lambda_{lam:g}" for lam in lams]
         rows = []
         models = [gp_from_s(lam, s) for lam in lams]
-        fls = [matching_fl(extinction_probability(mod)).to_model() for mod in models]
-        from .pgf_core import pgf_eval
+        fls = [matching_fl(extinction_probability(mod)) for mod in models]
         for i in range(201):
             x = i / 200.0
             row: List = [x]
@@ -437,15 +427,12 @@ def cmd_figdata(args) -> int:
         header = ["n"] + [f"relerr_lambda_{lam:g}" for lam in lams]
         models = [gp_from_s(lam, s) for lam in lams]
         fps = [extinction_probability(mod) for mod in models]
+        curves = [survival_curve(mod, 30) for mod in models]
         rows = []
-        iters = [0.0] * len(models)
-        from .pgf_core import pgf_eval
         for n in range(1, 31):
             row: List = [n]
-            for idx, (mod, fp) in enumerate(zip(models, fps)):
-                iters[idx] = pgf_eval(mod, iters[idx])
-                s_n = 1.0 - iters[idx]
-                row.append((sn_fl_bound(mod, n, fp) - s_n) / s_n)
+            for mod, fp, curve in zip(models, fps, curves):
+                row.append((sn_fl_bound(mod, n, fp) - curve[n]) / curve[n])
             rows.append(row)
         text = render_csv(header, rows, args.digits)
     else:
@@ -477,7 +464,6 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None)
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--digits", type=int, default=6)
 
 

@@ -10,17 +10,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ApplicabilityError, ConvergenceError, DomainError, InconsistencyError
+from .errors import ConvergenceError, DomainError, InconsistencyError
 from .pgf_core import (
-    Binomial,
-    FiniteThree,
     FixedPoint,
     FractionalLinear,
-    GeneralizedPoisson,
-    NegBinomial,
     OffspringModel,
     Poisson,
     extinction_probability,
+    iterate_extinction,
     max_iterations,
     pgf_derivative,
     pgf_eval,
@@ -30,31 +27,6 @@ UPPER_ON_S = "UpperOnS"
 LOWER_ON_S = "LowerOnS"
 SWITCHES = "SwitchesAt"
 UNDETERMINED = "Undetermined"
-
-
-@dataclass(frozen=True)
-class FLParams:
-    pi: float
-    rho: float
-
-    def __post_init__(self):
-        if not 0.0 < self.rho < self.pi < 1.0:
-            raise DomainError(f"FLParams requires 0 < rho < pi < 1, got {self!r}")
-
-    @property
-    def m(self) -> float:
-        return (1.0 - self.rho) / (1.0 - self.pi)
-
-    @property
-    def gamma(self) -> float:
-        return 1.0 / self.m
-
-    @property
-    def p_inf(self) -> float:
-        return self.rho / self.pi
-
-    def to_model(self) -> FractionalLinear:
-        return FractionalLinear(pi=self.pi, rho=self.rho)
 
 
 @dataclass(frozen=True)
@@ -78,16 +50,16 @@ class BoundReport:
 # Fractional-linear closed forms
 # ---------------------------------------------------------------------------
 
-def fl_iterate_params(fl: FLParams, n: int) -> FLParams:
+def fl_iterate_params(fl: FractionalLinear, n: int) -> FractionalLinear:
     """Parameters (pi_n, rho_n) of the n-fold composition of the pgf."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n!r}")
     mn = fl.m ** (-n)
     denom = fl.pi - fl.rho * mn
-    return FLParams(pi=fl.pi * (1.0 - mn) / denom, rho=fl.rho * (1.0 - mn) / denom)
+    return FractionalLinear(pi=fl.pi * (1.0 - mn) / denom, rho=fl.rho * (1.0 - mn) / denom)
 
 
-def fl_survival_by_n(fl: FLParams, n: int) -> float:
+def fl_survival_by_n(fl: FractionalLinear, n: int) -> float:
     """S^(n) = S_inf / (1 - m^(-n) (1 - S_inf)) in closed form."""
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n!r}")
@@ -95,13 +67,13 @@ def fl_survival_by_n(fl: FLParams, n: int) -> float:
     return s_inf / (1.0 - fl.m ** (-n) * (1.0 - s_inf))
 
 
-def matching_fl(fp: FixedPoint) -> FLParams:
+def matching_fl(fp: FixedPoint) -> FractionalLinear:
     """The unique fractional-linear pgf with the same fixed point and rate:
     pi = (1 - gamma)/(1 - P_inf*gamma), rho = P_inf*pi."""
     if not 0.0 < fp.p_inf < 1.0 or not 0.0 < fp.gamma < 1.0:
         raise DomainError(f"matching_fl requires P_inf, gamma in (0,1), got {fp!r}")
     pi = (1.0 - fp.gamma) / (1.0 - fp.p_inf * fp.gamma)
-    return FLParams(pi=pi, rho=fp.p_inf * pi)
+    return FractionalLinear(pi=pi, rho=fp.p_inf * pi)
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +115,12 @@ def sn_pollak_bound(model: OffspringModel, n: int, fp: Optional[FixedPoint] = No
 
 def bound_report(model: OffspringModel, n: int) -> BoundReport:
     fp = extinction_probability(model)
-    x = 0.0
-    for _ in range(n):
-        x = pgf_eval(model, x)
     agresti = None
     if isinstance(model, Poisson):
         agresti = agresti_sn_bound(model.m, n, "lower")
     return BoundReport(
         n=n,
-        exact=1.0 - x,
+        exact=1.0 - iterate_extinction(model, n),
         fl_bound=sn_fl_bound(model, n, fp),
         simple_bound=sn_simple_bound(model, n, fp),
         pollak_bound=sn_pollak_bound(model, n, fp),
@@ -273,7 +242,7 @@ def sign_scan(model: OffspringModel, fp: Optional[FixedPoint] = None,
     """
     if fp is None:
         fp = extinction_probability(model)
-    fl = matching_fl(fp).to_model()
+    fl = matching_fl(fp)
     has_pos = has_neg = False
     for i in range(points + 1):
         x = fp.p_inf * i / points
@@ -315,31 +284,13 @@ def _check_consistency(kind: str, model: OffspringModel, fp: FixedPoint) -> None
 
 def bound_direction(model: OffspringModel) -> BoundDirection:
     """Whether sn_fl_bound is an upper bound on S^(n) for all n, a lower bound,
-    or switches sides at some generation."""
+    or switches sides at some generation. Families without a proof for every
+    member are classified by their own classifier (classify_f3, classify_gp)."""
     fp = extinction_probability(model)
-    if isinstance(model, (Poisson, Binomial, NegBinomial, FractionalLinear)):
-        kind = BoundDirection(UPPER_ON_S)
-        _check_consistency(UPPER_ON_S, model, fp)
-        return kind
-    if isinstance(model, FiniteThree):
-        from .classify_f3 import LOWER_BOUND_ON_P, SWITCHES_REGION, UPPER_BOUND_ON_P, classify_f3, f3_p3zero
-        if model.p3 == 0.0:
-            region = f3_p3zero(model.p0, model.p2)[1].region
-        else:
-            region = classify_f3(model.p0, model.p2, model.p3).region
-        if region == LOWER_BOUND_ON_P:
-            out = BoundDirection(UPPER_ON_S)
-        elif region == UPPER_BOUND_ON_P:
-            out = BoundDirection(LOWER_ON_S)
-        else:
-            out = BoundDirection(SWITCHES, switch_n=switch_generation(model))
-        _check_consistency(out.kind, model, fp)
-        return out
-    if isinstance(model, GeneralizedPoisson):
-        from .classify_gp import classify_gp
-        s = model.mu / (1.0 - model.lam) - 1.0
-        return classify_gp(s, model.lam)
-    raise DomainError(f"unknown model {model!r}")
+    if not model.fl_upper_proven:
+        return model.fl_direction(fp)
+    _check_consistency(UPPER_ON_S, model, fp)
+    return BoundDirection(UPPER_ON_S)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 evaluation, derivatives, moments, iteration of the pgf at 0 (the oracle for all
 bounds), the extinction probability, and the convergence rate gamma.
 
-All model types are immutable values; all operations are pure.
+Each family is one immutable class holding its parameters and what is known
+about it: its pgf and derivatives, its closed-form fixed point if it has one,
+the mu table of its s-family and whether its fractional-linear survival bound
+is proven an upper bound. The module-level functions check their arguments and
+delegate to the model. All operations are pure.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import ConvergenceError, DomainError
 from .specfun import lambert_w0
@@ -30,99 +34,22 @@ def max_iterations(default: int = 100_000) -> int:
     return value
 
 
-# ---------------------------------------------------------------------------
-# Model types
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
-class Poisson:
-    m: float
+class MuDerivatives:
+    """Mixed partial derivatives mu_kl of phi(x; s) at (x, s) = (1, 0) for a
+    family parameterized so that the mean is 1 + s."""
+    mu20: float
+    mu21: float
+    mu22: float
+    mu30: float
+    mu31: float
+    mu40: float
 
     def __post_init__(self):
-        if not self.m > 1.0:
-            raise DomainError(f"Poisson requires mean m > 1, got {self.m!r}")
-
-
-@dataclass(frozen=True)
-class Binomial:
-    n: int
-    p: float
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise DomainError(f"Binomial requires n >= 2, got {self.n!r}")
-        if not 0.0 < self.p < 1.0:
-            raise DomainError(f"Binomial requires p in (0,1), got {self.p!r}")
-        if not self.n * self.p > 1.0:
-            raise DomainError(f"Binomial requires mean n*p > 1, got {self.n * self.p!r}")
-
-
-@dataclass(frozen=True)
-class NegBinomial:
-    r: int
-    p: float
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise DomainError(f"NegBinomial requires r >= 1, got {self.r!r}")
-        if not 0.0 < self.p < 1.0:
-            raise DomainError(f"NegBinomial requires p in (0,1), got {self.p!r}")
-        if not self.r * (1.0 - self.p) / self.p > 1.0:
-            raise DomainError("NegBinomial requires mean r(1-p)/p > 1")
-
-
-@dataclass(frozen=True)
-class FractionalLinear:
-    pi: float
-    rho: float
-
-    def __post_init__(self):
-        if not 0.0 < self.pi < 1.0:
-            raise DomainError(f"FractionalLinear requires pi in (0,1), got {self.pi!r}")
-        if not 0.0 < self.rho < 1.0:
-            raise DomainError(f"FractionalLinear requires rho in (0,1), got {self.rho!r}")
-        if not self.rho < self.pi:
-            raise DomainError("FractionalLinear requires rho < pi (supercritical)")
-
-
-@dataclass(frozen=True)
-class FiniteThree:
-    p0: float
-    p1: float
-    p2: float
-    p3: float
-
-    def __post_init__(self):
-        probs = (self.p0, self.p1, self.p2, self.p3)
-        if any(p < 0.0 for p in probs):
-            raise DomainError("FiniteThree probabilities must be >= 0")
-        if abs(sum(probs) - 1.0) > 1e-12:
-            raise DomainError("FiniteThree probabilities must sum to 1")
-        if not self.p0 > 0.0:
-            raise DomainError("FiniteThree requires p0 > 0")
-        if not self.p0 + self.p1 < 1.0:
-            raise DomainError("FiniteThree requires p0 + p1 < 1")
-        mean = 1.0 - self.p0 + self.p2 + 2.0 * self.p3
-        if not mean > 1.0:
-            raise DomainError(f"FiniteThree requires mean > 1, got {mean!r}")
-
-
-@dataclass(frozen=True)
-class GeneralizedPoisson:
-    mu: float
-    lam: float
-
-    def __post_init__(self):
-        if not self.mu > 0.0:
-            raise DomainError(f"GeneralizedPoisson requires mu > 0, got {self.mu!r}")
-        if not 0.0 <= self.lam < 1.0:
-            raise DomainError(f"GeneralizedPoisson requires lambda in [0,1), got {self.lam!r}")
-        if not self.mu / (1.0 - self.lam) > 1.0:
-            raise DomainError("GeneralizedPoisson requires mean mu/(1-lambda) > 1")
-
-
-OffspringModel = Union[Poisson, Binomial, NegBinomial, FractionalLinear,
-                       FiniteThree, GeneralizedPoisson]
+        if not self.mu20 > 0.0:
+            raise DomainError(f"mu20 must be > 0, got {self.mu20!r}")
+        if self.mu30 < 0.0:
+            raise DomainError(f"mu30 must be >= 0, got {self.mu30!r}")
 
 
 @dataclass(frozen=True)
@@ -141,10 +68,211 @@ class FixedPoint:
 
 
 # ---------------------------------------------------------------------------
-# Generalized Poisson internals
+# Model types
 # ---------------------------------------------------------------------------
-# The pgf is exp(mu*(t(x) - 1)) where t solves t = x*exp(lam*(t-1)); in terms
-# of the Lambert function, t(x) = -W(-x*lam*exp(-lam))/lam.  Derivatives of t:
+
+class _Family:
+    """Defaults shared by the families. Each family is a frozen dataclass whose
+    fields are its parameters only; it defines pgf(x) for x in [0, 1] and
+    derivative(x, order) for order in {1, 2, 3} and x <= 1."""
+
+    # The matching fractional-linear survival bound is proven an upper bound
+    # on S^(n) for every member; families without a proof define
+    # fl_direction(fp) instead.
+    fl_upper_proven = True
+
+    def closed_p_inf(self) -> Optional[float]:
+        """P_inf in closed form, or None when it takes a root solve."""
+        return None
+
+    def mu_table(self) -> MuDerivatives:
+        """Mu table of the s-family through this model (mean 1 + s, s varying)."""
+        raise DomainError(f"no mu table for {self!r}")
+
+
+@dataclass(frozen=True)
+class Poisson(_Family):
+    m: float
+
+    def __post_init__(self):
+        if not self.m > 1.0:
+            raise DomainError(f"Poisson requires mean m > 1, got {self.m!r}")
+
+    def pgf(self, x: float) -> float:
+        return math.exp(-self.m * (1.0 - x))
+
+    def derivative(self, x: float, order: int) -> float:
+        return self.m ** order * math.exp(-self.m * (1.0 - x))
+
+    def closed_p_inf(self) -> float:
+        m = self.m
+        return -lambert_w0(-m * math.exp(-m)) / m
+
+    def mu_table(self) -> MuDerivatives:
+        return MuDerivatives(mu20=1.0, mu21=2.0, mu22=2.0, mu30=1.0, mu31=3.0, mu40=1.0)
+
+
+@dataclass(frozen=True)
+class Binomial(_Family):
+    n: int
+    p: float
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise DomainError(f"Binomial requires n >= 2, got {self.n!r}")
+        if not 0.0 < self.p < 1.0:
+            raise DomainError(f"Binomial requires p in (0,1), got {self.p!r}")
+        if not self.n * self.p > 1.0:
+            raise DomainError(f"Binomial requires mean n*p > 1, got {self.n * self.p!r}")
+
+    def pgf(self, x: float) -> float:
+        return (1.0 - self.p + self.p * x) ** self.n
+
+    def derivative(self, x: float, order: int) -> float:
+        n, p = self.n, self.p
+        coef = math.prod(range(n, n - order, -1), start=1.0)
+        if coef <= 0.0:
+            return 0.0
+        return coef * p ** order * (1.0 - p + p * x) ** (n - order)
+
+    def mu_table(self) -> MuDerivatives:
+        n = self.n
+        a = (n - 1) / n
+        b = (n - 1) * (n - 2) / n ** 2
+        c = (n - 1) * (n - 2) * (n - 3) / n ** 3
+        return MuDerivatives(mu20=a, mu21=2.0 * a, mu22=2.0 * a, mu30=b, mu31=3.0 * b, mu40=c)
+
+
+@dataclass(frozen=True)
+class NegBinomial(_Family):
+    r: int
+    p: float
+
+    def __post_init__(self):
+        if self.r < 1:
+            raise DomainError(f"NegBinomial requires r >= 1, got {self.r!r}")
+        if not 0.0 < self.p < 1.0:
+            raise DomainError(f"NegBinomial requires p in (0,1), got {self.p!r}")
+        if not self.r * (1.0 - self.p) / self.p > 1.0:
+            raise DomainError("NegBinomial requires mean r(1-p)/p > 1")
+
+    def pgf(self, x: float) -> float:
+        return self.p ** self.r / (1.0 - (1.0 - self.p) * x) ** self.r
+
+    def derivative(self, x: float, order: int) -> float:
+        r, p = self.r, self.p
+        q = 1.0 - p
+        coef = math.prod(range(r, r + order), start=1.0)
+        return coef * q ** order * p ** r / (1.0 - q * x) ** (r + order)
+
+    def mu_table(self) -> MuDerivatives:
+        r = self.r
+        a = (r + 1) / r
+        b = (r + 1) * (r + 2) / r ** 2
+        c = (r + 1) * (r + 2) * (r + 3) / r ** 3
+        return MuDerivatives(mu20=a, mu21=2.0 * a, mu22=2.0 * a, mu30=b, mu31=3.0 * b, mu40=c)
+
+
+@dataclass(frozen=True)
+class FractionalLinear(_Family):
+    """phi(x) = (rho + x(1 - pi - rho)) / (1 - pi x), the family whose n-fold
+    compositions stay in the family (see fl_bounds)."""
+    pi: float
+    rho: float
+
+    def __post_init__(self):
+        if not 0.0 < self.pi < 1.0:
+            raise DomainError(f"FractionalLinear requires pi in (0,1), got {self.pi!r}")
+        if not 0.0 < self.rho < 1.0:
+            raise DomainError(f"FractionalLinear requires rho in (0,1), got {self.rho!r}")
+        if not self.rho < self.pi:
+            raise DomainError("FractionalLinear requires rho < pi (supercritical)")
+
+    @property
+    def m(self) -> float:
+        return (1.0 - self.rho) / (1.0 - self.pi)
+
+    @property
+    def gamma(self) -> float:
+        return 1.0 / self.m
+
+    @property
+    def p_inf(self) -> float:
+        return self.rho / self.pi
+
+    def pgf(self, x: float) -> float:
+        return (self.rho + x * (1.0 - self.pi - self.rho)) / (1.0 - x * self.pi)
+
+    def derivative(self, x: float, order: int) -> float:
+        pi, rho = self.pi, self.rho
+        b = (1.0 - pi) * (1.0 - rho) / pi
+        return b * math.factorial(order) * pi ** order / (1.0 - pi * x) ** (order + 1)
+
+    def closed_p_inf(self) -> float:
+        return self.p_inf
+
+    def mu_table(self) -> MuDerivatives:
+        pi = self.pi
+        a = 2.0 * pi / (1.0 - pi)
+        b = 6.0 * pi ** 2 / (1.0 - pi) ** 2
+        c = 24.0 * pi ** 3 / (1.0 - pi) ** 3
+        return MuDerivatives(mu20=a, mu21=a, mu22=0.0, mu30=b, mu31=b, mu40=c)
+
+
+def f3_p_inf(p0: float, p2: float, p3: float) -> float:
+    """P_inf of the {0,1,2,3} law with p3 > 0: the root in (0,1) of
+    p3 x^2 + (p2 + p3) x - p0 = 0."""
+    q = p2 + p3
+    return (math.sqrt(4.0 * p0 * p3 + q * q) - q) / (2.0 * p3)
+
+
+@dataclass(frozen=True)
+class FiniteThree(_Family):
+    p0: float
+    p1: float
+    p2: float
+    p3: float
+
+    # No proof for the whole family: classify_f3 decides each law.
+    fl_upper_proven = False
+
+    def __post_init__(self):
+        probs = (self.p0, self.p1, self.p2, self.p3)
+        if any(p < 0.0 for p in probs):
+            raise DomainError("FiniteThree probabilities must be >= 0")
+        if abs(sum(probs) - 1.0) > 1e-12:
+            raise DomainError("FiniteThree probabilities must sum to 1")
+        if not self.p0 > 0.0:
+            raise DomainError("FiniteThree requires p0 > 0")
+        if not self.p0 + self.p1 < 1.0:
+            raise DomainError("FiniteThree requires p0 + p1 < 1")
+        mean = 1.0 - self.p0 + self.p2 + 2.0 * self.p3
+        if not mean > 1.0:
+            raise DomainError(f"FiniteThree requires mean > 1, got {mean!r}")
+
+    def pgf(self, x: float) -> float:
+        return self.p0 + self.p1 * x + self.p2 * x * x + self.p3 * x ** 3
+
+    def derivative(self, x: float, order: int) -> float:
+        if order == 1:
+            return self.p1 + 2.0 * self.p2 * x + 3.0 * self.p3 * x * x
+        if order == 2:
+            return 2.0 * self.p2 + 6.0 * self.p3 * x
+        return 6.0 * self.p3
+
+    def closed_p_inf(self) -> float:
+        if self.p3 > 0.0:
+            return f3_p_inf(self.p0, self.p2, self.p3)
+        return self.p0 / self.p2
+
+    def fl_direction(self, fp: FixedPoint):
+        from .classify_f3 import f3_bound_direction
+        return f3_bound_direction(self, fp)
+
+
+# The generalized Poisson pgf is exp(mu*(t(x) - 1)) where t solves
+# t = x*exp(lam*(t-1)); in terms of the Lambert function,
+# t(x) = -W(-x*lam*exp(-lam))/lam.  Derivatives of t:
 #   t'   = t / (x*(1 - lam*t))
 #   t''  = lam*t^2*(2 - lam*t) / (x^2*(1 - lam*t)^3)
 # and t''' follows by logarithmic differentiation of t''.
@@ -169,6 +297,62 @@ def _gp_t_derivs(x: float, lam: float):
     return t, t1, t2, t3
 
 
+@dataclass(frozen=True)
+class GeneralizedPoisson(_Family):
+    mu: float
+    lam: float
+
+    # The bound direction rests on conjectured lambda thresholds (classify_gp).
+    fl_upper_proven = False
+
+    def __post_init__(self):
+        if not self.mu > 0.0:
+            raise DomainError(f"GeneralizedPoisson requires mu > 0, got {self.mu!r}")
+        if not 0.0 <= self.lam < 1.0:
+            raise DomainError(f"GeneralizedPoisson requires lambda in [0,1), got {self.lam!r}")
+        if not self.mu / (1.0 - self.lam) > 1.0:
+            raise DomainError("GeneralizedPoisson requires mean mu/(1-lambda) > 1")
+
+    def pgf(self, x: float) -> float:
+        if self.lam == 0.0:
+            return math.exp(-self.mu * (1.0 - x))
+        if x == 0.0:
+            return math.exp(-self.mu)
+        return math.exp(self.mu * (_gp_t(x, self.lam) - 1.0))
+
+    def derivative(self, x: float, order: int) -> float:
+        mu, lam = self.mu, self.lam
+        if lam == 0.0:
+            return mu ** order * math.exp(-mu * (1.0 - x))
+        t, t1, t2, t3 = _gp_t_derivs(x, lam)
+        phi = math.exp(mu * (t - 1.0))
+        if order == 1:
+            return phi * mu * t1
+        if order == 2:
+            return phi * (mu * t2 + (mu * t1) ** 2)
+        return phi * (mu * t3 + 3.0 * mu * mu * t1 * t2 + (mu * t1) ** 3)
+
+    def mu_table(self) -> MuDerivatives:
+        lam = self.lam
+        u = 1.0 - lam
+        return MuDerivatives(
+            mu20=1.0 / u ** 2,
+            mu21=1.0 + 1.0 / u ** 2,
+            mu22=2.0,
+            mu30=(1.0 + 2.0 * lam) / u ** 4,
+            mu31=(3.0 - 3.0 * lam ** 2 + 4.0 * lam ** 3 - lam ** 4) / u ** 4,
+            mu40=(1.0 + lam * (6.0 + 9.0 * lam - lam ** 3)) / u ** 6,
+        )
+
+    def fl_direction(self, fp: FixedPoint):
+        from .classify_gp import classify_gp
+        return classify_gp(self.mu / (1.0 - self.lam) - 1.0, self.lam)
+
+
+OffspringModel = Union[Poisson, Binomial, NegBinomial, FractionalLinear,
+                       FiniteThree, GeneralizedPoisson]
+
+
 # ---------------------------------------------------------------------------
 # pgf evaluation and derivatives
 # ---------------------------------------------------------------------------
@@ -177,24 +361,7 @@ def pgf_eval(model: OffspringModel, x: float) -> float:
     """phi(x) for x in [0,1]."""
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"pgf_eval requires x in [0,1], got {x!r}")
-    if isinstance(model, Poisson):
-        return math.exp(-model.m * (1.0 - x))
-    if isinstance(model, Binomial):
-        return (1.0 - model.p + model.p * x) ** model.n
-    if isinstance(model, NegBinomial):
-        return model.p ** model.r / (1.0 - (1.0 - model.p) * x) ** model.r
-    if isinstance(model, FractionalLinear):
-        return (model.rho + x * (1.0 - model.pi - model.rho)) / (1.0 - x * model.pi)
-    if isinstance(model, FiniteThree):
-        return model.p0 + model.p1 * x + model.p2 * x * x + model.p3 * x ** 3
-    if isinstance(model, GeneralizedPoisson):
-        if model.lam == 0.0:
-            return math.exp(-model.mu * (1.0 - x))
-        if x == 0.0:
-            return math.exp(-model.mu)
-        t = _gp_t(x, model.lam)
-        return math.exp(model.mu * (t - 1.0))
-    raise DomainError(f"unknown model {model!r}")
+    return model.pgf(x)
 
 
 def pgf_derivative(model: OffspringModel, x: float, order: int) -> float:
@@ -205,45 +372,7 @@ def pgf_derivative(model: OffspringModel, x: float, order: int) -> float:
     # the Quine lower bound needs when evaluating phi'''(1 - 2*beta).
     if not x <= 1.0:
         raise DomainError(f"pgf_derivative requires x <= 1, got {x!r}")
-    if isinstance(model, Poisson):
-        return model.m ** order * math.exp(-model.m * (1.0 - x))
-    if isinstance(model, Binomial):
-        n, p = model.n, model.p
-        coef = 1.0
-        for i in range(order):
-            coef *= n - i
-        if coef <= 0.0:
-            return 0.0
-        return coef * p ** order * (1.0 - p + p * x) ** (n - order)
-    if isinstance(model, NegBinomial):
-        r, p = model.r, model.p
-        q = 1.0 - p
-        coef = 1.0
-        for i in range(order):
-            coef *= r + i
-        return coef * q ** order * p ** r / (1.0 - q * x) ** (r + order)
-    if isinstance(model, FractionalLinear):
-        pi, rho = model.pi, model.rho
-        b = (1.0 - pi) * (1.0 - rho) / pi
-        return b * math.factorial(order) * pi ** order / (1.0 - pi * x) ** (order + 1)
-    if isinstance(model, FiniteThree):
-        if order == 1:
-            return model.p1 + 2.0 * model.p2 * x + 3.0 * model.p3 * x * x
-        if order == 2:
-            return 2.0 * model.p2 + 6.0 * model.p3 * x
-        return 6.0 * model.p3
-    if isinstance(model, GeneralizedPoisson):
-        mu, lam = model.mu, model.lam
-        if lam == 0.0:
-            return mu ** order * math.exp(-mu * (1.0 - x))
-        t, t1, t2, t3 = _gp_t_derivs(x, lam)
-        phi = math.exp(mu * (t - 1.0))
-        if order == 1:
-            return phi * mu * t1
-        if order == 2:
-            return phi * (mu * t2 + (mu * t1) ** 2)
-        return phi * (mu * t3 + 3.0 * mu * mu * t1 * t2 + (mu * t1) ** 3)
-    raise DomainError(f"unknown model {model!r}")
+    return model.derivative(x, order)
 
 
 def moments(model: OffspringModel) -> Moments:
@@ -292,18 +421,8 @@ def _root_solve_p_inf(model: OffspringModel) -> float:
 
 def extinction_probability(model: OffspringModel) -> FixedPoint:
     """The fixed point P_inf of phi in (0,1) together with gamma = phi'(P_inf)."""
-    if isinstance(model, Poisson):
-        m = model.m
-        p_inf = -lambert_w0(-m * math.exp(-m)) / m
-    elif isinstance(model, FractionalLinear):
-        p_inf = model.rho / model.pi
-    elif isinstance(model, FiniteThree):
-        if model.p3 > 0.0:
-            s = model.p2 + model.p3
-            p_inf = (math.sqrt(4.0 * model.p0 * model.p3 + s * s) - s) / (2.0 * model.p3)
-        else:
-            p_inf = model.p0 / model.p2
-    else:
+    p_inf = model.closed_p_inf()
+    if p_inf is None:
         p_inf = _root_solve_p_inf(model)
     gamma = pgf_derivative(model, p_inf, 1)
     return FixedPoint(p_inf=p_inf, s_inf=1.0 - p_inf, gamma=gamma)

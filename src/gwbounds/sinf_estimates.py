@@ -13,34 +13,13 @@ from typing import Optional, Tuple
 
 from .errors import ApplicabilityError, DomainError
 from .pgf_core import (
-    Binomial,
-    FractionalLinear,
-    GeneralizedPoisson,
     Moments,
-    NegBinomial,
+    MuDerivatives,
     OffspringModel,
-    Poisson,
+    extinction_probability,
     moments,
     pgf_derivative,
 )
-
-
-@dataclass(frozen=True)
-class MuDerivatives:
-    """Mixed partial derivatives mu_kl of phi(x; s) at (x, s) = (1, 0) for a
-    family parameterized so that the mean is 1 + s."""
-    mu20: float
-    mu21: float
-    mu22: float
-    mu30: float
-    mu31: float
-    mu40: float
-
-    def __post_init__(self):
-        if not self.mu20 > 0.0:
-            raise DomainError(f"mu20 must be > 0, got {self.mu20!r}")
-        if self.mu30 < 0.0:
-            raise DomainError(f"mu30 must be >= 0, got {self.mu30!r}")
 
 
 @dataclass(frozen=True)
@@ -64,65 +43,10 @@ class SeriesCoeffs:
     gamma3: float
 
 
-def mu_derivatives_poisson() -> MuDerivatives:
-    return MuDerivatives(mu20=1.0, mu21=2.0, mu22=2.0, mu30=1.0, mu31=3.0, mu40=1.0)
-
-
-def mu_derivatives_binomial(n: int) -> MuDerivatives:
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n!r}")
-    a = (n - 1) / n
-    b = (n - 1) * (n - 2) / n ** 2
-    c = (n - 1) * (n - 2) * (n - 3) / n ** 3
-    return MuDerivatives(mu20=a, mu21=2.0 * a, mu22=2.0 * a, mu30=b, mu31=3.0 * b, mu40=c)
-
-
-def mu_derivatives_negbinomial(r: int) -> MuDerivatives:
-    if r < 1:
-        raise DomainError(f"r must be >= 1, got {r!r}")
-    a = (r + 1) / r
-    b = (r + 1) * (r + 2) / r ** 2
-    c = (r + 1) * (r + 2) * (r + 3) / r ** 3
-    return MuDerivatives(mu20=a, mu21=2.0 * a, mu22=2.0 * a, mu30=b, mu31=3.0 * b, mu40=c)
-
-
-def mu_derivatives_gp(lam: float) -> MuDerivatives:
-    if not 0.0 <= lam < 1.0:
-        raise DomainError(f"lam must be in [0, 1), got {lam!r}")
-    u = 1.0 - lam
-    return MuDerivatives(
-        mu20=1.0 / u ** 2,
-        mu21=1.0 + 1.0 / u ** 2,
-        mu22=2.0,
-        mu30=(1.0 + 2.0 * lam) / u ** 4,
-        mu31=(3.0 - 3.0 * lam ** 2 + 4.0 * lam ** 3 - lam ** 4) / u ** 4,
-        mu40=(1.0 + lam * (6.0 + 9.0 * lam - lam ** 3)) / u ** 6,
-    )
-
-
-def mu_derivatives_fl(pi: float) -> MuDerivatives:
-    if not 0.0 < pi < 1.0:
-        raise DomainError(f"pi must be in (0, 1), got {pi!r}")
-    a = 2.0 * pi / (1.0 - pi)
-    b = 6.0 * pi ** 2 / (1.0 - pi) ** 2
-    c = 24.0 * pi ** 3 / (1.0 - pi) ** 3
-    return MuDerivatives(mu20=a, mu21=a, mu22=0.0, mu30=b, mu31=b, mu40=c)
-
-
 def mu_derivatives(model: OffspringModel) -> MuDerivatives:
     """Mu table for the s-parameterized family passing through the given
     model (the family member with mean 1 + s for varying s)."""
-    if isinstance(model, Poisson):
-        return mu_derivatives_poisson()
-    if isinstance(model, Binomial):
-        return mu_derivatives_binomial(model.n)
-    if isinstance(model, NegBinomial):
-        return mu_derivatives_negbinomial(model.r)
-    if isinstance(model, GeneralizedPoisson):
-        return mu_derivatives_gp(model.lam)
-    if isinstance(model, FractionalLinear):
-        return mu_derivatives_fl(model.pi)
-    raise DomainError(f"no mu table for {model!r}")
+    return model.mu_table()
 
 
 def sinf_series(mu: MuDerivatives) -> SeriesCoeffs:
@@ -267,8 +191,8 @@ def sinf_bounds_all(model: OffspringModel, s: float) -> SinfBounds:
 
     quine_lower and quine_upper are evaluated whenever the expressions are
     real-valued (the guaranteed-bound condition of quine_bounds may fail);
-    dn_upper is None when its applicability condition fails."""
-    from .pgf_core import extinction_probability
+    dn_upper is None when phi'''(1) <= 0 or its applicability condition
+    fails."""
     mom = moments(model)
     c = _coeffs_of(model)
     beta = beta_bound(mom)
@@ -278,10 +202,12 @@ def sinf_bounds_all(model: OffspringModel, s: float) -> SinfBounds:
         qu = beta + beta ** 2 * (mom.c / (3.0 * mom.b)) * radicand ** -1.5
     else:
         qu = None
-    try:
-        dn = dn_upper(mom)
-    except ApplicabilityError:
-        dn = None
+    dn = None
+    if mom.c > 0.0:
+        try:
+            dn = dn_upper(mom)
+        except ApplicabilityError:
+            pass
     return SinfBounds(
         beta=beta,
         quine_lower=ql,

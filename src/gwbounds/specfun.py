@@ -7,7 +7,6 @@ All functions are pure and accept/return Python floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 
@@ -16,21 +15,6 @@ _EULER_GAMMA = 0.5772156649015328606
 
 # Slack allowed below the branch point -1/e before raising a domain error.
 _BRANCH_SLACK = 1e-15
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    abs_tol: float = 1e-14
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise DomainError("abs_tol must be > 0")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be >= 1")
-
-
-_DEFAULT_TOL = ToleranceConfig()
 
 
 def _branch_series(z: float) -> float:
@@ -45,7 +29,7 @@ def _branch_series(z: float) -> float:
             + 769.0 / 17280.0 * p ** 5)
 
 
-def lambert_w0(z: float, tol: ToleranceConfig = _DEFAULT_TOL) -> float:
+def lambert_w0(z: float) -> float:
     """Principal branch W(z) of w*exp(w) = z for z >= -1/e."""
     if z < -_INV_E - _BRANCH_SLACK:
         raise DomainError(f"lambert_w0 requires z >= -1/e, got {z!r}")
@@ -66,7 +50,7 @@ def lambert_w0(z: float, tol: ToleranceConfig = _DEFAULT_TOL) -> float:
         w = lz - math.log(lz)
 
     prev_dw = math.inf
-    for _ in range(tol.max_iter):
+    for _ in range(100):
         ew = math.exp(w)
         f = w * ew - z
         wp1 = w + 1.0
@@ -74,7 +58,7 @@ def lambert_w0(z: float, tol: ToleranceConfig = _DEFAULT_TOL) -> float:
         dw = f / denom
         w -= dw
         # Converged, or stalled at the rounding floor of w*e^w - z.
-        if abs(dw) <= tol.abs_tol * (2.0 + abs(w)) or \
+        if abs(dw) <= 1e-14 * (2.0 + abs(w)) or \
                 (abs(dw) < 1e-10 and abs(dw) >= 0.5 * prev_dw):
             return w
         prev_dw = abs(dw)

@@ -33,7 +33,6 @@ from gwbounds.fl_bounds import (
     sn_simple_bound,
     t_eps_app,
     t_eps_exact,
-    FLParams,
 )
 from gwbounds.genetics import (
     WFModel,
@@ -43,6 +42,7 @@ from gwbounds.genetics import (
     within_variance,
 )
 from gwbounds.pgf_core import (
+    FractionalLinear,
     Poisson,
     binomial_from_s,
     extinction_probability,
@@ -571,10 +571,10 @@ def test_criterion_8_property_suites():
             failures.append(f"within-variance mismatch at a={a}")
 
     # Fractional-linear closed form vs literal iteration.
-    fl = FLParams(pi=0.6, rho=0.3)
+    fl = FractionalLinear(pi=0.6, rho=0.3)
     x = 0.0
     for n in range(1, 101):
-        x = pgf_eval(fl.to_model(), x)
+        x = pgf_eval(fl, x)
         if abs(fl_survival_by_n(fl, n) - (1.0 - x)) > 1e-12:
             failures.append(f"FL closed form deviates at n={n}")
             break

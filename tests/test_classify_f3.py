@@ -61,7 +61,7 @@ def test_f_value_matches_direct_difference():
     rng = random.Random(2)
     for p0, p2, p3 in sample_region(rng, 50):
         model = f3_model(p0, p2, p3)
-        fl_model = f3_fl_params(p0, p2, p3).to_model()
+        fl_model = f3_fl_params(p0, p2, p3)
         for i in range(21):
             x = i / 20.0
             direct = pgf_eval(model, x) - pgf_eval(fl_model, x)
@@ -134,7 +134,7 @@ def scan_signs(p0, p2, p3, points=400):
     """Independent oracle: signs of phi - phi_FL on [0, 1) via direct pgf
     evaluation, excluding the double root at P_inf."""
     model = f3_model(p0, p2, p3)
-    fl_model = f3_fl_params(p0, p2, p3).to_model()
+    fl_model = f3_fl_params(p0, p2, p3)
     p_inf = f3_p_inf(p0, p2, p3)
     has_pos = has_neg = False
     # Separate grids on [0, P_inf) and (P_inf, 1), each excluding a margin
@@ -276,7 +276,7 @@ def test_p3zero_always_lower_region():
         assert fp.p_inf == pytest.approx(ref.p_inf, rel=1e-12)
         assert fp.gamma == pytest.approx(ref.gamma, rel=1e-12)
         # f >= 0 on [0, 1]: direct check.
-        fl_model = cls.fl.to_model()
+        fl_model = cls.fl
         for i in range(101):
             x = i / 100.0
             assert pgf_eval(model, x) - pgf_eval(fl_model, x) >= -1e-14

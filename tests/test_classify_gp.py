@@ -1,6 +1,7 @@
 """Generalized-Poisson bound-direction thresholds in the dispersion parameter
 and the three-way classification built on them."""
 
+import mpmath
 import pytest
 
 from gwbounds.classify_gp import classify_gp, gp_f_values, gp_thresholds
@@ -45,7 +46,7 @@ def test_threshold_defining_properties():
         def f0(lam):
             model = gp_from_s(lam, s)
             fp = extinction_probability(model)
-            fl = matching_fl(fp).to_model()
+            fl = matching_fl(fp)
             return pgf_eval(model, 0.0) - pgf_eval(fl, 0.0)
 
         assert f0(th.lambda_c0 - eps) * f0(th.lambda_c0 + eps) < 0.0
@@ -57,6 +58,48 @@ def test_threshold_defining_properties():
             return (1.0 + s) * fp.gamma - 1.0
 
         assert mg(th.lambda_c1 - eps) < 0.0 < mg(th.lambda_c1 + eps)
+
+
+def _lambda_c2_mp(s: float) -> float:
+    """Where f''(P_inf) changes sign, by bisection in lambda on 30-digit
+    solves: the GP pgf through mpmath's Lambert W, its derivatives by
+    numerical differentiation, P_inf by a bracketed root solve, and the
+    matching FL law's phi'' = 2 pi (1-pi)(1-rho)/(1 - pi x)^3."""
+    mp = mpmath.mp
+    with mpmath.workdps(30):
+        s = mp.mpf(s)
+
+        def f2(lam):
+            mu = (1 + s) * (1 - lam)
+
+            def phi(x):
+                if x == 0:
+                    return mp.exp(-mu)
+                t = -mp.lambertw(-x * lam * mp.exp(-lam)).real / lam
+                return mp.exp(mu * (t - 1))
+
+            p = mp.findroot(lambda x: phi(x) - x, (mp.mpf(0), 1 - s / 10),
+                            solver="anderson")
+            gamma = mp.diff(phi, p)
+            pi = (1 - gamma) / (1 - p * gamma)
+            rho = p * pi
+            return mp.diff(phi, p, 2) - 2 * pi * (1 - pi) * (1 - rho) / (1 - pi * p) ** 3
+
+        lo, hi = mp.mpf("0.2"), mp.mpf("0.4")
+        flo = f2(lo)
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            fmid = f2(mid)
+            if mp.sign(fmid) == mp.sign(flo):
+                lo, flo = mid, fmid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
+
+
+@pytest.mark.parametrize("s", [0.01, 0.1, 0.3])
+def test_lambda_c2_matches_mpmath_reference(s):
+    assert gp_thresholds(s).lambda_c2 == pytest.approx(_lambda_c2_mp(s), abs=1e-8)
 
 
 def test_small_s_approximations():

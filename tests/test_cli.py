@@ -13,7 +13,24 @@ import sys
 import pytest
 
 import gwbounds
-from gwbounds.cli import main
+from gwbounds.cli import build_model, main, make_parser
+from gwbounds.errors import DomainError
+from gwbounds.pgf_core import (
+    Binomial,
+    FiniteThree,
+    FractionalLinear,
+    GeneralizedPoisson,
+    NegBinomial,
+    Poisson,
+    binomial_from_s,
+    extinction_probability,
+    fl_from_s,
+    gp_from_s,
+    moments,
+    negbinomial_from_s,
+    poisson_from_s,
+)
+from gwbounds.sinf_estimates import sinf_bounds_all
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 # The directory that holds the imported gwbounds package, so that subprocesses
@@ -250,6 +267,94 @@ def test_digits_flag_controls_precision(capsys):
     g10 = {r[0]: r[1] for r in parse_csv(out10)[1:]}["gamma"]
     assert len(g10) > len(g6)
     assert float(g10) == pytest.approx(float(g6), rel=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# Model flags: --dist and the explicit-parameter and --s forms
+# ---------------------------------------------------------------------------
+
+MODEL_FLAGS = [
+    ("poisson", ["--m", "1.2"], Poisson(m=1.2)),
+    ("poisson", ["--s", "0.2"], poisson_from_s(0.2)),
+    ("binomial", ["--n", "5", "--p", "0.25"], Binomial(n=5, p=0.25)),
+    ("binomial", ["--n", "5", "--s", "0.2"], binomial_from_s(5, 0.2)),
+    ("negbinomial", ["--r", "3", "--p", "0.7"], NegBinomial(r=3, p=0.7)),
+    ("negbinomial", ["--r", "3", "--s", "0.2"], negbinomial_from_s(3, 0.2)),
+    ("fl", ["--pi", "0.4", "--rho", "0.3"], FractionalLinear(pi=0.4, rho=0.3)),
+    ("fl", ["--pi", "0.4", "--s", "0.2"], fl_from_s(0.4, 0.2)),
+    ("f3", ["--p0", "0.2", "--p2", "0.2", "--p3", "0.1"],
+     FiniteThree(p0=0.2, p1=1.0 - 0.2 - 0.2 - 0.1, p2=0.2, p3=0.1)),
+    ("gp", ["--mu", "0.9", "--lambda", "0.2"], GeneralizedPoisson(mu=0.9, lam=0.2)),
+    ("gp", ["--lambda", "0.2", "--s", "0.2"], gp_from_s(0.2, 0.2)),
+]
+
+
+def library_sinf_rows(model):
+    """gwb sinf's values, computed with the library; None where it prints a
+    blank."""
+    mom = moments(model)
+    fp = extinction_probability(model)
+    try:
+        sb = sinf_bounds_all(model, mom.m - 1.0)
+    except DomainError:  # F3 has no s-family, hence no series
+        sb = None
+    rows = {"m": mom.m, "variance": mom.var, "p_inf": fp.p_inf, "s_inf": fp.s_inf,
+            "gamma": fp.gamma}
+    for name, attr in (("beta", "beta"), ("quine_lower", "quine_lower"),
+                       ("quine_upper", "quine_upper"), ("dn_upper", "dn_upper"),
+                       ("sinf_series3", "series3"), ("haldane_theta_s", "haldane")):
+        rows[name] = getattr(sb, attr) if sb is not None else None
+    return rows
+
+
+@pytest.mark.parametrize("dist,flags,model", MODEL_FLAGS,
+                         ids=[f"{d}-{f[-2][2:]}" for d, f, _ in MODEL_FLAGS])
+def test_model_flags_build_the_model(dist, flags, model, capsys):
+    args = make_parser().parse_args(["sinf", "--dist", dist, *flags])
+    assert build_model(args) == model
+    code, out, err = run_cli(capsys, "sinf", "--dist", dist, *flags, "--digits", "17")
+    assert code == 0 and err == ""
+    printed = {r[0]: r[1] for r in parse_csv(out)[1:]}
+    expected = library_sinf_rows(model)
+    assert list(printed) == list(expected)
+    for name, value in expected.items():
+        assert (float(printed[name]) if printed[name] else None) == value, name
+
+
+@pytest.mark.parametrize("dist,flags,message", [
+    ("poisson", [], "poisson requires --m or --s"),
+    ("binomial", ["--s", "0.1"], "binomial requires --n"),
+    ("binomial", ["--n", "5"], "binomial requires --p or --s"),
+    ("negbinomial", ["--s", "0.1"], "negbinomial requires --r"),
+    ("negbinomial", ["--r", "5"], "negbinomial requires --p or --s"),
+    ("fl", ["--s", "0.1"], "fl requires --pi"),
+    ("fl", ["--pi", "0.4"], "fl requires --rho or --s"),
+    ("f3", ["--p0", "0.2", "--p2", "0.2"], "f3 requires --p0, --p2, --p3 (p1 is inferred)"),
+    ("gp", ["--s", "0.1"], "gp requires --lambda"),
+    ("gp", ["--lambda", "0.2"], "gp requires --mu or --s"),
+    (None, ["--s", "0.1"], "unknown distribution None"),
+])
+def test_missing_model_flag_exits_2(dist, flags, message, capsys):
+    dist_flags = ["--dist", dist] if dist else []
+    code, out, err = run_cli(capsys, "sinf", *dist_flags, *flags)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "domain", "message": message}
+
+
+def test_sinf_binomial_n2_fills_every_cell_but_dn_upper(capsys):
+    code, out, _ = run_cli(capsys, "sinf", "--dist", "binomial", "--n", "2", "--s", "0.1")
+    assert code == 0
+    rows = {r[0]: r[1:] for r in parse_csv(out)[1:]}
+    for name in ("beta", "quine_lower", "quine_upper", "sinf_series3", "haldane_theta_s"):
+        assert rows[name][0] != "", name
+    assert rows["dn_upper"] == ["", "dn_upper not applicable: phi'''(1) <= 0"]
+
+
+def test_format_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "1", "--format", "json"])
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from gwbounds.fl_bounds import (
     LOWER_ON_S,
     SWITCHES,
     UPPER_ON_S,
-    FLParams,
     agresti_pi_poisson,
     agresti_sn_bound,
     bin_coeff_cf,
@@ -50,35 +49,32 @@ from gwbounds.pgf_core import (
 # ---------------------------------------------------------------------------
 
 def test_fl_params_properties():
-    fl = FLParams(pi=0.5, rho=0.2)
+    fl = FractionalLinear(pi=0.5, rho=0.2)
     assert fl.p_inf == pytest.approx(0.4)
     assert fl.m * fl.gamma == pytest.approx(1.0, abs=1e-15)
-    model = fl.to_model()
-    assert isinstance(model, FractionalLinear)
-    fp = extinction_probability(model)
+    fp = extinction_probability(fl)
     assert fp.p_inf == pytest.approx(fl.p_inf, abs=1e-14)
     assert fp.gamma == pytest.approx(fl.gamma, rel=1e-13)
 
 
 def test_fl_params_validation():
     with pytest.raises(DomainError):
-        FLParams(pi=0.2, rho=0.5)
+        FractionalLinear(pi=0.2, rho=0.5)
     with pytest.raises(DomainError):
-        FLParams(pi=1.2, rho=0.5)
+        FractionalLinear(pi=1.2, rho=0.5)
 
 
-def composition_oracle(fl: FLParams, n: int) -> float:
+def composition_oracle(fl: FractionalLinear, n: int) -> float:
     """phi^(n)(0) by literal function iteration."""
     x = 0.0
-    model = fl.to_model()
     for _ in range(n):
-        x = pgf_eval(model, x)
+        x = pgf_eval(fl, x)
     return x
 
 
 def test_fl_iterates_match_composition_oracle():
     for pi, rho in ((0.5, 0.2), (0.9, 0.1), (0.3, 0.05), (0.7, 0.65)):
-        fl = FLParams(pi=pi, rho=rho)
+        fl = FractionalLinear(pi=pi, rho=rho)
         # Composed parameters: pi_n -> 1 like gamma^n, so stay where 1 - pi_n
         # is representable; the survival closed form has no such limit.
         for n in (1, 2, 5, 10, 20):
@@ -92,8 +88,8 @@ def test_fl_iterates_match_composition_oracle():
 
 
 def test_fl_survival_closed_form_vs_iteration():
-    fl = FLParams(pi=0.6, rho=0.3)
-    fp = extinction_probability(fl.to_model())
+    fl = FractionalLinear(pi=0.6, rho=0.3)
+    fp = extinction_probability(fl)
     for n in range(1, 201):
         direct = 1.0 - composition_oracle(fl, n)
         gamma_n = fl.gamma**n
@@ -155,7 +151,7 @@ def test_pgf_dominates_matching_fl_on_grid():
     # phi(x) >= phi_FL(x) on [0, 1] for the proven families (1024-point grid).
     for model in SENETA_GRID[::4]:
         fp = extinction_probability(model)
-        fl_model = matching_fl(fp).to_model()
+        fl_model = matching_fl(fp)
         for i in range(1024):
             x = i / 1023.0
             diff = pgf_eval(model, x) - pgf_eval(fl_model, x)

@@ -1,9 +1,13 @@
 """Core pgf machinery: fixed points, derivatives, moments, iteration."""
 
+import dataclasses
 import math
+import pickle
+import types
 
 import pytest
 
+import gwbounds
 from gwbounds.errors import DomainError
 from gwbounds.pgf_core import (
     Binomial,
@@ -255,6 +259,29 @@ def test_domain_errors():
         GeneralizedPoisson(mu=0.5, lam=0.5)  # mean = 1, critical
     with pytest.raises(DomainError):
         pgf_eval(Poisson(m=2.0), 1.5)
+
+
+def test_model_fields_are_the_parameters():
+    fields_of = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+                 for cls in (Poisson, Binomial, NegBinomial, FractionalLinear,
+                             FiniteThree, GeneralizedPoisson)}
+    assert fields_of == {"Poisson": ["m"], "Binomial": ["n", "p"],
+                         "NegBinomial": ["r", "p"], "FractionalLinear": ["pi", "rho"],
+                         "FiniteThree": ["p0", "p1", "p2", "p3"],
+                         "GeneralizedPoisson": ["mu", "lam"]}
+    fl = FractionalLinear(pi=0.5, rho=0.2)
+    assert repr(fl) == "FractionalLinear(pi=0.5, rho=0.2)"
+    assert pickle.loads(pickle.dumps(fl)) == fl
+    assert (fl.m, fl.p_inf) == (1.6, 0.4)
+
+
+def test_package_all_lists_no_modules():
+    assert gwbounds.__all__
+    modules = [name for name in gwbounds.__all__
+               if isinstance(getattr(gwbounds, name), types.ModuleType)]
+    assert modules == []
+    assert "FractionalLinear" in gwbounds.__all__
+    assert "pgf_core" not in gwbounds.__all__
 
 
 def test_max_iter_env(monkeypatch):

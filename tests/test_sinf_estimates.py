@@ -9,6 +9,7 @@ import pytest
 
 from gwbounds.errors import ApplicabilityError, DomainError
 from gwbounds.pgf_core import (
+    FiniteThree,
     binomial_from_s,
     extinction_probability,
     fl_from_s,
@@ -23,11 +24,6 @@ from gwbounds.sinf_estimates import (
     dn_upper,
     gamma_series_eval,
     mu_derivatives,
-    mu_derivatives_binomial,
-    mu_derivatives_fl,
-    mu_derivatives_gp,
-    mu_derivatives_negbinomial,
-    mu_derivatives_poisson,
     pn_ratio_series,
     quine_bounds,
     sinf_bounds_all,
@@ -117,16 +113,16 @@ def mu_oracle(pmf, kmax=400):
 
 
 ORACLE_CASES = [
-    (mu_derivatives_poisson(), pmf_poisson),
-    (mu_derivatives_binomial(5), pmf_binomial(5)),
-    (mu_derivatives_binomial(12), pmf_binomial(12)),
-    (mu_derivatives_negbinomial(2), pmf_negbinomial(2)),
-    (mu_derivatives_negbinomial(5), pmf_negbinomial(5)),
-    (mu_derivatives_gp(0.0), pmf_gp(0.0)),
-    (mu_derivatives_gp(0.3), pmf_gp(0.3)),
-    (mu_derivatives_gp(0.6), pmf_gp(0.6)),
-    (mu_derivatives_fl(0.4), pmf_fl(0.4)),
-    (mu_derivatives_fl(0.7), pmf_fl(0.7)),
+    (mu_derivatives(poisson_from_s(0.1)), pmf_poisson),
+    (mu_derivatives(binomial_from_s(5, 0.1)), pmf_binomial(5)),
+    (mu_derivatives(binomial_from_s(12, 0.1)), pmf_binomial(12)),
+    (mu_derivatives(negbinomial_from_s(2, 0.1)), pmf_negbinomial(2)),
+    (mu_derivatives(negbinomial_from_s(5, 0.1)), pmf_negbinomial(5)),
+    (mu_derivatives(gp_from_s(0.0, 0.1)), pmf_gp(0.0)),
+    (mu_derivatives(gp_from_s(0.3, 0.1)), pmf_gp(0.3)),
+    (mu_derivatives(gp_from_s(0.6, 0.1)), pmf_gp(0.6)),
+    (mu_derivatives(fl_from_s(0.4, 0.1)), pmf_fl(0.4)),
+    (mu_derivatives(fl_from_s(0.7, 0.1)), pmf_fl(0.7)),
 ]
 
 
@@ -143,20 +139,22 @@ def test_mu_tables_against_factorial_moment_oracle(table, pmf):
 
 
 def test_mu_dispatch_matches_family_tables():
-    assert mu_derivatives(poisson_from_s(0.2)) == mu_derivatives_poisson()
-    assert mu_derivatives(binomial_from_s(7, 0.2)) == mu_derivatives_binomial(7)
-    assert mu_derivatives(negbinomial_from_s(3, 0.2)) == mu_derivatives_negbinomial(3)
-    assert mu_derivatives(gp_from_s(0.4, 0.2)) == mu_derivatives_gp(0.4)
-    assert mu_derivatives(fl_from_s(0.5, 0.2)) == mu_derivatives_fl(0.5)
+    # The table belongs to the s-family: every member gives the same one.
+    for make in (poisson_from_s, lambda s: binomial_from_s(7, s),
+                 lambda s: negbinomial_from_s(3, s), lambda s: gp_from_s(0.4, s),
+                 lambda s: fl_from_s(0.5, s)):
+        assert mu_derivatives(make(0.2)) == mu_derivatives(make(0.05))
 
 
 def test_mu_table_validation():
     with pytest.raises(DomainError):
         MuDerivatives(mu20=0.0, mu21=1, mu22=1, mu30=1, mu31=1, mu40=1)
     with pytest.raises(DomainError):
-        mu_derivatives_binomial(1)
+        mu_derivatives(binomial_from_s(1, 0.1))
     with pytest.raises(DomainError):
-        mu_derivatives_gp(1.0)
+        mu_derivatives(gp_from_s(1.0, 0.1))
+    with pytest.raises(DomainError, match="no mu table"):
+        mu_derivatives(FiniteThree(p0=0.2, p1=0.5, p2=0.2, p3=0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +162,7 @@ def test_mu_table_validation():
 # ---------------------------------------------------------------------------
 
 def test_poisson_coefficients_rational():
-    c = sinf_series(mu_derivatives_poisson())
+    c = sinf_series(mu_derivatives(poisson_from_s(0.1)))
     assert c.theta == pytest.approx(2.0, abs=1e-15)
     assert c.delta2 == pytest.approx(8.0 / 3.0, abs=1e-14)
     assert c.delta3 == pytest.approx(28.0 / 9.0, abs=1e-14)
@@ -174,7 +172,7 @@ def test_poisson_coefficients_rational():
 
 @pytest.mark.parametrize("n", [2, 3, 5, 10, 40])
 def test_binomial_coefficients_rational(n):
-    c = sinf_series(mu_derivatives_binomial(n))
+    c = sinf_series(mu_derivatives(binomial_from_s(n, 0.1)))
     assert c.theta == pytest.approx(2.0 * n / (n - 1), rel=1e-14)
     d2 = Fraction(4 * n * (2 * n - 1), 3 * (n - 1) ** 2)
     assert c.delta2 == pytest.approx(float(d2), rel=1e-12)
@@ -185,7 +183,7 @@ def test_binomial_coefficients_rational(n):
 
 @pytest.mark.parametrize("r", [1, 2, 5, 10])
 def test_negbinomial_coefficients_rational(r):
-    c = sinf_series(mu_derivatives_negbinomial(r))
+    c = sinf_series(mu_derivatives(negbinomial_from_s(r, 0.1)))
     assert c.theta == pytest.approx(2.0 * r / (r + 1), rel=1e-14)
     assert c.gamma2 == pytest.approx(2.0 * (r + 2) / (3.0 * (r + 1)), rel=1e-13)
     assert c.gamma3 == pytest.approx(4.0 * (r + 2) ** 2 / (9.0 * (r + 1) ** 2), rel=1e-12)
@@ -197,7 +195,7 @@ def test_negbinomial_coefficients_rational(r):
 
 @pytest.mark.parametrize("lam", [0.0, 0.2, 0.5, 0.9])
 def test_gp_coefficients(lam):
-    c = sinf_series(mu_derivatives_gp(lam))
+    c = sinf_series(mu_derivatives(gp_from_s(lam, 0.1)))
     u = 1.0 - lam
     assert c.theta == pytest.approx(2.0 * u * u, rel=1e-14)
     assert c.gamma2 == pytest.approx(2.0 * (1.0 + 2.0 * lam) / 3.0, rel=1e-13)
@@ -215,7 +213,7 @@ def test_gp_coefficients(lam):
 def test_fl_series_is_exact(pi):
     # The fractional-linear family has S_inf = s(1-pi)/pi exactly and
     # gamma = 1/(1+s), so delta2 = delta3 = 0 and gamma2 = gamma3 = 1.
-    c = sinf_series(mu_derivatives_fl(pi))
+    c = sinf_series(mu_derivatives(fl_from_s(pi, 0.1)))
     assert c.theta == pytest.approx((1.0 - pi) / pi, rel=1e-14)
     assert c.delta2 == pytest.approx(0.0, abs=1e-13)
     assert c.delta3 == pytest.approx(0.0, abs=1e-12)
@@ -229,9 +227,9 @@ def test_fl_series_is_exact(pi):
 
 def test_universal_linear_gamma_coefficient():
     # gamma = 1 - s + O(s^2) for every family.
-    for fam in (mu_derivatives_poisson(), mu_derivatives_binomial(6),
-                mu_derivatives_negbinomial(3), mu_derivatives_gp(0.4),
-                mu_derivatives_fl(0.5)):
+    for model in (poisson_from_s(0.1), binomial_from_s(6, 0.1), negbinomial_from_s(3, 0.1),
+                  gp_from_s(0.4, 0.1), fl_from_s(0.5, 0.1)):
+        fam = mu_derivatives(model)
         assert gamma_series_eval(fam, 1e-6, order=1) == pytest.approx(1.0 - 1e-6)
 
 
@@ -271,7 +269,7 @@ def test_gamma_series_fourth_order(name, ctor):
 
 
 def test_series_eval_orders():
-    c = sinf_series(mu_derivatives_poisson())
+    c = sinf_series(mu_derivatives(poisson_from_s(0.1)))
     s = 0.1
     assert sinf_series_eval(c, s, order=1) == pytest.approx(2.0 * s)
     assert sinf_series_eval(c, s, order=2) == pytest.approx(2.0 * s - (8.0 / 3.0) * s * s)
@@ -359,6 +357,21 @@ def test_sinf_bounds_all_evaluates_quine_outside_hypothesis():
     assert sb.exact == pytest.approx(0.00466, abs=5e-5)
 
 
+@pytest.mark.parametrize("s", [0.05, 0.1, 0.3])
+def test_sinf_bounds_all_binomial_n2_reports_dn_not_applicable(s):
+    # phi'''(1) = 0 for n = 2: the Daley-Narayan bound has no value, but
+    # every other entry does. beta is exact here: S_inf = (2p - 1)/p^2.
+    model = binomial_from_s(2, s)
+    with pytest.raises(DomainError):
+        dn_upper(model)
+    sb = sinf_bounds_all(model, s)
+    assert sb.dn_upper is None
+    assert sb.beta == pytest.approx(sb.exact, rel=1e-12)
+    assert sb.quine_lower == sb.quine_upper == sb.beta
+    assert sb.haldane == pytest.approx(4.0 * s, rel=1e-14)  # theta = 2n/(n-1)
+    assert sb.series3 == pytest.approx(sinf_series_eval(model, s), rel=1e-15)
+
+
 def test_sinf_bounds_all_fl_anchor():
     sb = sinf_bounds_all(fl_from_s(0.2, 0.2), 0.2)
     assert sb.exact == pytest.approx(0.8, rel=1e-12)
@@ -389,9 +402,9 @@ def test_t_simple_leading_order():
 
 def test_t_ser_domain():
     with pytest.raises(DomainError):
-        t_ser(mu_derivatives_poisson(), -0.1, 0.01)
+        t_ser(mu_derivatives(poisson_from_s(0.1)), -0.1, 0.01)
     with pytest.raises(DomainError):
-        t_ser(mu_derivatives_poisson(), 0.1, 0.0)
+        t_ser(mu_derivatives(poisson_from_s(0.1)), 0.1, 0.0)
 
 
 def test_pn_ratio_series_small_sn():
@@ -412,6 +425,6 @@ def test_pn_ratio_series_small_sn():
 
 def test_pn_ratio_series_limits():
     # n = 0 gives 0; large n approaches 1 at leading order.
-    c = sinf_series(mu_derivatives_poisson())
+    c = sinf_series(mu_derivatives(poisson_from_s(0.1)))
     assert pn_ratio_series(c, 0.01, 0) == pytest.approx(0.0, abs=1e-15)
     assert pn_ratio_series(c, 0.0, 10_000) == pytest.approx(1.0, abs=1e-3)
