@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import DomainError
 from .fl_bounds import (
     LOWER_ON_S,
@@ -218,6 +216,8 @@ def f3_region_volumes(n_samples: int = 1_000_000, seed: int = 0) -> Tuple[float,
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
+    import numpy as np  # here only: numpy takes ~0.15 s to import
+
     rng = np.random.default_rng(seed)
     p0 = rng.random(n_samples)
     p2 = rng.random(n_samples)

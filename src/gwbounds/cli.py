@@ -310,17 +310,12 @@ def cmd_sinf(args) -> int:
         # values outside the bounds' validity conditions.
         quine_bounds(model)
         dn_upper(model)
-    try:
-        bounds = sinf_bounds_all(model, s)
-        series3 = bounds.series3
-        haldane = bounds.haldane
-    except DomainError:
-        bounds = None
-        series3 = haldane = None
+    bounds = sinf_bounds_all(model, s)
     note = ""
-    if bounds is not None and bounds.dn_upper is None:
+    if bounds.dn_upper is None:
         note = ("dn_upper not applicable: phi'''(1) <= 0" if mom.c <= 0.0
                 else "dn_upper not applicable: 8c(m-1) >= 3b^2")
+    series_note = "" if bounds.series3 is not None else "no s-family: no mu table"
     header = ["quantity", "value", "note"]
     rows = [
         ["m", mom.m, ""],
@@ -328,12 +323,12 @@ def cmd_sinf(args) -> int:
         ["p_inf", fp.p_inf, ""],
         ["s_inf", fp.s_inf, ""],
         ["gamma", fp.gamma, ""],
-        ["beta", bounds.beta if bounds else None, ""],
-        ["quine_lower", bounds.quine_lower if bounds else None, ""],
-        ["quine_upper", bounds.quine_upper if bounds else None, ""],
-        ["dn_upper", bounds.dn_upper if bounds else None, note],
-        ["sinf_series3", series3, ""],
-        ["haldane_theta_s", haldane, ""],
+        ["beta", bounds.beta, ""],
+        ["quine_lower", bounds.quine_lower, ""],
+        ["quine_upper", bounds.quine_upper, ""],
+        ["dn_upper", bounds.dn_upper, note],
+        ["sinf_series3", bounds.series3, series_note],
+        ["haldane_theta_s", bounds.haldane, series_note],
     ]
     write_output(render_csv(header, rows, args.digits), args.out)
     return 0

@@ -257,7 +257,6 @@ def sign_scan(model: OffspringModel, fp: Optional[FixedPoint] = None,
 def switch_generation(model: OffspringModel, n_max: int = 2000) -> Optional[int]:
     """First generation at which P^(n) - P^(n)_FL changes sign, or None."""
     fp = extinction_probability(model)
-    fl = matching_fl(fp)
     x = 0.0
     prev_sign = 0
     for n in range(1, n_max + 1):

@@ -11,9 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-from scipy.stats import binom
-
 from .errors import DomainError
 from .pgf_core import (
     OffspringModel,
@@ -23,6 +20,25 @@ from .pgf_core import (
 )
 from .sinf_estimates import mu_derivatives, sinf_series
 from .specfun import exp_e1
+
+
+# numpy and scipy.stats take ~1 s to import and serve only wf_fixation_exact,
+# so genetics.np and genetics.binom load on first access (PEP 562). They are
+# then ordinary module attributes, which a caller may replace.
+def __getattr__(name):
+    if name == "np":
+        import numpy as value
+    elif name == "binom":
+        from scipy.stats import binom as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def _lazy(name):
+    """The module attribute genetics.<name>, loading it on first use."""
+    return globals()[name] if name in globals() else __getattr__(name)
 
 
 @dataclass(frozen=True)
@@ -165,10 +181,11 @@ def wf_fixation_diffusion(wf: WFModel) -> float:
 def wf_fixation_a(n_pop: int, s: float, a1: float = 2.0,
                   a2: Optional[float] = None) -> float:
     """Exponential-form approximation (1 - exp(-A))/(1 - exp(-A*N)) with
-    A = a1*s + a2*s^2.  The default a2 = -2/3 - 1/(3*N*s) makes the relative
-    error O(s^3) for large N*s (series 2s - (8/3 + 1/(3Ns))s^2 + ...);
-    a1 = 2, a2 = 0 recovers the diffusion approximation with
-    effective_size = pop_size."""
+    A = a1*s + a2*s^2.  The default a2 = -2/3 - 1/(3*N*s) matches the exact
+    series 2s - (8/3 + 1/(3Ns))s^2 + ... for large N*s; the first term it
+    misses, (4/9)s^3, leaves a relative error of about (2/9)s^2 (the
+    approximation is low).  a1 = 2, a2 = 0 recovers the diffusion
+    approximation with effective_size = pop_size."""
     if not s > 0.0:
         raise DomainError(f"s must be > 0, got {s!r}")
     if n_pop < 2:
@@ -189,6 +206,7 @@ def wf_fixation_exact(wf: WFModel) -> float:
     n, s = wf.pop_size, wf.s_sel
     if n > 5000:
         raise DomainError(f"pop_size must be <= 5000 for the dense solve, got {n!r}")
+    np, binom = _lazy("np"), _lazy("binom")
     i = np.arange(1, n)               # interior states
     x = i / n
     psi = x * (1.0 + s) / (1.0 + s * x)

@@ -29,8 +29,8 @@ class SinfBounds:
     quine_lower: Optional[float]
     quine_upper: Optional[float]
     dn_upper: Optional[float]
-    series3: float
-    haldane: float
+    series3: Optional[float]
+    haldane: Optional[float]
     exact: float
 
 
@@ -192,9 +192,13 @@ def sinf_bounds_all(model: OffspringModel, s: float) -> SinfBounds:
     quine_lower and quine_upper are evaluated whenever the expressions are
     real-valued (the guaranteed-bound condition of quine_bounds may fail);
     dn_upper is None when phi'''(1) <= 0 or its applicability condition
-    fails."""
+    fails; series3 and haldane are None when the model has no s-family
+    (three-offspring models), as they need its mu table."""
     mom = moments(model)
-    c = _coeffs_of(model)
+    try:
+        c = sinf_series(mu_derivatives(model))
+    except DomainError:
+        c = None
     beta = beta_bound(mom)
     ql = beta + beta ** 2 * pgf_derivative(model, 1.0 - 2.0 * beta, 3) / (3.0 * mom.b)
     radicand = 1.0 - 4.0 * mom.c * beta / (3.0 * mom.b)
@@ -213,7 +217,7 @@ def sinf_bounds_all(model: OffspringModel, s: float) -> SinfBounds:
         quine_lower=ql,
         quine_upper=qu,
         dn_upper=dn,
-        series3=sinf_series_eval(c, s),
-        haldane=c.theta * s,
+        series3=None if c is None else sinf_series_eval(c, s),
+        haldane=None if c is None else c.theta * s,
         exact=extinction_probability(model).s_inf,
     )

@@ -14,7 +14,6 @@ import pytest
 
 import gwbounds
 from gwbounds.cli import build_model, main, make_parser
-from gwbounds.errors import DomainError
 from gwbounds.pgf_core import (
     Binomial,
     FiniteThree,
@@ -294,16 +293,13 @@ def library_sinf_rows(model):
     blank."""
     mom = moments(model)
     fp = extinction_probability(model)
-    try:
-        sb = sinf_bounds_all(model, mom.m - 1.0)
-    except DomainError:  # F3 has no s-family, hence no series
-        sb = None
+    sb = sinf_bounds_all(model, mom.m - 1.0)
     rows = {"m": mom.m, "variance": mom.var, "p_inf": fp.p_inf, "s_inf": fp.s_inf,
             "gamma": fp.gamma}
     for name, attr in (("beta", "beta"), ("quine_lower", "quine_lower"),
                        ("quine_upper", "quine_upper"), ("dn_upper", "dn_upper"),
                        ("sinf_series3", "series3"), ("haldane_theta_s", "haldane")):
-        rows[name] = getattr(sb, attr) if sb is not None else None
+        rows[name] = getattr(sb, attr)
     return rows
 
 
@@ -349,6 +345,21 @@ def test_sinf_binomial_n2_fills_every_cell_but_dn_upper(capsys):
     for name in ("beta", "quine_lower", "quine_upper", "sinf_series3", "haldane_theta_s"):
         assert rows[name][0] != "", name
     assert rows["dn_upper"] == ["", "dn_upper not applicable: phi'''(1) <= 0"]
+
+
+def test_sinf_f3_prints_moment_bounds_and_blanks_only_the_series(capsys):
+    # beta = 2s/phi''(1), the Quine pair and Daley-Narayan need only moments;
+    # the series and Haldane cells need a mu table, which F3 lacks.
+    code, out, err = run_cli(capsys, "sinf", "--dist", "f3", "--p0", "0.2",
+                             "--p2", "0.2", "--p3", "0.1")
+    assert code == 0 and err == ""
+    rows = {r[0]: r[1:] for r in parse_csv(out)[1:]}
+    assert rows["beta"] == ["0.4", ""]
+    assert rows["quine_lower"] == ["0.432", ""]
+    assert rows["quine_upper"] == ["0.457067", ""]
+    assert rows["dn_upper"] == ["0.438447", ""]
+    for name in ("sinf_series3", "haldane_theta_s"):
+        assert rows[name] == ["", "no s-family: no mu table"], name
 
 
 def test_format_flag_is_gone(capsys):

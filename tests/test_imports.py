@@ -1,0 +1,131 @@
+"""numpy and scipy load only for the Wright-Fisher dense solve and the F3
+Monte Carlo: `import gwbounds` and every other subcommand start without them,
+and genetics.np / genetics.binom stay module attributes that a caller may
+replace (a timing proxy, say) and wf_fixation_exact then calls."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import gwbounds
+from gwbounds import genetics
+
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(gwbounds.__file__)))
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+# Printed on stderr at exit: which of numpy and scipy the process loaded.
+REPORT_HEAVY = ("import atexit, sys\n"
+                "atexit.register(lambda: sys.stderr.write(repr(sorted(\n"
+                "    m for m in ('numpy', 'scipy') if m in sys.modules)) + '\\n'))\n")
+
+
+def run_python(code):
+    """Run code in a fresh interpreter with the package under test first on
+    PYTHONPATH; return (returncode, stdout, last stderr line)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", REPORT_HEAVY + code],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr.splitlines()[-1]
+
+
+def run_cli_module(*argv):
+    """`python -m gwbounds.cli argv...` in a fresh interpreter."""
+    return run_python("import runpy\n"
+                      f"sys.argv = ['gwbounds.cli', *{list(argv)!r}]\n"
+                      "runpy.run_module('gwbounds.cli', run_name='__main__', alter_sys=True)\n")
+
+
+@pytest.mark.parametrize("module", ["gwbounds", "gwbounds.cli"])
+def test_import_loads_neither_numpy_nor_scipy(module):
+    code, _, loaded = run_python(f"import {module}\n")
+    assert code == 0
+    assert loaded == "[]"
+
+
+def test_table2_module_run_loads_neither_numpy_nor_scipy():
+    code, out, loaded = run_cli_module("table", "2")
+    assert code == 0
+    with open(os.path.join(GOLDEN, "table2.csv")) as fh:  # both read as text
+        assert out == fh.read()
+    assert loaded == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "1"),
+    ("table", "3"),
+    ("survival", "--dist", "poisson", "--m", "1.5", "--nmax", "20"),
+    ("sinf", "--dist", "gp", "--s", "0.2", "--lambda", "0.9"),
+    ("teps", "--dist", "binomial", "--n", "5", "--p", "0.202", "--eps", "0.01"),
+    ("classify", "f3", "--p0", "0.2", "--p2", "0.2", "--p3", "0.1"),
+    ("classify", "gp", "--s", "0.1", "--lambda", "0.276"),
+    ("figdata", "1"),
+    ("figdata", "4"),
+], ids=lambda argv: "-".join(a for a in argv[:2] if not a.startswith("--")))
+def test_subcommands_other_than_genetics_and_volumes_skip_numpy(argv):
+    code, out, loaded = run_cli_module(*argv)
+    assert code == 0 and out
+    assert loaded == "[]"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("genetics", "--dist", "poisson", "--m", "1.1", "--N", "50", "--s", "0.1",
+      "--tau", "2"), "['numpy', 'scipy']"),
+    (("figdata", "3-volumes", "--samples", "1000", "--seed", "1"), "['numpy']"),
+], ids=["genetics", "figdata-3-volumes"])
+def test_wf_solve_and_volumes_load_what_they_use(argv, expected):
+    code, out, loaded = run_cli_module(*argv)
+    assert code == 0 and out
+    assert loaded == expected
+
+
+def test_genetics_dependencies_resolve_after_a_solve():
+    code, out, _ = run_python(
+        "from gwbounds import genetics\n"
+        "before = sorted(n for n in ('np', 'binom') if n in vars(genetics))\n"
+        "genetics.wf_fixation_exact(genetics.WFModel(20, 0.1, 20.0))\n"
+        "import numpy, scipy.stats\n"
+        "print(before, genetics.np is numpy, genetics.binom is scipy.stats.binom,\n"
+        "      sorted(n for n in ('np', 'binom') if n in vars(genetics)))\n")
+    assert code == 0
+    assert out.strip() == "[] True True ['binom', 'np']"
+
+
+def test_unknown_genetics_attribute_raises_attribute_error():
+    assert not hasattr(genetics, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        genetics.no_such_name
+
+
+class _Proxy:
+    """Delegates to target, except for the attributes given."""
+
+    def __init__(self, target, **attrs):
+        self._target = target
+        vars(self).update(attrs)
+
+    def __getattr__(self, attr):
+        return getattr(self._target, attr)
+
+
+def test_proxies_set_on_the_module_are_what_the_solve_calls(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    wf = genetics.WFModel(30, 0.1, 30.0)
+    plain = genetics.wf_fixation_exact(wf)
+    np = genetics.np
+    monkeypatch.setattr(genetics, "binom", _Proxy(
+        genetics.binom, pmf=counted("pmf", genetics.binom.pmf)))
+    monkeypatch.setattr(genetics, "np", _Proxy(np, linalg=_Proxy(
+        np.linalg, solve=counted("solve", np.linalg.solve))))
+    assert genetics.wf_fixation_exact(wf) == plain
+    assert calls == ["pmf", "solve"]
