@@ -25,6 +25,7 @@ from .pgf_core import (
     OffspringModel,
     Poisson,
     binomial_from_s,
+    extinction_iterates,
     extinction_probability,
     fl_from_s,
     gp_from_s,

@@ -277,7 +277,7 @@ def cmd_classify(args) -> int:
         }
     else:
         raise DomainError(f"unknown classifier kind {args.kind!r}")
-    sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
+    write_output(json.dumps(report, sort_keys=True) + "\n", args.out)
     return 0
 
 
@@ -477,7 +477,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_cls = sub.add_parser("classify", help="bound-direction classification")
     p_cls.add_argument("kind", choices=["f3", "gp"])
     _add_model_flags(p_cls)
-    _add_output_flags(p_cls)
+    p_cls.add_argument("--out", default=None)
     p_cls.set_defaults(func=cmd_classify)
 
     p_surv = sub.add_parser("survival", help="survival curve and bounds")
@@ -524,6 +524,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "digits", 0) < 0:
+            raise DomainError(f"--digits must be >= 0, got {args.digits}")
         return args.func(args)
     except ApplicabilityError as exc:
         sys.stderr.write(json.dumps({

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from .errors import ConvergenceError, DomainError, InconsistencyError
@@ -16,9 +17,9 @@ from .pgf_core import (
     FractionalLinear,
     OffspringModel,
     Poisson,
+    extinction_iterates,
     extinction_probability,
     iterate_extinction,
-    max_iterations,
     pgf_derivative,
     pgf_eval,
 )
@@ -26,12 +27,19 @@ from .pgf_core import (
 UPPER_ON_S = "UpperOnS"
 LOWER_ON_S = "LowerOnS"
 SWITCHES = "SwitchesAt"
-UNDETERMINED = "Undetermined"
+
+# Generations t_eps_exact iterates before it gives up.
+T_EPS_CAP = 100_000
+# sign_scan's grid over [0, P_inf] and the |f| below which it reads no sign.
+SCAN_POINTS = 2048
+SCAN_TOL = 1e-12
+# Generations switch_generation looks through.
+SWITCH_N_MAX = 2000
 
 
 @dataclass(frozen=True)
 class BoundDirection:
-    kind: str                      # one of UPPER_ON_S, LOWER_ON_S, SWITCHES, UNDETERMINED
+    kind: str                      # one of UPPER_ON_S, LOWER_ON_S, SWITCHES
     switch_n: Optional[int] = None  # first generation on the asymptotic side, if kind == SWITCHES
     conjectured: bool = False       # True when the classification rests on a conjecture
 
@@ -80,36 +88,28 @@ def matching_fl(fp: FixedPoint) -> FractionalLinear:
 # Per-generation bounds on S^(n)
 # ---------------------------------------------------------------------------
 
-def sn_fl_bound(model: OffspringModel, n: int, fp: Optional[FixedPoint] = None) -> float:
+def sn_fl_bound(model: OffspringModel, n: int, fp: FixedPoint) -> float:
     """S_inf / (1 - gamma^n (1 - S_inf)); an upper bound on S^(n) when the
     matching fractional-linear pgf lies below phi on [0, P_inf]."""
-    if fp is None:
-        fp = extinction_probability(model)
     return fp.s_inf / (1.0 - fp.gamma ** n * (1.0 - fp.s_inf))
 
 
-def sn_simple_bound(model: OffspringModel, n: int, fp: Optional[FixedPoint] = None) -> float:
+def sn_simple_bound(model: OffspringModel, n: int, fp: FixedPoint) -> float:
     """Concavity bound S_inf + P_inf*gamma^n; looser than sn_fl_bound."""
-    if fp is None:
-        fp = extinction_probability(model)
     return fp.s_inf + fp.p_inf * fp.gamma ** n
 
 
-def pollak_dbar(model: OffspringModel, n: int, fp: Optional[FixedPoint] = None) -> float:
+def pollak_dbar(model: OffspringModel, n: int, fp: FixedPoint) -> float:
     """Pollak's upper bound dbar^(n) for (P_inf - P^(n))/gamma^n."""
-    if fp is None:
-        fp = extinction_probability(model)
     b2 = pgf_derivative(model, fp.p_inf, 2)
     g = fp.gamma
     return (2.0 * (1.0 - g) * fp.p_inf
             / (2.0 * (1.0 - g) + b2 * fp.p_inf * (1.0 - g ** n) / g))
 
 
-def sn_pollak_bound(model: OffspringModel, n: int, fp: Optional[FixedPoint] = None) -> float:
+def sn_pollak_bound(model: OffspringModel, n: int, fp: FixedPoint) -> float:
     """S_inf + dbar^(n) * gamma^n; upper bound on S^(n) for Poisson and for
     negative binomial with m > 1."""
-    if fp is None:
-        fp = extinction_probability(model)
     return fp.s_inf + pollak_dbar(model, n, fp) * fp.gamma ** n
 
 
@@ -204,13 +204,10 @@ def t_eps_exact(model: OffspringModel, eps: float) -> int:
         raise DomainError(f"eps must be > 0, got {eps!r}")
     fp = extinction_probability(model)
     target = (1.0 + eps) * fp.s_inf
-    x = 0.0
-    cap = max_iterations()
-    for n in range(cap + 1):
+    for n, x in enumerate(islice(extinction_iterates(model), T_EPS_CAP + 1)):
         if 1.0 - x <= target:
             return n
-        x = pgf_eval(model, x)
-    raise ConvergenceError(f"t_eps_exact exceeded the iteration cap ({cap})")
+    raise ConvergenceError(f"t_eps_exact exceeded the iteration cap ({T_EPS_CAP})")
 
 
 def t_eps_fl(fp: FixedPoint, eps: float) -> float:
@@ -224,9 +221,8 @@ def t_eps_fl(fp: FixedPoint, eps: float) -> float:
     return math.log(arg) / (-math.log(fp.gamma))
 
 
-def t_eps_app(model_or_fp, eps: float) -> int:
+def t_eps_app(fp: FixedPoint, eps: float) -> int:
     """ceil of t_eps_fl: the integer bound/approximation for T(eps)."""
-    fp = model_or_fp if isinstance(model_or_fp, FixedPoint) else extinction_probability(model_or_fp)
     return math.ceil(t_eps_fl(fp, eps))
 
 
@@ -234,33 +230,31 @@ def t_eps_app(model_or_fp, eps: float) -> int:
 # Bound-direction classification
 # ---------------------------------------------------------------------------
 
-def sign_scan(model: OffspringModel, fp: Optional[FixedPoint] = None,
-              points: int = 2048, tol: float = 1e-12):
-    """Signs of f(x) = phi(x) - phi_FL(x) on a grid over [0, P_inf].
+def sign_scan(model: OffspringModel, fp: FixedPoint):
+    """Signs of f(x) = phi(x) - phi_FL(x) on a grid of SCAN_POINTS cells over
+    [0, P_inf].
 
-    Returns (has_positive, has_negative) ignoring values within tol of 0.
+    Returns (has_positive, has_negative) ignoring values within SCAN_TOL of 0.
     """
-    if fp is None:
-        fp = extinction_probability(model)
     fl = matching_fl(fp)
     has_pos = has_neg = False
-    for i in range(points + 1):
-        x = fp.p_inf * i / points
+    for i in range(SCAN_POINTS + 1):
+        x = fp.p_inf * i / SCAN_POINTS
         f = pgf_eval(model, x) - pgf_eval(fl, x)
-        if f > tol:
+        if f > SCAN_TOL:
             has_pos = True
-        elif f < -tol:
+        elif f < -SCAN_TOL:
             has_neg = True
     return has_pos, has_neg
 
 
-def switch_generation(model: OffspringModel, n_max: int = 2000) -> Optional[int]:
-    """First generation at which P^(n) - P^(n)_FL changes sign, or None."""
+def switch_generation(model: OffspringModel) -> Optional[int]:
+    """First generation n <= SWITCH_N_MAX at which P^(n) - P^(n)_FL changes
+    sign, or None."""
     fp = extinction_probability(model)
-    x = 0.0
     prev_sign = 0
-    for n in range(1, n_max + 1):
-        x = pgf_eval(model, x)
+    iterates = islice(extinction_iterates(model), 1, SWITCH_N_MAX + 1)
+    for n, x in enumerate(iterates, start=1):
         diff = x - (fp.p_inf * (1.0 - fp.gamma ** n) / (1.0 - fp.gamma ** n * fp.p_inf))
         if abs(diff) <= 1e-15:
             continue

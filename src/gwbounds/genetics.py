@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from .errors import DomainError
 from .pgf_core import (
     OffspringModel,
+    extinction_iterates,
     extinction_probability,
     moments,
-    pgf_eval,
 )
 from .sinf_estimates import mu_derivatives, sinf_series
 from .specfun import exp_e1
@@ -114,22 +114,24 @@ def vg_tau(tm: TraitModel, model: OffspringModel, tau: float) -> float:
     Theta*alpha^2 * integral_0^tau S^([t]) * w(a_[t]) dt, where [t] is the
     nearest integer, a_n = N*S^(n)/m^n, and w is the per-locus variance.
     The integrand is constant on the cells [0, 1/2), [1/2, 3/2), ... of the
-    nearest-integer map."""
+    nearest-integer map. The sum stops where m^n overflows or a_n underflows
+    to 0: the cells beyond add less than 1e-300."""
     if not tau > 0.0:
         raise DomainError(f"tau must be > 0, got {tau!r}")
     mom = moments(model)
     n_cells = math.ceil(tau + 0.5)
     total = 0.0
-    x = 0.0  # P^(0)
-    for n in range(n_cells):
+    for n, x in zip(range(n_cells), extinction_iterates(model)):
         lo = 0.0 if n == 0 else n - 0.5
         hi = min(n + 0.5, tau)
-        if hi <= lo:
-            break
         s_n = 1.0 - x
-        a_n = tm.pop_size * s_n / mom.m ** n
+        try:
+            a_n = tm.pop_size * s_n / mom.m ** n
+        except OverflowError:
+            break
+        if a_n == 0.0:
+            break
         total += (hi - lo) * s_n * within_variance(a_n)
-        x = pgf_eval(model, x)
     return tm.theta_mut * tm.alpha ** 2 * total
 
 

@@ -12,26 +12,12 @@ delegate to the model. All operations are pure.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from itertools import islice
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import ConvergenceError, DomainError
 from .specfun import lambert_w0
-
-
-def max_iterations(default: int = 100_000) -> int:
-    """Iteration cap, overridable through the GWB_MAX_ITER environment variable."""
-    raw = os.environ.get("GWB_MAX_ITER")
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"GWB_MAX_ITER must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise DomainError("GWB_MAX_ITER must be >= 1")
-    return value
 
 
 @dataclass(frozen=True)
@@ -438,26 +424,27 @@ def negbinomial_zeta(model: NegBinomial) -> float:
     return extinction_probability(model).p_inf ** (1.0 / model.r)
 
 
+def extinction_iterates(model: OffspringModel) -> Iterator[float]:
+    """P^(0), P^(1), ... with P^(n) = phi^(n)(0), without end: the one
+    iteration of the pgf that every per-generation quantity reads."""
+    x = 0.0
+    while True:
+        yield x
+        x = pgf_eval(model, x)
+
+
 def iterate_extinction(model: OffspringModel, n: int) -> float:
     """P^(n) = phi^(n)(0), the probability of extinction by generation n."""
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n!r}")
-    x = 0.0
-    for _ in range(n):
-        x = pgf_eval(model, x)
-    return x
+    return next(islice(extinction_iterates(model), n, None))
 
 
 def survival_curve(model: OffspringModel, n_max: int) -> Sequence[float]:
     """[S^(0), ..., S^(n_max)] with S^(n) = 1 - phi^(n)(0)."""
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max!r}")
-    out = [1.0]
-    x = 0.0
-    for _ in range(n_max):
-        x = pgf_eval(model, x)
-        out.append(1.0 - x)
-    return out
+    return [1.0 - x for x in islice(extinction_iterates(model), n_max + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -66,23 +66,15 @@ def sinf_series(mu: MuDerivatives) -> SeriesCoeffs:
                         gamma2=gamma2, gamma3=gamma3)
 
 
-# `family` arguments below accept a SeriesCoeffs, a MuDerivatives, or any
-# offspring model with a mu table.
+# The series functions below take a model of the s-family whose coefficients
+# they use; a model without a mu table raises DomainError.
 
-def _coeffs_of(family) -> SeriesCoeffs:
-    if isinstance(family, SeriesCoeffs):
-        return family
-    if isinstance(family, MuDerivatives):
-        return sinf_series(family)
-    return sinf_series(mu_derivatives(family))
-
-
-def sinf_series_eval(family, s: float, order: int = 3) -> float:
+def sinf_series_eval(model: OffspringModel, s: float, order: int = 3) -> float:
     """Series value of S_inf truncated at the given order:
     theta*s - delta2*s^2 + delta3*s^3."""
     if order not in (1, 2, 3):
         raise DomainError(f"order must be in {{1,2,3}}, got {order!r}")
-    c = _coeffs_of(family)
+    c = sinf_series(mu_derivatives(model))
     out = c.theta * s
     if order >= 2:
         out -= c.delta2 * s ** 2
@@ -91,12 +83,12 @@ def sinf_series_eval(family, s: float, order: int = 3) -> float:
     return out
 
 
-def gamma_series_eval(family, s: float, order: int = 3) -> float:
+def gamma_series_eval(model: OffspringModel, s: float, order: int = 3) -> float:
     """Series value of gamma truncated at the given order:
     1 - s + gamma2*s^2 - gamma3*s^3."""
     if order not in (1, 2, 3):
         raise DomainError(f"order must be in {{1,2,3}}, got {order!r}")
-    c = _coeffs_of(family)
+    c = sinf_series(mu_derivatives(model))
     out = 1.0 - s
     if order >= 2:
         out += c.gamma2 * s ** 2
@@ -109,14 +101,9 @@ def gamma_series_eval(family, s: float, order: int = 3) -> float:
 # Classical bounds on S_inf
 # ---------------------------------------------------------------------------
 
-def _moments_of(mo) -> Moments:
-    return mo if isinstance(mo, Moments) else moments(mo)
-
-
-def beta_bound(mo) -> float:
-    """beta = 2(m-1)/phi''(1), a simple lower bound for small s.  Accepts a
-    Moments value or an offspring model."""
-    mom = _moments_of(mo)
+def beta_bound(model: OffspringModel) -> float:
+    """beta = 2(m-1)/phi''(1), a simple lower bound for small s."""
+    mom = moments(model)
     if not mom.b > 0.0:
         raise DomainError(f"phi''(1) must be > 0, got {mom.b!r}")
     return 2.0 * (mom.m - 1.0) / mom.b
@@ -129,19 +116,25 @@ def quine_bounds(model: OffspringModel) -> Tuple[float, float]:
     b, c = mom.b, mom.c
     if not (b > 0.0 and c > 0.0):
         raise DomainError(f"require phi''(1) > 0 and phi'''(1) > 0, got b={b!r}, c={c!r}")
-    beta = beta_bound(mom)
+    beta = beta_bound(model)
     limit = min(1.0, 3.0 * b / (2.0 * c))
     if not 2.0 * beta < limit:
         raise ApplicabilityError("2*beta < min(1, 3b/(2c))", 2.0 * beta, limit)
-    lower = beta + beta ** 2 * pgf_derivative(model, 1.0 - 2.0 * beta, 3) / (3.0 * b)
-    upper = beta + beta ** 2 * (c / (3.0 * b)) * (1.0 - 4.0 * c * beta / (3.0 * b)) ** -1.5
-    return lower, upper
+    return _quine_pair(model, mom, beta)
 
 
-def dn_upper(mo) -> float:
-    """The Daley-Narayan upper bound on S_inf; requires 8c(m-1) < 3b^2.
-    Accepts a Moments value or an offspring model."""
-    mom = _moments_of(mo)
+def _quine_pair(model: OffspringModel, mom: Moments, beta: float):
+    """Quine's (lower, upper) expressions, upper None where it is not real."""
+    lower = beta + beta ** 2 * pgf_derivative(model, 1.0 - 2.0 * beta, 3) / (3.0 * mom.b)
+    radicand = 1.0 - 4.0 * mom.c * beta / (3.0 * mom.b)
+    if not radicand > 0.0:
+        return lower, None
+    return lower, beta + beta ** 2 * (mom.c / (3.0 * mom.b)) * radicand ** -1.5
+
+
+def dn_upper(model: OffspringModel) -> float:
+    """The Daley-Narayan upper bound on S_inf; requires 8c(m-1) < 3b^2."""
+    mom = moments(model)
     b, c, m = mom.b, mom.c, mom.m
     if not (b > 0.0 and c > 0.0):
         raise DomainError(f"require phi''(1) > 0 and phi'''(1) > 0, got b={b!r}, c={c!r}")
@@ -154,14 +147,14 @@ def dn_upper(mo) -> float:
 # Series-based approximations for convergence times and P^(n)
 # ---------------------------------------------------------------------------
 
-def t_ser(family, s: float, eps: float) -> int:
+def t_ser(model: OffspringModel, s: float, eps: float) -> int:
     """Series approximation of the convergence time:
     ceil((1/s - 1/2 + gamma2) * ln(1 + 1/eps) - theta)."""
     if not s > 0.0:
         raise DomainError(f"s must be > 0, got {s!r}")
     if not eps > 0.0:
         raise DomainError(f"eps must be > 0, got {eps!r}")
-    c = _coeffs_of(family)
+    c = sinf_series(mu_derivatives(model))
     return math.ceil((1.0 / s - 0.5 + c.gamma2) * math.log1p(1.0 / eps) - c.theta)
 
 
@@ -172,13 +165,13 @@ def t_simple(s: float, eps: float) -> int:
     return math.ceil(math.log1p(1.0 / eps) / s)
 
 
-def pn_ratio_series(family, s: float, n: int) -> float:
+def pn_ratio_series(model: OffspringModel, s: float, n: int) -> float:
     """First-order approximation of P^(n)/P_inf, accurate when s*n < 1:
     1 - theta/(n + theta) + n*(theta*(n+1) + 2*delta2 - 2*theta*gamma2)
     / (2*(n + theta)^2) * s."""
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n!r}")
-    c = _coeffs_of(family)
+    c = sinf_series(mu_derivatives(model))
     th = c.theta
     lead = 1.0 - th / (n + th)
     corr = n * (th * (n + 1.0) + 2.0 * c.delta2 - 2.0 * th * c.gamma2) \
@@ -196,20 +189,15 @@ def sinf_bounds_all(model: OffspringModel, s: float) -> SinfBounds:
     (three-offspring models), as they need its mu table."""
     mom = moments(model)
     try:
-        c = sinf_series(mu_derivatives(model))
+        series3, haldane = sinf_series_eval(model, s), sinf_series_eval(model, s, order=1)
     except DomainError:
-        c = None
-    beta = beta_bound(mom)
-    ql = beta + beta ** 2 * pgf_derivative(model, 1.0 - 2.0 * beta, 3) / (3.0 * mom.b)
-    radicand = 1.0 - 4.0 * mom.c * beta / (3.0 * mom.b)
-    if radicand > 0.0:
-        qu = beta + beta ** 2 * (mom.c / (3.0 * mom.b)) * radicand ** -1.5
-    else:
-        qu = None
+        series3 = haldane = None
+    beta = beta_bound(model)
+    ql, qu = _quine_pair(model, mom, beta)
     dn = None
     if mom.c > 0.0:
         try:
-            dn = dn_upper(mom)
+            dn = dn_upper(model)
         except ApplicabilityError:
             pass
     return SinfBounds(
@@ -217,7 +205,7 @@ def sinf_bounds_all(model: OffspringModel, s: float) -> SinfBounds:
         quine_lower=ql,
         quine_upper=qu,
         dn_upper=dn,
-        series3=None if c is None else sinf_series_eval(c, s),
-        haldane=None if c is None else c.theta * s,
+        series3=series3,
+        haldane=haldane,
         exact=extinction_probability(model).s_inf,
     )

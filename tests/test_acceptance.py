@@ -403,7 +403,7 @@ def test_criterion_3_convergence_times():
         for name, model, te, ta, ts_want in zip(
                 names, models, exact_row, app_row, ser_row):
             got_te = t_eps_exact(model, eps)
-            got_ta = t_eps_app(model, eps)
+            got_ta = t_eps_app(extinction_probability(model), eps)
             got_ts = t_ser(model, s, eps)
             label = f"s={s} eps={eps} {name}"
             if got_te != te:

@@ -64,6 +64,27 @@ def test_tables_match_golden_files(table_id, capsys, tmp_path):
     assert produced == golden
 
 
+# Outputs that read the P^(n) iteration (the survival curve, T(eps), the FL
+# relative errors and the switch generation), pinned bit for bit.
+GOLDEN_COMMANDS = [
+    ("survival_gp.csv", ["survival", "--dist", "gp", "--s", "0.05", "--lambda", "0.5",
+                         "--nmax", "200", "--digits", "17"]),
+    ("teps_binomial.csv", ["teps", "--dist", "binomial", "--n", "5", "--p", "0.202",
+                           "--eps", "0.01", "0.1", "1e-4", "--digits", "17"]),
+    ("figdata4.csv", ["figdata", "4", "--digits", "17"]),
+    ("classify_gp.json", ["classify", "gp", "--s", "0.1", "--lambda", "0.276"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_COMMANDS, ids=[n for n, _ in GOLDEN_COMMANDS])
+def test_iteration_outputs_match_golden_files(name, argv, capsys, tmp_path):
+    out_file = tmp_path / name
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 0 and out == "" and err == ""
+    with open(os.path.join(GOLDEN, name), "rb") as fh:
+        assert out_file.read_bytes() == fh.read()
+
+
 def test_table_stdout_equals_file_output(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "table", "1")
     assert code == 0
@@ -197,6 +218,21 @@ def test_classify_gp_lower_zone(capsys):
     assert report["conjectured"] is True
 
 
+def test_classify_out_writes_the_file(capsys, tmp_path):
+    out_file = tmp_path / "classify.json"
+    argv = ["classify", "f3", "--p0", "0.2", "--p2", "0.2", "--p3", "0.1"]
+    _, stdout, _ = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 0 and out == "" and err == ""
+    assert out_file.read_text() == stdout
+
+
+def test_classify_has_no_digits_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "gp", "--s", "0.1", "--lambda", "0.276", "--digits", "3"])
+    assert exc.value.code == 2
+
+
 def test_classify_gp_switch_zone(capsys):
     code, out, _ = run_cli(capsys, "classify", "gp", "--s", "0.1",
                            "--lambda", "0.276")
@@ -266,6 +302,31 @@ def test_digits_flag_controls_precision(capsys):
     g10 = {r[0]: r[1] for r in parse_csv(out10)[1:]}["gamma"]
     assert len(g10) > len(g6)
     assert float(g10) == pytest.approx(float(g6), rel=1e-5)
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "1"],
+    ["survival", "--dist", "poisson", "--m", "1.5"],
+    ["sinf", "--dist", "poisson", "--m", "1.5"],
+    ["figdata", "4"],
+])
+def test_negative_digits_is_a_domain_error(argv, capsys):
+    code, out, err = run_cli(capsys, *argv, "--digits", "-1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "domain" and "--digits" in payload["message"]
+
+
+def test_genetics_tau_past_the_overflow_of_m_to_the_n(capsys):
+    # m^n overflows from n = 1751 at m = 1.5; the cells beyond add nothing.
+    argv = ["genetics", "--dist", "poisson", "--m", "1.5", "--N", "1000", "--s", "0.1",
+            "--digits", "17", "--tau"]
+    code, out2000, err = run_cli(capsys, *argv, "2000")
+    assert code == 0 and err == ""
+    _, out1000, _ = run_cli(capsys, *argv, "1000")
+    assert {r[0]: r[1] for r in parse_csv(out2000)[1:]}["vg_tau"] == "1.4353425801289059"
+    assert out2000 == out1000
 
 
 # ---------------------------------------------------------------------------

@@ -232,12 +232,6 @@ def test_t_eps_fl_bounds_exact_for_proven_families():
             assert t_eps_app(fp, eps) == math.ceil(t_eps_fl(fp, eps))
 
 
-def test_t_eps_app_accepts_model():
-    model = Poisson(m=1.2)
-    fp = extinction_probability(model)
-    assert t_eps_app(model, 0.01) == t_eps_app(fp, 0.01)
-
-
 def test_t_eps_large_eps_clamps_to_zero():
     fp = extinction_probability(Poisson(m=2.5))
     # (1 + 1/eps) * P_inf <= 1 -> zero generations needed.

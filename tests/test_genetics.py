@@ -121,6 +121,15 @@ def test_vg_tau_scales_with_theta_and_alpha():
         2.0 * vg_tau(base, model, 5.0), rel=1e-12)
 
 
+def test_vg_tau_stops_where_m_to_the_n_overflows():
+    # 1.5^n overflows from n = 1751; the cells beyond it add less than 1e-300.
+    tm = TraitModel(theta_mut=1.0, alpha=1.0, s_sel=0.1, pop_size=1000)
+    model = poisson_from_s(0.5)
+    assert vg_tau(tm, model, 1000.0) == 1.435342580128906
+    for tau in (1750.0, 1751.0, 2000.0, 1e6):
+        assert vg_tau(tm, model, tau) == vg_tau(tm, model, 1000.0)
+
+
 def test_vg_tau_domain():
     tm = TraitModel(theta_mut=1.0, alpha=1.0, s_sel=0.1, pop_size=1000)
     with pytest.raises(DomainError):

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import types
+from itertools import islice
 
 import pytest
 
@@ -18,6 +19,7 @@ from gwbounds.pgf_core import (
     Poisson,
     binomial_from_s,
     binomial_xi,
+    extinction_iterates,
     extinction_probability,
     fl_from_s,
     gp_from_s,
@@ -102,6 +104,16 @@ def test_survival_curve_matches_iteration():
     for n in range(21):
         assert curve[n] == pytest.approx(1.0 - iterate_extinction(model, n), abs=1e-15)
     assert all(curve[i + 1] < curve[i] for i in range(20))
+
+
+def test_extinction_iterates_is_the_iteration_of_the_pgf():
+    # P^(0) = 0 and P^(n+1) = phi(P^(n)), bit for bit.
+    for model in MODELS[::11]:
+        iterates = list(islice(extinction_iterates(model), 40))
+        assert iterates[0] == 0.0
+        for prev, cur in zip(iterates, iterates[1:]):
+            assert cur == pgf_eval(model, prev)
+        assert iterates[-1] == iterate_extinction(model, 39)
 
 
 def central_diff(model, x, order):
@@ -282,16 +294,6 @@ def test_package_all_lists_no_modules():
     assert modules == []
     assert "FractionalLinear" in gwbounds.__all__
     assert "pgf_core" not in gwbounds.__all__
-
-
-def test_max_iter_env(monkeypatch):
-    from gwbounds.pgf_core import max_iterations
-    assert max_iterations() == 100_000
-    monkeypatch.setenv("GWB_MAX_ITER", "50")
-    assert max_iterations() == 50
-    monkeypatch.setenv("GWB_MAX_ITER", "zero")
-    with pytest.raises(DomainError):
-        max_iterations()
 
 
 def test_constructor_means():

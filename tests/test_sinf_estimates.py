@@ -213,7 +213,8 @@ def test_gp_coefficients(lam):
 def test_fl_series_is_exact(pi):
     # The fractional-linear family has S_inf = s(1-pi)/pi exactly and
     # gamma = 1/(1+s), so delta2 = delta3 = 0 and gamma2 = gamma3 = 1.
-    c = sinf_series(mu_derivatives(fl_from_s(pi, 0.1)))
+    model = fl_from_s(pi, 0.1)
+    c = sinf_series(mu_derivatives(model))
     assert c.theta == pytest.approx((1.0 - pi) / pi, rel=1e-14)
     assert c.delta2 == pytest.approx(0.0, abs=1e-13)
     assert c.delta3 == pytest.approx(0.0, abs=1e-12)
@@ -222,15 +223,14 @@ def test_fl_series_is_exact(pi):
     for s in (0.05, 0.2):
         if pi * (1.0 + s) > s:
             fp = extinction_probability(fl_from_s(pi, s))
-            assert sinf_series_eval(c, s) == pytest.approx(fp.s_inf, rel=1e-12)
+            assert sinf_series_eval(model, s) == pytest.approx(fp.s_inf, rel=1e-12)
 
 
 def test_universal_linear_gamma_coefficient():
     # gamma = 1 - s + O(s^2) for every family.
     for model in (poisson_from_s(0.1), binomial_from_s(6, 0.1), negbinomial_from_s(3, 0.1),
                   gp_from_s(0.4, 0.1), fl_from_s(0.5, 0.1)):
-        fam = mu_derivatives(model)
-        assert gamma_series_eval(fam, 1e-6, order=1) == pytest.approx(1.0 - 1e-6)
+        assert gamma_series_eval(model, 1e-6, order=1) == pytest.approx(1.0 - 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +269,12 @@ def test_gamma_series_fourth_order(name, ctor):
 
 
 def test_series_eval_orders():
-    c = sinf_series(mu_derivatives(poisson_from_s(0.1)))
+    model = poisson_from_s(0.1)
     s = 0.1
-    assert sinf_series_eval(c, s, order=1) == pytest.approx(2.0 * s)
-    assert sinf_series_eval(c, s, order=2) == pytest.approx(2.0 * s - (8.0 / 3.0) * s * s)
+    assert sinf_series_eval(model, s, order=1) == pytest.approx(2.0 * s)
+    assert sinf_series_eval(model, s, order=2) == pytest.approx(2.0 * s - (8.0 / 3.0) * s * s)
     with pytest.raises(DomainError):
-        sinf_series_eval(c, s, order=4)
+        sinf_series_eval(model, s, order=4)
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +402,9 @@ def test_t_simple_leading_order():
 
 def test_t_ser_domain():
     with pytest.raises(DomainError):
-        t_ser(mu_derivatives(poisson_from_s(0.1)), -0.1, 0.01)
+        t_ser(poisson_from_s(0.1), -0.1, 0.01)
     with pytest.raises(DomainError):
-        t_ser(mu_derivatives(poisson_from_s(0.1)), 0.1, 0.0)
+        t_ser(poisson_from_s(0.1), 0.1, 0.0)
 
 
 def test_pn_ratio_series_small_sn():
@@ -425,6 +425,6 @@ def test_pn_ratio_series_small_sn():
 
 def test_pn_ratio_series_limits():
     # n = 0 gives 0; large n approaches 1 at leading order.
-    c = sinf_series(mu_derivatives(poisson_from_s(0.1)))
-    assert pn_ratio_series(c, 0.01, 0) == pytest.approx(0.0, abs=1e-15)
-    assert pn_ratio_series(c, 0.0, 10_000) == pytest.approx(1.0, abs=1e-3)
+    model = poisson_from_s(0.1)
+    assert pn_ratio_series(model, 0.01, 0) == pytest.approx(0.0, abs=1e-15)
+    assert pn_ratio_series(model, 0.0, 10_000) == pytest.approx(1.0, abs=1e-3)
