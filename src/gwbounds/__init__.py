@@ -54,9 +54,7 @@ from .classify_f3 import (
     F3Class,
     F3Thresholds,
     classify_f3,
-    f3_p3zero,
     f3_region_volumes,
-    f3_sign_values,
     thresholds_f3,
 )
 from .classify_gp import GPThresholds, classify_gp, gp_thresholds
@@ -66,7 +64,6 @@ from .sinf_estimates import (
     SinfBounds,
     beta_bound,
     dn_upper,
-    mu_derivatives,
     pn_ratio_series,
     quine_bounds,
     sinf_bounds_all,

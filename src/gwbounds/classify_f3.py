@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 from .errors import DomainError
 from .fl_bounds import (
@@ -19,7 +19,7 @@ from .fl_bounds import (
     _check_consistency,
     switch_generation,
 )
-from .pgf_core import FiniteThree, FixedPoint, FractionalLinear, f3_p_inf
+from .pgf_core import FiniteThree, FixedPoint, f3_p_inf
 
 LOWER_BOUND_ON_P = "LowerBoundOnP"    # FL iterates <= P^(n): upper bound on survival
 UPPER_BOUND_ON_P = "UpperBoundOnP"    # FL iterates >= P^(n): lower bound on survival
@@ -41,19 +41,7 @@ class F3Class:
     region: str                       # one of the three region constants
     case_label: str                   # "1", "2", "3i", "3ii", "3iii", "4", "5"
     thresholds: F3Thresholds
-    p_inf: float
-    gamma: float
-    fl: FractionalLinear
     sign_profile: Tuple[int, int, int]  # sign of f at x = 0, P_inf/2, (P_inf+1)/2
-
-
-def _require_region(p0: float, p2: float, p3: float) -> None:
-    if not (p0 > 0.0 and p2 >= 0.0 and p3 > 0.0):
-        raise DomainError(f"require p0 > 0, p2 >= 0, p3 > 0, got ({p0}, {p2}, {p3})")
-    if p0 + p2 + p3 > 1.0 + 1e-12:
-        raise DomainError(f"require p0 + p2 + p3 <= 1, got {p0 + p2 + p3!r}")
-    if not p0 < p2 + 2.0 * p3:
-        raise DomainError(f"supercriticality requires p0 < p2 + 2*p3, got ({p0}, {p2}, {p3})")
 
 
 def _p0_r_gamma(p2, p3, sqrt=math.sqrt):
@@ -83,19 +71,6 @@ def thresholds_f3(p2: float, p3: float) -> F3Thresholds:
     )
 
 
-def f3_gamma(p0: float, p2: float, p3: float) -> float:
-    q = p2 + p3
-    root = math.sqrt(4.0 * p0 * p3 + q * q)
-    return 1.0 - ((p2 + 3.0 * p3) * root - 4.0 * p0 * p3 - q * q) / (2.0 * p3)
-
-
-def f3_fl_params(p0: float, p2: float, p3: float) -> FractionalLinear:
-    q = p2 + p3
-    root = math.sqrt(4.0 * p0 * p3 + q * q)
-    rho = 2.0 * p0 * root / (q + (1.0 + 2.0 * p0) * root)
-    return FractionalLinear(pi=rho / f3_p_inf(p0, p2, p3), rho=rho)
-
-
 def f3_f_value(p0: float, p2: float, p3: float, x: float) -> float:
     """f(x) = phi(x) - phi_FL(x) in factorized form, robust at the double
     root x = P_inf:
@@ -110,16 +85,6 @@ def f3_f_value(p0: float, p2: float, p3: float, x: float) -> float:
     return (1.0 - x) * (p_inf - x) ** 2 * num / (1.0 + c * (p_inf - x))
 
 
-def f3_sign_values(p0: float, p2: float, p3: float,
-                   xs: Optional[Sequence[float]] = None) -> Tuple[float, ...]:
-    """Values of f at the probe points (default 0, P_inf/2, (P_inf+1)/2)."""
-    _require_region(p0, p2, p3)
-    if xs is None:
-        p_inf = f3_p_inf(p0, p2, p3)
-        xs = (0.0, p_inf / 2.0, (p_inf + 1.0) / 2.0)
-    return tuple(f3_f_value(p0, p2, p3, x) for x in xs)
-
-
 def _sign(v: float, tol: float = 1e-14) -> int:
     if v > tol:
         return 1
@@ -128,13 +93,13 @@ def _sign(v: float, tol: float = 1e-14) -> int:
     return 0
 
 
-def classify_f3(p0: float, p2: float, p3: float) -> F3Class:
-    """Region and case label for (p0, p2, p3) with p3 > 0.
+def classify_f3(model: FiniteThree) -> F3Class:
+    """Region and case label of an F3 law with p3 > 0.
 
     Boundary ties: p0 == p0_r belongs to LowerBoundOnP (the bound still holds
     with equality at x = 0); p0 == p0_gamma belongs to UpperBoundOnP.
     """
-    _require_region(p0, p2, p3)
+    p0, p2, p3 = model.p0, model.p2, model.p3
     th = thresholds_f3(p2, p3)
     if p0 > th.p0_r:
         region, label = LOWER_BOUND_ON_P, "1"
@@ -152,52 +117,21 @@ def classify_f3(p0: float, p2: float, p3: float) -> F3Class:
         region, label = UPPER_BOUND_ON_P, "4"
     else:
         region, label = UPPER_BOUND_ON_P, "5"
-    vals = f3_sign_values(p0, p2, p3)
+    p_inf = f3_p_inf(p0, p2, p3)
+    probes = (0.0, p_inf / 2.0, (p_inf + 1.0) / 2.0)
     return F3Class(
         region=region,
         case_label=label,
         thresholds=th,
-        p_inf=f3_p_inf(p0, p2, p3),
-        gamma=f3_gamma(p0, p2, p3),
-        fl=f3_fl_params(p0, p2, p3),
-        sign_profile=tuple(_sign(v) for v in vals),
+        sign_profile=tuple(_sign(f3_f_value(p0, p2, p3, x)) for x in probes),
     )
-
-
-def f3_p3zero(p0: float, p2: float) -> Tuple[FixedPoint, F3Class]:
-    """Degenerate case p3 = 0, p2 > p0 > 0: always LowerBoundOnP, with
-    f(x) = (1-x)(p0 - p2*x)^2 / (1 + p0 - p2*x) >= 0."""
-    if not (0.0 < p0 < p2 <= 1.0 - p0):
-        raise DomainError(f"p3 = 0 requires 0 < p0 < p2 <= 1 - p0, got ({p0}, {p2})")
-    p_inf = p0 / p2
-    fl = FractionalLinear(pi=p2 / (1.0 + p0), rho=p0 / (1.0 + p0))
-    th = F3Thresholds(p0_plus=0.0, p0_r=0.0, p0_gamma=0.0,
-                      p0_plus_admissible=False, p0_r_admissible=False,
-                      p0_gamma_admissible=False)
-
-    def f(x: float) -> float:
-        return (1.0 - x) * (p0 - p2 * x) ** 2 / (1.0 + p0 - p2 * x)
-
-    cls = F3Class(
-        region=LOWER_BOUND_ON_P,
-        case_label="1",
-        thresholds=th,
-        p_inf=p_inf,
-        gamma=1.0 + p0 - p2,
-        fl=fl,
-        sign_profile=tuple(_sign(f(x)) for x in (0.0, p_inf / 2.0, (p_inf + 1.0) / 2.0)),
-    )
-    fp = FixedPoint(p_inf=p_inf, s_inf=1.0 - p_inf, gamma=1.0 + p0 - p2)
-    return fp, cls
 
 
 def f3_bound_direction(model: FiniteThree, fp: FixedPoint) -> BoundDirection:
     """bound_direction for an F3 law: the direction its region gives, checked
-    by a sign scan of f on [0, P_inf]."""
-    if model.p3 == 0.0:
-        region = f3_p3zero(model.p0, model.p2)[1].region
-    else:
-        region = classify_f3(model.p0, model.p2, model.p3).region
+    by a sign scan of f on [0, P_inf]. A law with p3 = 0 is always in
+    LowerBoundOnP: f(x) = (1-x)(p0 - p2*x)^2 / (1 + p0 - p2*x) >= 0."""
+    region = LOWER_BOUND_ON_P if model.p3 == 0.0 else classify_f3(model).region
     if region == LOWER_BOUND_ON_P:
         out = BoundDirection(UPPER_ON_S)
     elif region == UPPER_BOUND_ON_P:

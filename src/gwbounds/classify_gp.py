@@ -32,15 +32,10 @@ class GPThresholds:
     lambda_c2_approx: float  # 1/4 + 0.202*s
 
 
-def _f_at(s: float, lam: float, x: float) -> float:
-    model = gp_from_s(lam, s)
-    fp = extinction_probability(model)
-    fl = matching_fl(fp)
-    return pgf_eval(model, x) - pgf_eval(fl, x)
-
-
 def _f0(s: float, lam: float) -> float:
-    return _f_at(s, lam, 0.0)
+    model = gp_from_s(lam, s)
+    fl = matching_fl(extinction_probability(model))
+    return pgf_eval(model, 0.0) - pgf_eval(fl, 0.0)
 
 
 def _fprime1(s: float, lam: float) -> float:
@@ -103,7 +98,3 @@ def classify_gp(s: float, lam: float) -> BoundDirection:
     n_star = switch_generation(gp_from_s(lam, s))
     return BoundDirection(SWITCHES, switch_n=n_star, conjectured=True)
 
-
-def gp_f_values(s: float, lam: float, xs) -> tuple:
-    """f(x) = phi(x) - phi_FL(x) at the given probe points."""
-    return tuple(_f_at(s, lam, x) for x in xs)

@@ -3,7 +3,8 @@ runs the classifiers, and exposes the survival/bound/convergence/genetics
 computations as deterministic CSV or JSON.
 
 Exit codes: 0 success, 2 domain error, 3 applicability error, 1 anything else.
-Errors are written to stderr as single-line JSON.
+Errors, including an --out file that cannot be written, are written to
+stderr as single-line JSON.
 """
 
 from __future__ import annotations
@@ -129,14 +130,21 @@ def _flag(name: str) -> str:
     return "--lambda" if name == "lam" else f"--{name}"
 
 
+def f3_model(args) -> FiniteThree:
+    """The F3 law of --p0, --p2, --p3. p1 takes the rest of the mass, clamped
+    at 0 so that rounding (0.3 + 0.3 + 0.4 > 1) cannot make it negative;
+    FiniteThree still rejects masses that sum above 1."""
+    if args.p0 is None or args.p2 is None or args.p3 is None:
+        raise DomainError("f3 requires --p0, --p2, --p3 (p1 is inferred)")
+    p1 = max(1.0 - args.p0 - args.p2 - args.p3, 0.0)
+    return FiniteThree(p0=args.p0, p1=p1, p2=args.p2, p3=args.p3)
+
+
 def build_model(args) -> OffspringModel:
     """The model named by --dist, from its parameter flags or from --s."""
     dist = args.dist
     if dist == "f3":
-        if args.p0 is None or args.p2 is None or args.p3 is None:
-            raise DomainError("f3 requires --p0, --p2, --p3 (p1 is inferred)")
-        p1 = 1.0 - args.p0 - args.p2 - args.p3
-        return FiniteThree(p0=args.p0, p1=p1, p2=args.p2, p3=args.p3)
+        return f3_model(args)
     if dist not in _S_FAMILIES:
         raise DomainError(f"unknown distribution {dist!r}")
     cls, shared, from_s = _S_FAMILIES[dist]
@@ -246,23 +254,22 @@ def cmd_table(args) -> int:
 
 def cmd_classify(args) -> int:
     if args.kind == "f3":
-        if args.p0 is None or args.p2 is None or args.p3 is None:
-            raise DomainError("classify f3 requires --p0, --p2, --p3")
-        cls = classify_f3(args.p0, args.p2, args.p3)
+        model = f3_model(args)
+        cls = classify_f3(model)
+        fp = extinction_probability(model)
+        fl = matching_fl(fp)
         report = {
             "kind": "f3",
             "region": cls.region,
             "case_label": cls.case_label,
-            "p_inf": cls.p_inf,
-            "gamma": cls.gamma,
-            "fl_pi": cls.fl.pi,
-            "fl_rho": cls.fl.rho,
+            "p_inf": fp.p_inf,
+            "gamma": fp.gamma,
+            "fl_pi": fl.pi,
+            "fl_rho": fl.rho,
             "sign_profile": list(cls.sign_profile),
             "thresholds": dataclasses.asdict(cls.thresholds),
         }
         if cls.region == "Switches":
-            model = FiniteThree(p0=args.p0, p1=1.0 - args.p0 - args.p2 - args.p3,
-                                p2=args.p2, p3=args.p3)
             report["switch_n"] = fl_bounds.switch_generation(model)
     elif args.kind == "gp":
         if args.s is None or args.lam is None:
@@ -535,7 +542,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         sys.stderr.write(json.dumps({"error": "domain", "message": str(exc)}) + "\n")
         return 2
-    except GWError as exc:
+    except (GWError, OSError) as exc:
         sys.stderr.write(json.dumps({
             "error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 1

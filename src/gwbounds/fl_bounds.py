@@ -19,7 +19,6 @@ from .pgf_core import (
     Poisson,
     extinction_iterates,
     extinction_probability,
-    iterate_extinction,
     pgf_derivative,
     pgf_eval,
 )
@@ -42,16 +41,6 @@ class BoundDirection:
     kind: str                      # one of UPPER_ON_S, LOWER_ON_S, SWITCHES
     switch_n: Optional[int] = None  # first generation on the asymptotic side, if kind == SWITCHES
     conjectured: bool = False       # True when the classification rests on a conjecture
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    n: int
-    exact: float
-    fl_bound: float
-    simple_bound: float
-    pollak_bound: float
-    agresti_bound: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -113,67 +102,28 @@ def sn_pollak_bound(model: OffspringModel, n: int, fp: FixedPoint) -> float:
     return fp.s_inf + pollak_dbar(model, n, fp) * fp.gamma ** n
 
 
-def bound_report(model: OffspringModel, n: int) -> BoundReport:
-    fp = extinction_probability(model)
-    agresti = None
-    if isinstance(model, Poisson):
-        agresti = agresti_sn_bound(model.m, n, "lower")
-    return BoundReport(
-        n=n,
-        exact=1.0 - iterate_extinction(model, n),
-        fl_bound=sn_fl_bound(model, n, fp),
-        simple_bound=sn_simple_bound(model, n, fp),
-        pollak_bound=sn_pollak_bound(model, n, fp),
-        agresti_bound=agresti,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Agresti's bound for the Poisson family
 # ---------------------------------------------------------------------------
 
-def _agresti_v(x: float, m: float, fp: FixedPoint) -> float:
-    model = Poisson(m=m)
-    u = pgf_eval(model, fp.p_inf * x) / fp.p_inf
-    num = u - 1.0 + fp.gamma * (1.0 - x)
-    den = x * u - x + fp.gamma * (1.0 - x)
-    return num / den
-
-
 def agresti_pi_poisson(m: float, direction: str) -> float:
-    """pi = sup v (direction 'upper') or inf v (direction 'lower') of the
-    auxiliary function v(x, m) over [0, 1)."""
+    """pi = sup v (direction 'upper') or inf v (direction 'lower') over [0, 1)
+    of Agresti's auxiliary function
+
+        v(x) = (u - 1 + gamma(1-x)) / (x(u - 1) + gamma(1-x)),  u = phi(P_inf x)/P_inf.
+
+    v decreases on [0, 1), so the supremum is v(0) and the infimum its limit
+    at x -> 1-, P_inf phi''(P_inf) / (P_inf phi''(P_inf) + 2 gamma)."""
     if direction not in ("upper", "lower"):
         raise DomainError(f"direction must be 'upper' or 'lower', got {direction!r}")
     if not m > 1.0:
         raise DomainError(f"m must be > 1, got {m!r}")
-    fp = extinction_probability(Poisson(m=m))
-    n_grid = 4096
-    xs = [i / n_grid for i in range(n_grid)]  # [0, 1), endpoint excluded
-    vals = [_agresti_v(x, m, fp) for x in xs]
-    # v is strictly monotone decreasing for the Poisson family; flag anything else.
-    for a, b in zip(vals, vals[1:]):
-        if b > a + 1e-10:
-            raise ConvergenceError("v(x, m) is not monotone decreasing; refusing to guess")
+    model = Poisson(m=m)
+    fp = extinction_probability(model)
     if direction == "upper":
-        return vals[0]
-    # The infimum sits at x -> 1-: refine by golden-section on the last bracket.
-    lo, hi = xs[-2], 1.0 - 1e-13
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = _agresti_v(c, m, fp), _agresti_v(d, m, fp)
-    while b - a > 1e-12:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _agresti_v(c, m, fp)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _agresti_v(d, m, fp)
-    return min(fc, fd, _agresti_v(hi, m, fp))
+        return (pgf_eval(model, 0.0) / fp.p_inf - 1.0 + fp.gamma) / fp.gamma
+    curv = fp.p_inf * pgf_derivative(model, fp.p_inf, 2)
+    return curv / (curv + 2.0 * fp.gamma)
 
 
 def agresti_sn_bound(m: float, n: int, direction: str) -> float:

@@ -18,7 +18,7 @@ from .pgf_core import (
     extinction_probability,
     moments,
 )
-from .sinf_estimates import mu_derivatives, sinf_series
+from .sinf_estimates import sinf_series
 from .specfun import exp_e1
 
 
@@ -158,7 +158,7 @@ def vg_inf(tm: TraitModel, model: OffspringModel) -> VGInf:
     simple = float("nan")
     delta_mean = float("nan")
     try:
-        coeffs = sinf_series(mu_derivatives(model))
+        coeffs = sinf_series(model.mu_table())
     except DomainError:
         coeffs = None
     if coeffs is not None:

@@ -43,12 +43,6 @@ class SeriesCoeffs:
     gamma3: float
 
 
-def mu_derivatives(model: OffspringModel) -> MuDerivatives:
-    """Mu table for the s-parameterized family passing through the given
-    model (the family member with mean 1 + s for varying s)."""
-    return model.mu_table()
-
-
 def sinf_series(mu: MuDerivatives) -> SeriesCoeffs:
     """Coefficients of S_inf = theta*s - delta2*s^2 + delta3*s^3 + O(s^4) and
     gamma = 1 - s + gamma2*s^2 - gamma3*s^3 + O(s^4)."""
@@ -74,7 +68,7 @@ def sinf_series_eval(model: OffspringModel, s: float, order: int = 3) -> float:
     theta*s - delta2*s^2 + delta3*s^3."""
     if order not in (1, 2, 3):
         raise DomainError(f"order must be in {{1,2,3}}, got {order!r}")
-    c = sinf_series(mu_derivatives(model))
+    c = sinf_series(model.mu_table())
     out = c.theta * s
     if order >= 2:
         out -= c.delta2 * s ** 2
@@ -88,7 +82,7 @@ def gamma_series_eval(model: OffspringModel, s: float, order: int = 3) -> float:
     1 - s + gamma2*s^2 - gamma3*s^3."""
     if order not in (1, 2, 3):
         raise DomainError(f"order must be in {{1,2,3}}, got {order!r}")
-    c = sinf_series(mu_derivatives(model))
+    c = sinf_series(model.mu_table())
     out = 1.0 - s
     if order >= 2:
         out += c.gamma2 * s ** 2
@@ -154,7 +148,7 @@ def t_ser(model: OffspringModel, s: float, eps: float) -> int:
         raise DomainError(f"s must be > 0, got {s!r}")
     if not eps > 0.0:
         raise DomainError(f"eps must be > 0, got {eps!r}")
-    c = sinf_series(mu_derivatives(model))
+    c = sinf_series(model.mu_table())
     return math.ceil((1.0 / s - 0.5 + c.gamma2) * math.log1p(1.0 / eps) - c.theta)
 
 
@@ -171,7 +165,7 @@ def pn_ratio_series(model: OffspringModel, s: float, n: int) -> float:
     / (2*(n + theta)^2) * s."""
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n!r}")
-    c = sinf_series(mu_derivatives(model))
+    c = sinf_series(model.mu_table())
     th = c.theta
     lead = 1.0 - th / (n + th)
     corr = n * (th * (n + 1.0) + 2.0 * c.delta2 - 2.0 * th * c.gamma2) \

@@ -1,6 +1,6 @@
 """Classification of three-child offspring distributions: thresholds, region
-assignment versus a direct sign scan of phi - phi_FL, closed forms, and
-Monte-Carlo region volumes."""
+assignment versus a direct sign scan of phi - phi_FL against the matching
+fractional-linear law, the factored f, and Monte-Carlo region volumes."""
 
 import math
 import random
@@ -13,21 +13,25 @@ from gwbounds.classify_f3 import (
     UPPER_BOUND_ON_P,
     classify_f3,
     f3_f_value,
-    f3_fl_params,
-    f3_gamma,
-    f3_p3zero,
     f3_p_inf,
     f3_region_volumes,
-    f3_sign_values,
     thresholds_f3,
 )
 from gwbounds.errors import DomainError
-from gwbounds.fl_bounds import matching_fl
+from gwbounds.fl_bounds import UPPER_ON_S, bound_direction, matching_fl
 from gwbounds.pgf_core import FiniteThree, extinction_probability, pgf_eval
 
 
 def f3_model(p0, p2, p3):
     return FiniteThree(p0=p0, p1=1.0 - p0 - p2 - p3, p2=p2, p3=p3)
+
+
+def matching_fl_of(model):
+    return matching_fl(extinction_probability(model))
+
+
+def classify(p0, p2, p3):
+    return classify_f3(f3_model(p0, p2, p3))
 
 
 def sample_region(rng, n):
@@ -41,27 +45,14 @@ def sample_region(rng, n):
 
 
 # ---------------------------------------------------------------------------
-# Closed forms against the generic machinery
+# The factored f against the generic machinery
 # ---------------------------------------------------------------------------
-
-def test_closed_forms_match_generic_fixed_point():
-    rng = random.Random(1)
-    for p0, p2, p3 in sample_region(rng, 200):
-        model = f3_model(p0, p2, p3)
-        fp = extinction_probability(model)
-        assert f3_p_inf(p0, p2, p3) == pytest.approx(fp.p_inf, rel=1e-11, abs=1e-12)
-        assert f3_gamma(p0, p2, p3) == pytest.approx(fp.gamma, rel=1e-9, abs=1e-10)
-        fl = f3_fl_params(p0, p2, p3)
-        ref = matching_fl(fp)
-        assert fl.pi == pytest.approx(ref.pi, rel=1e-9)
-        assert fl.rho == pytest.approx(ref.rho, rel=1e-9)
-
 
 def test_f_value_matches_direct_difference():
     rng = random.Random(2)
     for p0, p2, p3 in sample_region(rng, 50):
         model = f3_model(p0, p2, p3)
-        fl_model = f3_fl_params(p0, p2, p3)
+        fl_model = matching_fl_of(model)
         for i in range(21):
             x = i / 20.0
             direct = pgf_eval(model, x) - pgf_eval(fl_model, x)
@@ -134,8 +125,8 @@ def scan_signs(p0, p2, p3, points=400):
     """Independent oracle: signs of phi - phi_FL on [0, 1) via direct pgf
     evaluation, excluding the double root at P_inf."""
     model = f3_model(p0, p2, p3)
-    fl_model = f3_fl_params(p0, p2, p3)
-    p_inf = f3_p_inf(p0, p2, p3)
+    fl_model = matching_fl_of(model)
+    p_inf = extinction_probability(model).p_inf
     has_pos = has_neg = False
     # Separate grids on [0, P_inf) and (P_inf, 1), each excluding a margin
     # proportional to its own length around the double root at P_inf.
@@ -159,7 +150,7 @@ def test_classification_agrees_with_sign_scan():
         # Skip samples too close to a region boundary for a robust scan.
         if min(abs(p0 - th.p0_r), abs(p0 - th.p0_gamma)) < 1e-3:
             continue
-        cls = classify_f3(p0, p2, p3)
+        cls = classify(p0, p2, p3)
         has_pos, has_neg = scan_signs(p0, p2, p3)
         if cls.region == LOWER_BOUND_ON_P:
             assert not has_neg, (p0, p2, p3)
@@ -178,9 +169,9 @@ def test_iterate_ordering_follows_region():
     from gwbounds.fl_bounds import fl_survival_by_n
     for (p0, p2, p3), region in (((0.15, 0.15, 0.075), LOWER_BOUND_ON_P),
                                  ((0.10, 0.10, 0.05), UPPER_BOUND_ON_P)):
-        assert classify_f3(p0, p2, p3).region == region
+        assert classify(p0, p2, p3).region == region
         model = f3_model(p0, p2, p3)
-        fl = f3_fl_params(p0, p2, p3)
+        fl = matching_fl_of(model)
         x = 0.0
         for n in range(1, 60):
             x = pgf_eval(model, x)
@@ -194,20 +185,21 @@ def test_iterate_ordering_follows_region():
 def test_boundary_case_labels():
     p2, p3 = 0.12, 0.06
     th = thresholds_f3(p2, p3)
-    assert classify_f3(th.p0_r, p2, p3).case_label == "2"
-    assert classify_f3(th.p0_gamma, p2, p3).case_label == "4"
-    assert classify_f3(th.p0_plus, p2, p3).case_label == "3ii"
-    assert classify_f3(0.5 * (th.p0_plus + th.p0_r), p2, p3).case_label == "3i"
-    assert classify_f3(0.5 * (th.p0_gamma + th.p0_plus), p2, p3).case_label == "3iii"
-    assert classify_f3(th.p0_r + 0.01, p2, p3).case_label == "1"
-    assert classify_f3(th.p0_gamma - 0.01, p2, p3).case_label == "5"
+    assert classify(th.p0_r, p2, p3).case_label == "2"
+    assert classify(th.p0_gamma, p2, p3).case_label == "4"
+    assert classify(th.p0_plus, p2, p3).case_label == "3ii"
+    assert classify(0.5 * (th.p0_plus + th.p0_r), p2, p3).case_label == "3i"
+    assert classify(0.5 * (th.p0_gamma + th.p0_plus), p2, p3).case_label == "3iii"
+    assert classify(th.p0_r + 0.01, p2, p3).case_label == "1"
+    assert classify(th.p0_gamma - 0.01, p2, p3).case_label == "5"
 
 
 def test_classify_domain_errors():
+    # classify_f3 takes a FiniteThree, whose constructor rejects these laws.
     with pytest.raises(DomainError):
-        classify_f3(0.5, 0.1, 0.1)  # subcritical: p0 >= p2 + 2*p3
+        classify(0.5, 0.1, 0.1)  # subcritical: p0 >= p2 + 2*p3
     with pytest.raises(DomainError):
-        classify_f3(0.4, 0.4, 0.4)  # masses exceed 1
+        classify(0.4, 0.4, 0.4)  # masses exceed 1
 
 
 # ---------------------------------------------------------------------------
@@ -256,47 +248,61 @@ def test_family_boundary_parameters():
 
 
 def test_family_regions():
-    assert classify_f3(0.15, 0.15, 0.075).region == LOWER_BOUND_ON_P
-    assert classify_f3(0.142, 0.142, 0.071).region == LOWER_BOUND_ON_P
-    assert classify_f3(0.11, 0.11, 0.055).region == SWITCHES_REGION
-    assert classify_f3(0.10, 0.10, 0.05).region == UPPER_BOUND_ON_P
+    assert classify(0.15, 0.15, 0.075).region == LOWER_BOUND_ON_P
+    assert classify(0.142, 0.142, 0.071).region == LOWER_BOUND_ON_P
+    assert classify(0.11, 0.11, 0.055).region == SWITCHES_REGION
+    assert classify(0.10, 0.10, 0.05).region == UPPER_BOUND_ON_P
 
 
 # ---------------------------------------------------------------------------
 # Degenerate case p3 = 0
 # ---------------------------------------------------------------------------
 
+P3ZERO_LAWS = ((0.1, 0.3), (0.05, 0.5), (0.2, 0.25))
+
+
 def test_p3zero_always_lower_region():
-    for p0, p2 in ((0.1, 0.3), (0.05, 0.5), (0.2, 0.25)):
-        fp, cls = f3_p3zero(p0, p2)
-        assert cls.region == LOWER_BOUND_ON_P
-        assert fp.p_inf == pytest.approx(p0 / p2)
+    # f = phi - phi_FL >= 0 when p3 = 0, so the FL bound is an upper bound on
+    # S^(n) for every n.
+    for p0, p2 in P3ZERO_LAWS:
+        direction = bound_direction(f3_model(p0, p2, 0.0))
+        assert direction.kind == UPPER_ON_S
+        assert direction.switch_n is None
+
+
+def test_p3zero_f_nonnegative_against_matching_fl():
+    for p0, p2 in P3ZERO_LAWS:
         model = f3_model(p0, p2, 0.0)
-        ref = extinction_probability(model)
-        assert fp.p_inf == pytest.approx(ref.p_inf, rel=1e-12)
-        assert fp.gamma == pytest.approx(ref.gamma, rel=1e-12)
-        # f >= 0 on [0, 1]: direct check.
-        fl_model = cls.fl
+        fl_model = matching_fl_of(model)
         for i in range(101):
             x = i / 100.0
-            assert pgf_eval(model, x) - pgf_eval(fl_model, x) >= -1e-14
+            direct = pgf_eval(model, x) - pgf_eval(fl_model, x)
+            assert direct >= -1e-14, (p0, p2, x)
+            factored = (1.0 - x) * (p0 - p2 * x) ** 2 / (1.0 + p0 - p2 * x)
+            assert direct == pytest.approx(factored, abs=1e-14), (p0, p2, x)
 
 
 def test_p3zero_domain_error():
+    # The thresholds need p3 > 0; bound_direction decides p3 = 0 without them.
     with pytest.raises(DomainError):
-        f3_p3zero(0.3, 0.2)  # subcritical
+        classify(0.1, 0.3, 0.0)
 
 
 # ---------------------------------------------------------------------------
-# Sign values and volumes
+# Sign profile and volumes
 # ---------------------------------------------------------------------------
 
 def test_sign_values_default_probes():
-    vals = f3_sign_values(0.1, 0.2, 0.2)
-    assert len(vals) == 3
-    p_inf = f3_p_inf(0.1, 0.2, 0.2)
-    assert vals[0] == pytest.approx(f3_f_value(0.1, 0.2, 0.2, 0.0))
-    assert vals[1] == pytest.approx(f3_f_value(0.1, 0.2, 0.2, p_inf / 2.0))
+    # sign_profile is the sign of f at 0, P_inf/2 and (P_inf+1)/2; here it
+    # is checked against the direct difference phi - phi_FL.
+    for p0, p2, p3 in ((0.1, 0.2, 0.2), (0.15, 0.15, 0.075), (0.10, 0.10, 0.05)):
+        model = f3_model(p0, p2, p3)
+        fl_model = matching_fl_of(model)
+        p_inf = extinction_probability(model).p_inf
+        probes = (0.0, p_inf / 2.0, (p_inf + 1.0) / 2.0)
+        direct = [pgf_eval(model, x) - pgf_eval(fl_model, x) for x in probes]
+        assert all(abs(d) > 1e-10 for d in direct)
+        assert classify(p0, p2, p3).sign_profile == tuple(1 if d > 0 else -1 for d in direct)
 
 
 def test_region_volumes():
@@ -318,7 +324,7 @@ def test_region_volumes_match_pointwise_classifier():
         th = thresholds_f3(p2, p3)
         if min(abs(p0 - th.p0_r), abs(p0 - th.p0_gamma)) < 1e-9:
             continue
-        region = classify_f3(p0, p2, p3).region
+        region = classify(p0, p2, p3).region
         if p0 >= th.p0_r:
             assert region == LOWER_BOUND_ON_P
         elif p0 <= th.p0_gamma:

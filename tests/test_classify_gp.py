@@ -4,7 +4,7 @@ and the three-way classification built on them."""
 import mpmath
 import pytest
 
-from gwbounds.classify_gp import classify_gp, gp_f_values, gp_thresholds
+from gwbounds.classify_gp import classify_gp, gp_thresholds
 from gwbounds.errors import DomainError
 from gwbounds.fl_bounds import (
     LOWER_ON_S,
@@ -207,8 +207,3 @@ def test_mg_product_exceeds_one_beyond_c1():
     m = moments(gp_from_s(0.3, 0.1)).m
     assert m * fp.gamma > 1.0
 
-
-def test_gp_f_values_probe():
-    vals = gp_f_values(0.1, 0.276, (0.0, 0.5, 0.99))
-    assert len(vals) == 3
-    assert vals[0] > 0.0  # below lambda_c0, f(0) > 0 as in the Poisson limit

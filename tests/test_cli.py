@@ -14,6 +14,7 @@ import pytest
 
 import gwbounds
 from gwbounds.cli import build_model, main, make_parser
+from gwbounds.fl_bounds import matching_fl
 from gwbounds.pgf_core import (
     Binomial,
     FiniteThree,
@@ -160,6 +161,22 @@ def test_atomic_write_leaves_no_temp_files(capsys, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
 
+@pytest.mark.parametrize("target,error", [
+    (os.path.join("missing_dir", "x.csv"), "FileNotFoundError"),
+    ("a_dir", "IsADirectoryError"),
+])
+def test_unwritable_out_is_a_json_error(target, error, capsys, tmp_path):
+    (tmp_path / "a_dir").mkdir()
+    code, out, err = run_cli(capsys, "table", "1", "--out", str(tmp_path / target))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == error
+    # No temporary file is left beside the target.
+    assert [p.name for p in tmp_path.iterdir()] == ["a_dir"]
+    assert list((tmp_path / "a_dir").iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # Exit codes and error reporting
 # ---------------------------------------------------------------------------
@@ -205,8 +222,31 @@ def test_classify_f3_json(capsys):
     report = json.loads(out)
     assert report["kind"] == "f3"
     assert report["region"] == "LowerBoundOnP"
-    assert 0.0 < report["p_inf"] < 1.0
     assert set(report["thresholds"]) >= {"p0_plus", "p0_r", "p0_gamma"}
+    # The fixed point and the FL law are those of the generic machinery.
+    fp = extinction_probability(FiniteThree(p0=0.2, p1=1.0 - 0.2 - 0.2 - 0.1, p2=0.2, p3=0.1))
+    fl = matching_fl(fp)
+    assert (report["p_inf"], report["gamma"]) == (fp.p_inf, fp.gamma)
+    assert (report["fl_pi"], report["fl_rho"]) == (fl.pi, fl.rho)
+
+
+F3_P1_ZERO = ["--p0", "0.3", "--p2", "0.3", "--p3", "0.4"]  # 1 - sum = -5.6e-17
+F3_OVER_ONE = ["--p0", "0.5", "--p2", "0.4", "--p3", "0.3"]
+
+
+@pytest.mark.parametrize("command", [["sinf", "--dist", "f3"], ["classify", "f3"]])
+def test_f3_law_with_p1_zero_is_accepted(command, capsys):
+    code, out, err = run_cli(capsys, *command, *F3_P1_ZERO)
+    assert code == 0 and err == ""
+    assert out
+
+
+@pytest.mark.parametrize("command", [["sinf", "--dist", "f3"], ["classify", "f3"]])
+def test_f3_masses_above_one_are_rejected(command, capsys):
+    code, out, err = run_cli(capsys, *command, *F3_OVER_ONE)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "domain",
+                               "message": "FiniteThree probabilities must sum to 1"}
 
 
 def test_classify_gp_lower_zone(capsys):

@@ -4,6 +4,7 @@ the positivity of the appendix comparison coefficients."""
 import math
 
 import pytest
+from mpmath import mp
 
 from gwbounds.errors import DomainError
 from gwbounds.fl_bounds import (
@@ -14,7 +15,6 @@ from gwbounds.fl_bounds import (
     agresti_sn_bound,
     bin_coeff_cf,
     bound_direction,
-    bound_report,
     fl_iterate_params,
     fl_survival_by_n,
     matching_fl,
@@ -158,15 +158,6 @@ def test_pgf_dominates_matching_fl_on_grid():
             assert diff >= -1e-12, (model, x)
 
 
-def test_bound_report_fields():
-    model = Poisson(m=1.5)
-    rep = bound_report(model, 5)
-    assert rep.n == 5
-    assert rep.exact == pytest.approx(1.0 - iterate_extinction(model, 5), abs=1e-14)
-    assert rep.exact <= rep.pollak_bound <= rep.fl_bound <= rep.simple_bound
-    assert rep.agresti_bound is not None
-
-
 def test_pollak_dbar_positive_decreasing():
     model = Poisson(m=1.2)
     fp = extinction_probability(model)
@@ -181,14 +172,57 @@ def test_pollak_dbar_positive_decreasing():
 # Agresti bound (Poisson)
 # ---------------------------------------------------------------------------
 
+AGRESTI_MS = (1.001, 1.02, 1.5, 3.0, 6.0, 8.0, 10.0)
+
+
+def agresti_v_mp(m):
+    """Agresti's auxiliary function v(x) for Poisson(m) at mpmath precision,
+    v(x) = (u - 1 + gamma(1-x)) / (x(u - 1) + gamma(1-x)), u = phi(P x)/P."""
+    m = mp.mpf(m)
+    p = -mp.lambertw(-m * mp.exp(-m)).real / m
+    gamma = m * p
+
+    def v(x):
+        x = mp.mpf(x)
+        u = mp.exp(-m * (1 - p * x)) / p
+        return (u - 1 + gamma * (1 - x)) / (x * (u - 1) + gamma * (1 - x))
+    return v
+
+
+@pytest.mark.parametrize("m", AGRESTI_MS)
+def test_agresti_v_decreases(m):
+    # agresti_pi_poisson takes sup v = v(0) and inf v = lim v(x), x -> 1-,
+    # which holds because v decreases on [0, 1). At double precision v
+    # cancels near x = 1 (it is a ratio of two O((1-x)^2) terms), so the
+    # premise is checked at 50 digits, down to 1 - x = 1e-12.
+    with mp.workdps(50):
+        v = agresti_v_mp(m)
+        xs = [mp.mpf(i) / 256 for i in range(256)]
+        xs += [1 - mp.mpf(10) ** -k for k in range(3, 13)]
+        vals = [v(x) for x in xs]
+        assert all(b < a for a, b in zip(vals, vals[1:])), m
+
+
+@pytest.mark.parametrize("m", AGRESTI_MS)
+def test_agresti_pi_closed_forms_match_mpmath(m):
+    with mp.workdps(80):
+        v = agresti_v_mp(m)
+        sup = v(0)
+        # v(1 - h) = inf + O(h), a ratio of two O(h^2) terms: 40 digits left.
+        inf = v(1 - mp.mpf(10) ** -20)
+    assert agresti_pi_poisson(m, "upper") == pytest.approx(float(sup), rel=1e-12)
+    assert agresti_pi_poisson(m, "lower") == pytest.approx(float(inf), rel=1e-12)
+
+
 def test_agresti_lower_equals_pollak_for_poisson():
     # The Agresti-style lower construction coincides with Pollak's bound.
-    model = Poisson(m=1.5)
-    fp = extinction_probability(model)
-    for n in (1, 3, 7, 15):
-        agresti = agresti_sn_bound(1.5, n, "lower")
-        pollak = sn_pollak_bound(model, n, fp)
-        assert agresti == pytest.approx(pollak, rel=1e-6)
+    for m in (1.5, 8.0):
+        model = Poisson(m=m)
+        fp = extinction_probability(model)
+        for n in (1, 3, 7, 15):
+            agresti = agresti_sn_bound(m, n, "lower")
+            pollak = sn_pollak_bound(model, n, fp)
+            assert agresti == pytest.approx(pollak, rel=1e-13)
 
 
 def test_agresti_pi_direction_ordering():
@@ -199,11 +233,13 @@ def test_agresti_pi_direction_ordering():
 
 def test_agresti_directions_sandwich_survival():
     # 'upper' upper-bounds P^(n) (hence lower-bounds S^(n)); 'lower' the reverse.
-    model = Poisson(m=1.5)
-    for n in (1, 5, 10):
-        s_n = 1.0 - iterate_extinction(model, n)
-        assert agresti_sn_bound(1.5, n, "upper") <= s_n + 1e-12
-        assert agresti_sn_bound(1.5, n, "lower") >= s_n - 1e-12
+    # m = 8 is past where a scan of v at double precision stops decreasing.
+    for m in (1.5, 8.0):
+        model = Poisson(m=m)
+        for n in (1, 5, 10):
+            s_n = 1.0 - iterate_extinction(model, n)
+            assert agresti_sn_bound(m, n, "upper") <= s_n + 1e-12
+            assert agresti_sn_bound(m, n, "lower") >= s_n - 1e-12
 
 
 # ---------------------------------------------------------------------------

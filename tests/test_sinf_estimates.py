@@ -23,7 +23,6 @@ from gwbounds.sinf_estimates import (
     beta_bound,
     dn_upper,
     gamma_series_eval,
-    mu_derivatives,
     pn_ratio_series,
     quine_bounds,
     sinf_bounds_all,
@@ -113,16 +112,16 @@ def mu_oracle(pmf, kmax=400):
 
 
 ORACLE_CASES = [
-    (mu_derivatives(poisson_from_s(0.1)), pmf_poisson),
-    (mu_derivatives(binomial_from_s(5, 0.1)), pmf_binomial(5)),
-    (mu_derivatives(binomial_from_s(12, 0.1)), pmf_binomial(12)),
-    (mu_derivatives(negbinomial_from_s(2, 0.1)), pmf_negbinomial(2)),
-    (mu_derivatives(negbinomial_from_s(5, 0.1)), pmf_negbinomial(5)),
-    (mu_derivatives(gp_from_s(0.0, 0.1)), pmf_gp(0.0)),
-    (mu_derivatives(gp_from_s(0.3, 0.1)), pmf_gp(0.3)),
-    (mu_derivatives(gp_from_s(0.6, 0.1)), pmf_gp(0.6)),
-    (mu_derivatives(fl_from_s(0.4, 0.1)), pmf_fl(0.4)),
-    (mu_derivatives(fl_from_s(0.7, 0.1)), pmf_fl(0.7)),
+    (poisson_from_s(0.1).mu_table(), pmf_poisson),
+    (binomial_from_s(5, 0.1).mu_table(), pmf_binomial(5)),
+    (binomial_from_s(12, 0.1).mu_table(), pmf_binomial(12)),
+    (negbinomial_from_s(2, 0.1).mu_table(), pmf_negbinomial(2)),
+    (negbinomial_from_s(5, 0.1).mu_table(), pmf_negbinomial(5)),
+    (gp_from_s(0.0, 0.1).mu_table(), pmf_gp(0.0)),
+    (gp_from_s(0.3, 0.1).mu_table(), pmf_gp(0.3)),
+    (gp_from_s(0.6, 0.1).mu_table(), pmf_gp(0.6)),
+    (fl_from_s(0.4, 0.1).mu_table(), pmf_fl(0.4)),
+    (fl_from_s(0.7, 0.1).mu_table(), pmf_fl(0.7)),
 ]
 
 
@@ -143,18 +142,18 @@ def test_mu_dispatch_matches_family_tables():
     for make in (poisson_from_s, lambda s: binomial_from_s(7, s),
                  lambda s: negbinomial_from_s(3, s), lambda s: gp_from_s(0.4, s),
                  lambda s: fl_from_s(0.5, s)):
-        assert mu_derivatives(make(0.2)) == mu_derivatives(make(0.05))
+        assert make(0.2).mu_table() == make(0.05).mu_table()
 
 
 def test_mu_table_validation():
     with pytest.raises(DomainError):
         MuDerivatives(mu20=0.0, mu21=1, mu22=1, mu30=1, mu31=1, mu40=1)
     with pytest.raises(DomainError):
-        mu_derivatives(binomial_from_s(1, 0.1))
+        binomial_from_s(1, 0.1).mu_table()
     with pytest.raises(DomainError):
-        mu_derivatives(gp_from_s(1.0, 0.1))
+        gp_from_s(1.0, 0.1).mu_table()
     with pytest.raises(DomainError, match="no mu table"):
-        mu_derivatives(FiniteThree(p0=0.2, p1=0.5, p2=0.2, p3=0.1))
+        FiniteThree(p0=0.2, p1=0.5, p2=0.2, p3=0.1).mu_table()
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +161,7 @@ def test_mu_table_validation():
 # ---------------------------------------------------------------------------
 
 def test_poisson_coefficients_rational():
-    c = sinf_series(mu_derivatives(poisson_from_s(0.1)))
+    c = sinf_series(poisson_from_s(0.1).mu_table())
     assert c.theta == pytest.approx(2.0, abs=1e-15)
     assert c.delta2 == pytest.approx(8.0 / 3.0, abs=1e-14)
     assert c.delta3 == pytest.approx(28.0 / 9.0, abs=1e-14)
@@ -172,7 +171,7 @@ def test_poisson_coefficients_rational():
 
 @pytest.mark.parametrize("n", [2, 3, 5, 10, 40])
 def test_binomial_coefficients_rational(n):
-    c = sinf_series(mu_derivatives(binomial_from_s(n, 0.1)))
+    c = sinf_series(binomial_from_s(n, 0.1).mu_table())
     assert c.theta == pytest.approx(2.0 * n / (n - 1), rel=1e-14)
     d2 = Fraction(4 * n * (2 * n - 1), 3 * (n - 1) ** 2)
     assert c.delta2 == pytest.approx(float(d2), rel=1e-12)
@@ -183,7 +182,7 @@ def test_binomial_coefficients_rational(n):
 
 @pytest.mark.parametrize("r", [1, 2, 5, 10])
 def test_negbinomial_coefficients_rational(r):
-    c = sinf_series(mu_derivatives(negbinomial_from_s(r, 0.1)))
+    c = sinf_series(negbinomial_from_s(r, 0.1).mu_table())
     assert c.theta == pytest.approx(2.0 * r / (r + 1), rel=1e-14)
     assert c.gamma2 == pytest.approx(2.0 * (r + 2) / (3.0 * (r + 1)), rel=1e-13)
     assert c.gamma3 == pytest.approx(4.0 * (r + 2) ** 2 / (9.0 * (r + 1) ** 2), rel=1e-12)
@@ -195,7 +194,7 @@ def test_negbinomial_coefficients_rational(r):
 
 @pytest.mark.parametrize("lam", [0.0, 0.2, 0.5, 0.9])
 def test_gp_coefficients(lam):
-    c = sinf_series(mu_derivatives(gp_from_s(lam, 0.1)))
+    c = sinf_series(gp_from_s(lam, 0.1).mu_table())
     u = 1.0 - lam
     assert c.theta == pytest.approx(2.0 * u * u, rel=1e-14)
     assert c.gamma2 == pytest.approx(2.0 * (1.0 + 2.0 * lam) / 3.0, rel=1e-13)
@@ -214,7 +213,7 @@ def test_fl_series_is_exact(pi):
     # The fractional-linear family has S_inf = s(1-pi)/pi exactly and
     # gamma = 1/(1+s), so delta2 = delta3 = 0 and gamma2 = gamma3 = 1.
     model = fl_from_s(pi, 0.1)
-    c = sinf_series(mu_derivatives(model))
+    c = sinf_series(model.mu_table())
     assert c.theta == pytest.approx((1.0 - pi) / pi, rel=1e-14)
     assert c.delta2 == pytest.approx(0.0, abs=1e-13)
     assert c.delta3 == pytest.approx(0.0, abs=1e-12)
