@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -52,6 +53,7 @@ from .classify_f3 import classify_f3, f3_region_volumes
 from .classify_gp import classify_gp, gp_thresholds
 from .sinf_estimates import dn_upper, quine_bounds, sinf_bounds_all, t_ser, t_simple
 from .genetics import (
+    WF_EXACT_MAX_N,
     TraitModel,
     WFModel,
     vg_inf,
@@ -99,15 +101,22 @@ def write_output(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(out)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gwb-tmp-")
+    # The text goes to a temporary file beside out, which then replaces out.
+    # An OSError from any step names out, not the temporary file.
+    if os.path.isdir(out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)),
+                                   prefix=".gwb-tmp-")
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
         os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise type(exc)(exc.errno, exc.strerror, out) from exc
         raise
 
 
@@ -384,7 +393,7 @@ def cmd_genetics(args) -> int:
     ]
     if args.tau is not None:
         rows.insert(1, ["vg_tau", vg_tau(tm, model, args.tau)])
-    if args.N <= 5000:
+    if args.N <= WF_EXACT_MAX_N:
         rows.append(["wf_fix_exact", wf_fixation_exact(wf)])
     write_output(render_csv(header, rows, args.digits), args.out)
     return 0

@@ -171,7 +171,11 @@ def test_unwritable_out_is_a_json_error(target, error, capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1
-    assert json.loads(err)["error"] == error
+    payload = json.loads(err)
+    assert payload["error"] == error
+    # The message names the --out path, not the temporary file.
+    assert repr(str(tmp_path / target)) in payload["message"]
+    assert ".gwb-tmp" not in payload["message"]
     # No temporary file is left beside the target.
     assert [p.name for p in tmp_path.iterdir()] == ["a_dir"]
     assert list((tmp_path / "a_dir").iterdir()) == []

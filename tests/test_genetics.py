@@ -3,14 +3,17 @@ trait variance through time, and Wright-Fisher fixation probabilities."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import exp1 as scipy_exp1
 from scipy.stats import binom
 
+from gwbounds import genetics
 from gwbounds.errors import DomainError
 from gwbounds.genetics import (
+    WF_EXACT_MAX_N,
     TraitModel,
     WFModel,
     mutant_density,
@@ -202,6 +205,54 @@ def test_diffusion_effective_size_reduces_fixation():
     assert wf_fixation_diffusion(reduced) < wf_fixation_diffusion(full)
 
 
+def mp_binom_row(n, psi):
+    """P(Binomial(n, psi) = k), k = 0..n, in 30-digit mpmath; a float psi is
+    taken exactly."""
+    with mpmath.workdps(30):
+        p = mpmath.mpf(psi)
+        return [mpmath.binomial(n, k) * p ** k * (1 - p) ** (n - k) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 60])
+def test_binom_rows_against_mpmath(n):
+    psi = np.array([1e-12, 1e-3, 1.0 / (n + 1), 0.5 - 1e-9, 0.5, 0.5 + 1e-9,
+                    0.75, 1.0 - 1e-3, 1.0 - 1e-12])
+    rows = genetics.binom.pmf(n, psi)
+    assert rows.shape == (len(psi), n + 1)
+    for row, p in zip(rows, psi):
+        for got, want in zip(row, mp_binom_row(n, p)):
+            if want > 1e-300:
+                assert got == pytest.approx(float(want), rel=1e-13)
+        assert abs(math.fsum(row) - 1.0) <= 4 * np.finfo(float).eps
+
+
+def test_binom_rows_against_scipy():
+    n, s = 1000, 0.1
+    x = np.arange(1, n) / n
+    psi = np.concatenate([x * (1.0 + s) / (1.0 + s * x), [1e-9, 1.0 - 1e-9]])
+    rows = genetics.binom.pmf(n, psi)
+    want = binom.pmf(np.arange(n + 1)[None, :], n, psi[:, None])
+    big = want > 1e-250
+    assert np.max(np.abs(rows[big] / want[big] - 1.0)) < 1e-12
+
+
+def test_wf_exact_against_mpmath_solve():
+    # The absorption system built and solved in 30-digit mpmath, psi exact.
+    n, s = 40, 0.1
+    with mpmath.workdps(30):
+        sm = mpmath.mpf(s)
+        a, b = [], []
+        for i in range(1, n):
+            x = mpmath.mpf(i) / n
+            psi = x * (1 + sm) / (1 + sm * x)
+            row = mp_binom_row(n, psi)
+            a.append([(1 if i == j else 0) - row[j] for j in range(1, n)])
+            b.append(row[n])
+        want = float(mpmath.lu_solve(mpmath.matrix(a), mpmath.matrix(b))[0])
+    wf = WFModel(pop_size=n, s_sel=s, effective_size=float(n))
+    assert wf_fixation_exact(wf) == pytest.approx(want, rel=1e-13)
+
+
 def test_wf_exact_n2_closed_form():
     # N = 2: from one mutant, psi = (1+s)/(2+s) and
     # q = psi^2 / (1 - 2*psi*(1-psi)).
@@ -242,7 +293,8 @@ def test_wf_exact_below_diffusion():
 
 def test_wf_exact_size_cap():
     with pytest.raises(DomainError):
-        wf_fixation_exact(WFModel(pop_size=6000, s_sel=0.1, effective_size=6000.0))
+        wf_fixation_exact(WFModel(pop_size=WF_EXACT_MAX_N + 1, s_sel=0.1,
+                                  effective_size=float(WF_EXACT_MAX_N + 1)))
 
 
 def test_wf_fixation_a_anchors():

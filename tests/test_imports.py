@@ -1,7 +1,7 @@
-"""numpy and scipy load only for the Wright-Fisher dense solve and the F3
-Monte Carlo: `import gwbounds` and every other subcommand start without them,
-and genetics.np / genetics.binom stay module attributes that a caller may
-replace (a timing proxy, say) and wf_fixation_exact then calls."""
+"""numpy loads only for the Wright-Fisher dense solve and the F3 Monte Carlo,
+and scipy never: `import gwbounds` and every other subcommand start without
+them, and genetics.np / genetics.binom stay module attributes that a caller
+may replace (a timing proxy, say) and wf_fixation_exact then calls."""
 
 import os
 import subprocess
@@ -73,7 +73,7 @@ def test_subcommands_other_than_genetics_and_volumes_skip_numpy(argv):
 
 @pytest.mark.parametrize("argv, expected", [
     (("genetics", "--dist", "poisson", "--m", "1.1", "--N", "50", "--s", "0.1",
-      "--tau", "2"), "['numpy', 'scipy']"),
+      "--tau", "2"), "['numpy']"),
     (("figdata", "3-volumes", "--samples", "1000", "--seed", "1"), "['numpy']"),
 ], ids=["genetics", "figdata-3-volumes"])
 def test_wf_solve_and_volumes_load_what_they_use(argv, expected):
@@ -85,13 +85,12 @@ def test_wf_solve_and_volumes_load_what_they_use(argv, expected):
 def test_genetics_dependencies_resolve_after_a_solve():
     code, out, _ = run_python(
         "from gwbounds import genetics\n"
-        "before = sorted(n for n in ('np', 'binom') if n in vars(genetics))\n"
+        "before = 'np' in vars(genetics)\n"
         "genetics.wf_fixation_exact(genetics.WFModel(20, 0.1, 20.0))\n"
-        "import numpy, scipy.stats\n"
-        "print(before, genetics.np is numpy, genetics.binom is scipy.stats.binom,\n"
-        "      sorted(n for n in ('np', 'binom') if n in vars(genetics)))\n")
+        "import numpy\n"
+        "print(before, genetics.np is numpy, 'scipy' in sys.modules)\n")
     assert code == 0
-    assert out.strip() == "[] True True ['binom', 'np']"
+    assert out.strip() == "False True False"
 
 
 def test_unknown_genetics_attribute_raises_attribute_error():
