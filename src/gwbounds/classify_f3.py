@@ -85,10 +85,14 @@ def f3_f_value(p0: float, p2: float, p3: float, x: float) -> float:
     return (1.0 - x) * (p_inf - x) ** 2 * num / (1.0 + c * (p_inf - x))
 
 
-def _sign(v: float, tol: float = 1e-14) -> int:
-    if v > tol:
+# |f| below which a probe of sign_profile reads no sign.
+SIGN_TOL = 1e-14
+
+
+def _sign(v: float) -> int:
+    if v > SIGN_TOL:
         return 1
-    if v < -tol:
+    if v < -SIGN_TOL:
         return -1
     return 0
 

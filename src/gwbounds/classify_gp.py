@@ -50,12 +50,17 @@ def _f2_pinf(s: float, lam: float) -> float:
     return pgf_derivative(model, fp.p_inf, 2) - pgf_derivative(matching_fl(fp), fp.p_inf, 2)
 
 
-def _bisect_root(fn, s: float, lo: float = 1e-6, hi: float = 0.6,
-                 tol: float = 1e-10) -> float:
+# The lambda bracket of every threshold's bisection, and the width it stops at.
+BISECT_LO, BISECT_HI = 1e-6, 0.6
+BISECT_TOL = 1e-10
+
+
+def _bisect_root(fn, s: float) -> float:
+    lo, hi = BISECT_LO, BISECT_HI
     flo, fhi = fn(s, lo), fn(s, hi)
     if flo * fhi > 0.0:
         raise ConvergenceError(f"no sign change in [{lo}, {hi}] for s={s!r}")
-    while hi - lo > tol:
+    while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if flo * fn(s, mid) <= 0.0:
             hi = mid

@@ -10,8 +10,10 @@ stderr as single-line JSON.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import errno
+import io
 import json
 import math
 import os
@@ -63,9 +65,6 @@ from .genetics import (
     wf_fixation_exact,
 )
 
-CRLF = "\r\n"
-
-
 # ---------------------------------------------------------------------------
 # Output helpers
 # ---------------------------------------------------------------------------
@@ -84,17 +83,12 @@ def _fmt(value, digits: int) -> str:
     return str(value)
 
 
-def _csv_quote(field: str) -> str:
-    if any(ch in field for ch in (',', '"', '\r', '\n')):
-        return '"' + field.replace('"', '""') + '"'
-    return field
-
-
 def render_csv(header: Sequence[str], rows: Sequence[Sequence], digits: int) -> str:
-    lines = [",".join(_csv_quote(str(h)) for h in header)]
-    for row in rows:
-        lines.append(",".join(_csv_quote(_fmt(v, digits)) for v in row))
-    return CRLF.join(lines) + CRLF
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v, digits) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def write_output(text: str, out: Optional[str]) -> None:
@@ -170,14 +164,15 @@ def build_model(args) -> OffspringModel:
 
 
 # ---------------------------------------------------------------------------
-# Tables
+# Subcommands: each returns what it prints, (header, rows) for a CSV or a
+# dict for a JSON line, and main renders and writes it.
 # ---------------------------------------------------------------------------
 
 _TABLE1_MS = (1.5, 1.1, 1.02)
 _TABLE1_NS = (1, 5, 10, 20, 50, 100)
 
 
-def table1_rows() -> List[List]:
+def table1():
     """Relative errors (bound - S^(n))/S^(n) of the three Poisson S-bounds."""
     rows = []
     for m in _TABLE1_MS:
@@ -187,16 +182,9 @@ def table1_rows() -> List[List]:
         for method, fn in (("simple", sn_simple_bound),
                            ("fl", sn_fl_bound),
                            ("pollak", sn_pollak_bound)):
-            row: List = [m, method]
-            for n in _TABLE1_NS:
-                row.append((fn(model, n, fp) - exact[n]) / exact[n])
-            rows.append(row)
-    return rows
-
-
-def cmd_table1(args) -> str:
-    header = ["m", "method"] + [f"n{n}" for n in _TABLE1_NS]
-    return render_csv(header, table1_rows(), args.digits)
+            rows.append([m, method] + [(fn(model, n, fp) - exact[n]) / exact[n]
+                                       for n in _TABLE1_NS])
+    return ["m", "method"] + [f"n{n}" for n in _TABLE1_NS], rows
 
 
 _TABLE2_COLS = (
@@ -210,7 +198,7 @@ _TABLE2_COLS = (
 )
 
 
-def cmd_table2(args) -> str:
+def table2():
     s = 0.2
     bounds = [sinf_bounds_all(make(s), s) for _, make in _TABLE2_COLS]
     header = ["quantity"] + [name for name, _ in _TABLE2_COLS]
@@ -222,8 +210,7 @@ def cmd_table2(args) -> str:
         ("dn_upper", lambda b: b.dn_upper),
         ("haldane_theta_s", lambda b: b.haldane),
     )
-    rows = [[name] + [get(b) for b in bounds] for name, get in quantities]
-    return render_csv(header, rows, args.digits)
+    return header, [[name] + [get(b) for b in bounds] for name, get in quantities]
 
 
 _TABLE3_BLOCKS = (
@@ -233,7 +220,7 @@ _TABLE3_BLOCKS = (
 )
 
 
-def cmd_table3(args) -> str:
+def table3():
     header = ["s", "eps", "model", "t_exact", "t_app", "t_ser"]
     rows: List[List] = []
     for s, eps_list, lams in _TABLE3_BLOCKS:
@@ -248,20 +235,13 @@ def cmd_table3(args) -> str:
                              t_ser(model, s, eps)])
             t0 = t_simple(s, eps)
             rows.append([s, eps, "simple", t0, t0, t0])
-    return render_csv(header, rows, args.digits)
+    return header, rows
 
 
-def cmd_table(args) -> int:
-    text = {1: cmd_table1, 2: cmd_table2, 3: cmd_table3}[args.id](args)
-    write_output(text, args.out)
-    return 0
+TABLES = {1: table1, 2: table2, 3: table3}
 
 
-# ---------------------------------------------------------------------------
-# Classifiers
-# ---------------------------------------------------------------------------
-
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> dict:
     if args.kind == "f3":
         model = f3_model(args)
         cls = classify_f3(model)
@@ -280,43 +260,30 @@ def cmd_classify(args) -> int:
         }
         if cls.region == "Switches":
             report["switch_n"] = fl_bounds.switch_generation(model)
-    elif args.kind == "gp":
-        if args.s is None or args.lam is None:
-            raise DomainError("classify gp requires --s and --lambda")
-        direction = classify_gp(args.s, args.lam)
-        report = {
-            "kind": "gp",
-            "direction": direction.kind,
-            "switch_n": direction.switch_n,
-            "conjectured": direction.conjectured,
-            "thresholds": dataclasses.asdict(gp_thresholds(args.s)),
-        }
-    else:
-        raise DomainError(f"unknown classifier kind {args.kind!r}")
-    write_output(json.dumps(report, sort_keys=True) + "\n", args.out)
-    return 0
+        return report
+    if args.s is None or args.lam is None:
+        raise DomainError("classify gp requires --s and --lambda")
+    direction = classify_gp(args.s, args.lam)
+    return {
+        "kind": "gp",
+        "direction": direction.kind,
+        "switch_n": direction.switch_n,
+        "conjectured": direction.conjectured,
+        "thresholds": dataclasses.asdict(gp_thresholds(args.s)),
+    }
 
 
-# ---------------------------------------------------------------------------
-# Survival / sinf / teps / genetics
-# ---------------------------------------------------------------------------
-
-def cmd_survival(args) -> int:
+def cmd_survival(args):
     model = build_model(args)
     fp = extinction_probability(model)
     curve = survival_curve(model, args.nmax)
     header = ["n", "s_n", "fl_bound", "simple_bound", "pollak_bound"]
-    rows = []
-    for n, s_n in enumerate(curve):
-        rows.append([n, s_n,
-                     sn_fl_bound(model, n, fp),
-                     sn_simple_bound(model, n, fp),
-                     sn_pollak_bound(model, n, fp)])
-    write_output(render_csv(header, rows, args.digits), args.out)
-    return 0
+    rows = [[n, s_n, sn_fl_bound(model, n, fp), sn_simple_bound(model, n, fp),
+             sn_pollak_bound(model, n, fp)] for n, s_n in enumerate(curve)]
+    return header, rows
 
 
-def cmd_sinf(args) -> int:
+def cmd_sinf(args):
     model = build_model(args)
     fp = extinction_probability(model)
     mom = moments(model)
@@ -346,11 +313,10 @@ def cmd_sinf(args) -> int:
         ["sinf_series3", bounds.series3, series_note],
         ["haldane_theta_s", bounds.haldane, series_note],
     ]
-    write_output(render_csv(header, rows, args.digits), args.out)
-    return 0
+    return header, rows
 
 
-def cmd_teps(args) -> int:
+def cmd_teps(args):
     model = build_model(args)
     fp = extinction_probability(model)
     s = moments(model).m - 1.0
@@ -367,11 +333,10 @@ def cmd_teps(args) -> int:
                      t_eps_app(fp, eps),
                      ts,
                      t_simple(s, eps)])
-    write_output(render_csv(header, rows, args.digits), args.out)
-    return 0
+    return header, rows
 
 
-def cmd_genetics(args) -> int:
+def cmd_genetics(args):
     model = build_model(args)
     mom = moments(model)
     s_sel = args.s if args.s is not None else math.log(mom.m) / args.alpha
@@ -395,82 +360,73 @@ def cmd_genetics(args) -> int:
         rows.insert(1, ["vg_tau", vg_tau(tm, model, args.tau)])
     if args.N <= WF_EXACT_MAX_N:
         rows.append(["wf_fix_exact", wf_fixation_exact(wf)])
-    write_output(render_csv(header, rows, args.digits), args.out)
-    return 0
+    return header, rows
 
 
-# ---------------------------------------------------------------------------
-# Figure data
-# ---------------------------------------------------------------------------
+def figure1(args):
+    rows = []
+    for i in range(101, 301):
+        m = i / 100.0
+        fp = extinction_probability(Poisson(m=m))
+        fl = matching_fl(fp)
+        rows.append([m, fl.pi, fl.rho, fp.p_inf])
+    return ["m", "pi", "rho", "p_inf"], rows
 
-def cmd_figdata(args) -> int:
-    fig = args.fig
-    if fig == "1":
-        header = ["m", "pi", "rho", "p_inf"]
-        rows = []
-        for i in range(101, 301):
-            m = i / 100.0
-            fp = extinction_probability(Poisson(m=m))
-            fl = matching_fl(fp)
-            rows.append([m, fl.pi, fl.rho, fp.p_inf])
-        text = render_csv(header, rows, args.digits)
-    elif fig == "2":
-        s = 0.3
-        lams = (0.30, 0.3145)
-        header = ["x"] + [f"f_lambda_{lam:g}" for lam in lams]
-        rows = []
-        models = [gp_from_s(lam, s) for lam in lams]
-        fls = [matching_fl(extinction_probability(mod)) for mod in models]
-        for i in range(201):
-            x = i / 200.0
-            row: List = [x]
-            for mod, fl in zip(models, fls):
-                row.append(pgf_eval(mod, x) - pgf_eval(fl, x))
-            rows.append(row)
-        text = render_csv(header, rows, args.digits)
-    elif fig == "3-volumes":
-        fracs = f3_region_volumes(args.samples, args.seed)
-        header = ["lower_bound_on_p", "switches", "upper_bound_on_p"]
-        text = render_csv(header, [list(fracs)], args.digits)
-    elif fig == "4":
-        s = 0.1
-        lams = (0.0, 0.1, 0.276, 0.5, 0.9)
-        header = ["n"] + [f"relerr_lambda_{lam:g}" for lam in lams]
-        models = [gp_from_s(lam, s) for lam in lams]
-        fps = [extinction_probability(mod) for mod in models]
-        curves = [survival_curve(mod, 30) for mod in models]
-        rows = []
-        for n in range(1, 31):
-            row: List = [n]
-            for mod, fp, curve in zip(models, fps, curves):
-                row.append((sn_fl_bound(mod, n, fp) - curve[n]) / curve[n])
-            rows.append(row)
-        text = render_csv(header, rows, args.digits)
-    else:
-        raise DomainError(f"unknown figure {fig!r}")
-    write_output(text, args.out)
-    return 0
+
+def figure2(args):
+    s = 0.3
+    lams = (0.30, 0.3145)
+    header = ["x"] + [f"f_lambda_{lam:g}" for lam in lams]
+    models = [gp_from_s(lam, s) for lam in lams]
+    fls = [matching_fl(extinction_probability(mod)) for mod in models]
+    rows = []
+    for i in range(201):
+        x = i / 200.0
+        rows.append([x] + [pgf_eval(mod, x) - pgf_eval(fl, x) for mod, fl in zip(models, fls)])
+    return header, rows
+
+
+def figure3_volumes(args):
+    fracs = f3_region_volumes(args.samples, args.seed)
+    return ["lower_bound_on_p", "switches", "upper_bound_on_p"], [list(fracs)]
+
+
+def figure4(args):
+    s = 0.1
+    lams = (0.0, 0.1, 0.276, 0.5, 0.9)
+    header = ["n"] + [f"relerr_lambda_{lam:g}" for lam in lams]
+    models = [gp_from_s(lam, s) for lam in lams]
+    fps = [extinction_probability(mod) for mod in models]
+    curves = [survival_curve(mod, 30) for mod in models]
+    rows = [[n] + [(sn_fl_bound(mod, n, fp) - curve[n]) / curve[n]
+                   for mod, fp, curve in zip(models, fps, curves)]
+            for n in range(1, 31)]
+    return header, rows
+
+
+FIGURES = {"1": figure1, "2": figure2, "3-volumes": figure3_volumes, "4": figure4}
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+# The model flags by destination, in help order, and the ones classify reads.
+_MODEL_FLAGS = {"m": float, "n": int, "p": float, "r": int, "pi": float, "rho": float,
+                "p0": float, "p2": float, "p3": float, "mu": float, "lam": float,
+                "s": float}
+_CLASSIFY_FLAGS = ("p0", "p2", "p3", "lam", "s")
+
+
+def _add_flags(parser: argparse.ArgumentParser, names) -> None:
+    for name in names:
+        parser.add_argument(_flag(name), dest=name, type=_MODEL_FLAGS[name])
+
+
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dist", choices=["poisson", "binomial", "negbinomial",
                                            "fl", "f3", "gp"])
-    parser.add_argument("--m", type=float)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--p", type=float)
-    parser.add_argument("--r", type=int)
-    parser.add_argument("--pi", type=float)
-    parser.add_argument("--rho", type=float)
-    parser.add_argument("--p0", type=float)
-    parser.add_argument("--p2", type=float)
-    parser.add_argument("--p3", type=float)
-    parser.add_argument("--mu", type=float)
-    parser.add_argument("--lambda", dest="lam", type=float)
-    parser.add_argument("--s", type=float)
+    _add_flags(parser, _MODEL_FLAGS)
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -486,13 +442,13 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="emit a reference table as CSV")
-    p_table.add_argument("id", type=int, choices=[1, 2, 3])
+    p_table.add_argument("id", type=int, choices=sorted(TABLES))
     _add_output_flags(p_table)
-    p_table.set_defaults(func=cmd_table)
+    p_table.set_defaults(func=lambda args: TABLES[args.id]())
 
     p_cls = sub.add_parser("classify", help="bound-direction classification")
     p_cls.add_argument("kind", choices=["f3", "gp"])
-    _add_model_flags(p_cls)
+    _add_flags(p_cls, _CLASSIFY_FLAGS)
     p_cls.add_argument("--out", default=None)
     p_cls.set_defaults(func=cmd_classify)
 
@@ -527,22 +483,28 @@ def make_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_genetics)
 
     p_fig = sub.add_parser("figdata", help="emit plot-ready figure data")
-    p_fig.add_argument("fig", choices=["1", "2", "3-volumes", "4"])
+    p_fig.add_argument("fig", choices=list(FIGURES))
     p_fig.add_argument("--samples", type=int, default=1_000_000)
     p_fig.add_argument("--seed", type=int, default=0)
     _add_output_flags(p_fig)
-    p_fig.set_defaults(func=cmd_figdata)
+    p_fig.set_defaults(func=lambda args: FIGURES[args.fig](args))
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
+        # classify has no --digits: it writes JSON.
         if getattr(args, "digits", 0) < 0:
             raise DomainError(f"--digits must be >= 0, got {args.digits}")
-        return args.func(args)
+        result = args.func(args)
+        if isinstance(result, dict):
+            text = json.dumps(result, sort_keys=True) + "\n"
+        else:
+            text = render_csv(*result, args.digits)
+        write_output(text, args.out)
+        return 0
     except ApplicabilityError as exc:
         sys.stderr.write(json.dumps({
             "error": "applicability", "condition": exc.condition,

@@ -106,32 +106,26 @@ def sn_pollak_bound(model: OffspringModel, n: int, fp: FixedPoint) -> float:
 # Agresti's bound for the Poisson family
 # ---------------------------------------------------------------------------
 
-def agresti_pi_poisson(m: float, direction: str) -> float:
-    """pi = sup v (direction 'upper') or inf v (direction 'lower') over [0, 1)
-    of Agresti's auxiliary function
+def agresti_pi_poisson(m: float) -> float:
+    """pi = sup v = v(0) over [0, 1) of Agresti's auxiliary function
 
-        v(x) = (u - 1 + gamma(1-x)) / (x(u - 1) + gamma(1-x)),  u = phi(P_inf x)/P_inf.
+        v(x) = (u - 1 + gamma(1-x)) / (x(u - 1) + gamma(1-x)),  u = phi(P_inf x)/P_inf,
 
-    v decreases on [0, 1), so the supremum is v(0) and the infimum its limit
-    at x -> 1-, P_inf phi''(P_inf) / (P_inf phi''(P_inf) + 2 gamma)."""
-    if direction not in ("upper", "lower"):
-        raise DomainError(f"direction must be 'upper' or 'lower', got {direction!r}")
+    which decreases on [0, 1). Its infimum, the limit at x -> 1-, gives the
+    other side, which is Pollak's bound (sn_pollak_bound)."""
     if not m > 1.0:
         raise DomainError(f"m must be > 1, got {m!r}")
     model = Poisson(m=m)
     fp = extinction_probability(model)
-    if direction == "upper":
-        return (pgf_eval(model, 0.0) / fp.p_inf - 1.0 + fp.gamma) / fp.gamma
-    curv = fp.p_inf * pgf_derivative(model, fp.p_inf, 2)
-    return curv / (curv + 2.0 * fp.gamma)
+    return (pgf_eval(model, 0.0) / fp.p_inf - 1.0 + fp.gamma) / fp.gamma
 
 
-def agresti_sn_bound(m: float, n: int, direction: str) -> float:
-    """S-bound at generation n from the Agresti fractional-linear bounding
-    function with parameters (pi, rho = pi*P_inf).  The 'lower' direction
-    (lower bound on P^(n)) yields an upper bound on S^(n)."""
+def agresti_sn_bound(m: float, n: int) -> float:
+    """Lower bound on S^(n) from the Agresti fractional-linear bounding
+    function with parameters (pi, rho = pi*P_inf), pi = agresti_pi_poisson(m),
+    whose iterates bound P^(n) from above."""
     fp = extinction_probability(Poisson(m=m))
-    pi = agresti_pi_poisson(m, direction)
+    pi = agresti_pi_poisson(m)
     # The bounding function is not a pgf: it fixes P_inf with multiplier gamma
     # but does not fix 1.  As a Moebius map with curvature kappa it is
     #   F(x) = P_inf + gamma*(x - P_inf) / (1 - kappa*(x - P_inf)),

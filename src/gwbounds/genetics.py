@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import DomainError
 from .pgf_core import (
@@ -177,21 +176,19 @@ def wf_fixation_diffusion(wf: WFModel) -> float:
     return -math.expm1(-2.0 * s * ne / n) / -math.expm1(-2.0 * s * ne)
 
 
-def wf_fixation_a(n_pop: int, s: float, a1: float = 2.0,
-                  a2: Optional[float] = None) -> float:
+def wf_fixation_a(n_pop: int, s: float) -> float:
     """Exponential-form approximation (1 - exp(-A))/(1 - exp(-A*N)) with
-    A = a1*s + a2*s^2.  The default a2 = -2/3 - 1/(3*N*s) matches the exact
-    series 2s - (8/3 + 1/(3Ns))s^2 + ... for large N*s; the first term it
-    misses, (4/9)s^3, leaves a relative error of about (2/9)s^2 (the
-    approximation is low).  a1 = 2, a2 = 0 recovers the diffusion
-    approximation with effective_size = pop_size."""
+    A = 2s + a2*s^2, a2 = -2/3 - 1/(3*N*s), which matches the exact series
+    2s - (8/3 + 1/(3Ns))s^2 + ... for large N*s; the first term it misses,
+    (4/9)s^3, leaves a relative error of about (2/9)s^2 (the approximation
+    is low).  With a2 = 0 it would be the diffusion approximation with
+    effective_size = pop_size."""
     if not s > 0.0:
         raise DomainError(f"s must be > 0, got {s!r}")
     if n_pop < 2:
         raise DomainError(f"n_pop must be >= 2, got {n_pop!r}")
-    if a2 is None:
-        a2 = -2.0 / 3.0 - 1.0 / (3.0 * n_pop * s)
-    a_val = a1 * s + a2 * s * s
+    a2 = -2.0 / 3.0 - 1.0 / (3.0 * n_pop * s)
+    a_val = 2.0 * s + a2 * s * s
     if a_val == 0.0:
         raise DomainError("A(s) must be nonzero")
     return -math.expm1(-a_val) / -math.expm1(-a_val * n_pop)
@@ -255,12 +252,9 @@ def wf_fixation_exact(wf: WFModel) -> float:
     return float(q[0])
 
 
-def scaling_report(n_pop: int, s: float, c_const: float = 1.0) -> float:
-    """Implied exponent K of the scaling regime N*s^K = C^K, as a diagnostic:
-    K = ln(N) / (ln(C) - ln(s))."""
-    if not (n_pop >= 2 and 0.0 < s < 1.0 and c_const > 0.0):
-        raise DomainError(f"require n_pop >= 2, 0 < s < 1, C > 0, got ({n_pop}, {s}, {c_const})")
-    denom = math.log(c_const) - math.log(s)
-    if denom <= 0.0:
-        raise DomainError("scaling exponent undefined: require C > s")
-    return math.log(n_pop) / denom
+def scaling_report(n_pop: int, s: float) -> float:
+    """Implied exponent K of the scaling regime N*s^K = 1, as a diagnostic:
+    K = -ln(N) / ln(s)."""
+    if not (n_pop >= 2 and 0.0 < s < 1.0):
+        raise DomainError(f"require n_pop >= 2, 0 < s < 1, got ({n_pop}, {s})")
+    return math.log(n_pop) / -math.log(s)

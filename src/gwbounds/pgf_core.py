@@ -302,8 +302,6 @@ class GeneralizedPoisson(_Family):
     def pgf(self, x: float) -> float:
         if self.lam == 0.0:
             return math.exp(-self.mu * (1.0 - x))
-        if x == 0.0:
-            return math.exp(-self.mu)
         return math.exp(self.mu * (_gp_t(x, self.lam) - 1.0))
 
     def derivative(self, x: float, order: int) -> float:

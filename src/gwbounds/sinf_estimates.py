@@ -60,35 +60,22 @@ def sinf_series(mu: MuDerivatives) -> SeriesCoeffs:
                         gamma2=gamma2, gamma3=gamma3)
 
 
+def _sinf3(c: SeriesCoeffs, s: float) -> float:
+    return c.theta * s - c.delta2 * s ** 2 + c.delta3 * s ** 3
+
+
 # The series functions below take a model of the s-family whose coefficients
 # they use; a model without a mu table raises DomainError.
 
-def sinf_series_eval(model: OffspringModel, s: float, order: int = 3) -> float:
-    """Series value of S_inf truncated at the given order:
-    theta*s - delta2*s^2 + delta3*s^3."""
-    if order not in (1, 2, 3):
-        raise DomainError(f"order must be in {{1,2,3}}, got {order!r}")
-    c = sinf_series(model.mu_table())
-    out = c.theta * s
-    if order >= 2:
-        out -= c.delta2 * s ** 2
-    if order >= 3:
-        out += c.delta3 * s ** 3
-    return out
+def sinf_series_eval(model: OffspringModel, s: float) -> float:
+    """Third-order series value of S_inf: theta*s - delta2*s^2 + delta3*s^3."""
+    return _sinf3(sinf_series(model.mu_table()), s)
 
 
-def gamma_series_eval(model: OffspringModel, s: float, order: int = 3) -> float:
-    """Series value of gamma truncated at the given order:
-    1 - s + gamma2*s^2 - gamma3*s^3."""
-    if order not in (1, 2, 3):
-        raise DomainError(f"order must be in {{1,2,3}}, got {order!r}")
+def gamma_series_eval(model: OffspringModel, s: float) -> float:
+    """Third-order series value of gamma: 1 - s + gamma2*s^2 - gamma3*s^3."""
     c = sinf_series(model.mu_table())
-    out = 1.0 - s
-    if order >= 2:
-        out += c.gamma2 * s ** 2
-    if order >= 3:
-        out -= c.gamma3 * s ** 3
-    return out
+    return 1.0 - s + c.gamma2 * s ** 2 - c.gamma3 * s ** 3
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +84,10 @@ def gamma_series_eval(model: OffspringModel, s: float, order: int = 3) -> float:
 
 def beta_bound(model: OffspringModel) -> float:
     """beta = 2(m-1)/phi''(1), a simple lower bound for small s."""
-    mom = moments(model)
+    return _beta(moments(model))
+
+
+def _beta(mom: Moments) -> float:
     if not mom.b > 0.0:
         raise DomainError(f"phi''(1) must be > 0, got {mom.b!r}")
     return 2.0 * (mom.m - 1.0) / mom.b
@@ -105,13 +95,12 @@ def beta_bound(model: OffspringModel) -> float:
 
 def quine_bounds(model: OffspringModel) -> Tuple[float, float]:
     """Quine's two-sided bounds (lower, upper) on S_inf; requires
-    2*beta < min(1, 3b/(2c))."""
+    phi'''(1) > 0 and 2*beta < min(1, 3b/(2c))."""
     mom = moments(model)
-    b, c = mom.b, mom.c
-    if not (b > 0.0 and c > 0.0):
-        raise DomainError(f"require phi''(1) > 0 and phi'''(1) > 0, got b={b!r}, c={c!r}")
-    beta = beta_bound(model)
-    limit = min(1.0, 3.0 * b / (2.0 * c))
+    if not mom.c > 0.0:
+        raise ApplicabilityError("phi'''(1) > 0", mom.c, 0.0)
+    beta = _beta(mom)
+    limit = min(1.0, 3.0 * mom.b / (2.0 * mom.c))
     if not 2.0 * beta < limit:
         raise ApplicabilityError("2*beta < min(1, 3b/(2c))", 2.0 * beta, limit)
     return _quine_pair(model, mom, beta)
@@ -127,11 +116,15 @@ def _quine_pair(model: OffspringModel, mom: Moments, beta: float):
 
 
 def dn_upper(model: OffspringModel) -> float:
-    """The Daley-Narayan upper bound on S_inf; requires 8c(m-1) < 3b^2."""
-    mom = moments(model)
+    """The Daley-Narayan upper bound on S_inf; requires phi'''(1) > 0 and
+    8c(m-1) < 3b^2."""
+    return _dn_upper(moments(model))
+
+
+def _dn_upper(mom: Moments) -> float:
     b, c, m = mom.b, mom.c, mom.m
-    if not (b > 0.0 and c > 0.0):
-        raise DomainError(f"require phi''(1) > 0 and phi'''(1) > 0, got b={b!r}, c={c!r}")
+    if not c > 0.0:
+        raise ApplicabilityError("phi'''(1) > 0", c, 0.0)
     if not 8.0 * c * (m - 1.0) < 3.0 * b * b:
         raise ApplicabilityError("8c(m-1) < 3b^2", 8.0 * c * (m - 1.0), 3.0 * b * b)
     return (3.0 * b - 3.0 * math.sqrt(b * b - (8.0 / 3.0) * c * (m - 1.0))) / (2.0 * c)
@@ -183,17 +176,17 @@ def sinf_bounds_all(model: OffspringModel, s: float) -> SinfBounds:
     (three-offspring models), as they need its mu table."""
     mom = moments(model)
     try:
-        series3, haldane = sinf_series_eval(model, s), sinf_series_eval(model, s, order=1)
+        coeffs = sinf_series(model.mu_table())
     except DomainError:
         series3 = haldane = None
-    beta = beta_bound(model)
+    else:
+        series3, haldane = _sinf3(coeffs, s), coeffs.theta * s
+    beta = _beta(mom)
     ql, qu = _quine_pair(model, mom, beta)
-    dn = None
-    if mom.c > 0.0:
-        try:
-            dn = dn_upper(model)
-        except ApplicabilityError:
-            pass
+    try:
+        dn = _dn_upper(mom)
+    except ApplicabilityError:
+        dn = None
     return SinfBounds(
         beta=beta,
         quine_lower=ql,

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import gwbounds
-from gwbounds.cli import build_model, main, make_parser
+from gwbounds.cli import build_model, main, make_parser, render_csv
 from gwbounds.fl_bounds import matching_fl
 from gwbounds.pgf_core import (
     Binomial,
@@ -66,24 +66,41 @@ def test_tables_match_golden_files(table_id, capsys, tmp_path):
 
 
 # Outputs that read the P^(n) iteration (the survival curve, T(eps), the FL
-# relative errors and the switch generation), pinned bit for bit.
+# relative errors and the switch generation), pinned bit for bit, and the
+# README commands. A command that exits nonzero is pinned by its stderr line.
 GOLDEN_COMMANDS = [
     ("survival_gp.csv", ["survival", "--dist", "gp", "--s", "0.05", "--lambda", "0.5",
-                         "--nmax", "200", "--digits", "17"]),
+                         "--nmax", "200", "--digits", "17"], 0),
     ("teps_binomial.csv", ["teps", "--dist", "binomial", "--n", "5", "--p", "0.202",
-                           "--eps", "0.01", "0.1", "1e-4", "--digits", "17"]),
-    ("figdata4.csv", ["figdata", "4", "--digits", "17"]),
-    ("classify_gp.json", ["classify", "gp", "--s", "0.1", "--lambda", "0.276"]),
+                           "--eps", "0.01", "0.1", "1e-4", "--digits", "17"], 0),
+    ("figdata4.csv", ["figdata", "4", "--digits", "17"], 0),
+    ("classify_gp.json", ["classify", "gp", "--s", "0.1", "--lambda", "0.276"], 0),
+    ("survival_poisson.csv", ["survival", "--dist", "poisson", "--m", "1.5",
+                              "--nmax", "20"], 0),
+    ("sinf_gp.csv", ["sinf", "--dist", "gp", "--s", "0.2", "--lambda", "0.9"], 0),
+    ("sinf_gp_strict.err", ["sinf", "--dist", "gp", "--s", "0.2", "--lambda", "0.9",
+                            "--strict"], 3),
+    ("classify_f3.json", ["classify", "f3", "--p0", "0.2", "--p2", "0.2", "--p3", "0.1"], 0),
+    ("genetics_poisson.csv", ["genetics", "--dist", "poisson", "--m", "1.1", "--N", "1000",
+                              "--s", "0.1", "--tau", "10"], 0),
+    ("figdata1.csv", ["figdata", "1"], 0),
 ]
 
 
-@pytest.mark.parametrize("name,argv", GOLDEN_COMMANDS, ids=[n for n, _ in GOLDEN_COMMANDS])
-def test_iteration_outputs_match_golden_files(name, argv, capsys, tmp_path):
+@pytest.mark.parametrize("name,argv,code", GOLDEN_COMMANDS,
+                         ids=[n for n, _, _ in GOLDEN_COMMANDS])
+def test_iteration_outputs_match_golden_files(name, argv, code, capsys, tmp_path):
     out_file = tmp_path / name
-    code, out, err = run_cli(capsys, *argv, "--out", str(out_file))
-    assert code == 0 and out == "" and err == ""
+    got, out, err = run_cli(capsys, *argv, "--out", str(out_file))
+    assert got == code and out == ""
+    if code == 0:
+        assert err == ""
+        produced = out_file.read_bytes()
+    else:
+        assert not out_file.exists()
+        produced = err.encode()
     with open(os.path.join(GOLDEN, name), "rb") as fh:
-        assert out_file.read_bytes() == fh.read()
+        assert produced == fh.read()
 
 
 def test_table_stdout_equals_file_output(capsys, tmp_path):
@@ -98,6 +115,12 @@ def test_csv_uses_crlf_and_header():
         raw = fh.read()
     assert b"\r\n" in raw
     assert raw.splitlines()[0] == b"m,method,n1,n5,n10,n20,n50,n100"
+
+
+def test_render_csv_quotes_only_where_needed():
+    text = render_csv(["a,b", 'q"x', "plain"],
+                      [["x\ny", None, float("nan")], [True, 3, 0.1 + 0.2]], 17)
+    assert text == '"a,b","q""x",plain\r\n"x\ny",,\r\ntrue,3,0.30000000000000004\r\n'
 
 
 def test_table1_spot_values(capsys):
@@ -277,6 +300,18 @@ def test_classify_has_no_digits_flag(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--dist", "f3"), ("--m", "1.5"), ("--n", "5"), ("--p", "0.3"), ("--r", "5"),
+    ("--pi", "0.4"), ("--rho", "0.3"), ("--mu", "0.9"),
+])
+def test_classify_rejects_model_flags(flag, value, capsys):
+    # classify reads only --p0 --p2 --p3 (f3) and --s --lambda (gp).
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "gp", "--s", "0.1", "--lambda", "0.276", flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_classify_gp_switch_zone(capsys):
     code, out, _ = run_cli(capsys, "classify", "gp", "--s", "0.1",
                            "--lambda", "0.276")
@@ -450,6 +485,15 @@ def test_sinf_binomial_n2_fills_every_cell_but_dn_upper(capsys):
     for name in ("beta", "quine_lower", "quine_upper", "sinf_series3", "haldane_theta_s"):
         assert rows[name][0] != "", name
     assert rows["dn_upper"] == ["", "dn_upper not applicable: phi'''(1) <= 0"]
+
+
+def test_sinf_strict_binomial_n2_is_an_applicability_error(capsys):
+    code, out, err = run_cli(capsys, "sinf", "--dist", "binomial", "--n", "2", "--s", "0.1",
+                             "--strict")
+    assert code == 3 and out == ""
+    assert json.loads(err) == {
+        "error": "applicability", "condition": "phi'''(1) > 0", "lhs": 0.0, "rhs": 0.0,
+        "message": "condition violated: phi'''(1) > 0 (lhs=0.0, rhs=0.0)"}
 
 
 def test_sinf_f3_prints_moment_bounds_and_blanks_only_the_series(capsys):

@@ -203,43 +203,57 @@ def test_agresti_v_decreases(m):
         assert all(b < a for a, b in zip(vals, vals[1:])), m
 
 
+def agresti_gap_mp(m, pi, n):
+    """P_inf - F^(n)(0) for Agresti's Moebius map with parameter pi, at
+    mpmath precision: gamma^n / (1/P_inf + kappa (1 - gamma^n)/(1 - gamma)),
+    kappa = pi / (P_inf (1 - pi))."""
+    m = mp.mpf(m)
+    p = -mp.lambertw(-m * mp.exp(-m)).real / m
+    gamma = m * p
+    kappa = pi / (p * (1 - pi))
+    return gamma ** n / (1 / p + kappa * (1 - gamma ** n) / (1 - gamma))
+
+
 @pytest.mark.parametrize("m", AGRESTI_MS)
 def test_agresti_pi_closed_forms_match_mpmath(m):
     with mp.workdps(80):
-        v = agresti_v_mp(m)
-        sup = v(0)
-        # v(1 - h) = inf + O(h), a ratio of two O(h^2) terms: 40 digits left.
-        inf = v(1 - mp.mpf(10) ** -20)
-    assert agresti_pi_poisson(m, "upper") == pytest.approx(float(sup), rel=1e-12)
-    assert agresti_pi_poisson(m, "lower") == pytest.approx(float(inf), rel=1e-12)
+        sup = agresti_v_mp(m)(0)
+    assert agresti_pi_poisson(m) == pytest.approx(float(sup), rel=1e-12)
 
 
 def test_agresti_lower_equals_pollak_for_poisson():
-    # The Agresti-style lower construction coincides with Pollak's bound.
+    # The Agresti-style construction from inf v = lim v(x), x -> 1-, is
+    # Pollak's bound: built here at 80 digits, it matches sn_pollak_bound.
     for m in (1.5, 8.0):
         model = Poisson(m=m)
         fp = extinction_probability(model)
-        for n in (1, 3, 7, 15):
-            agresti = agresti_sn_bound(m, n, "lower")
-            pollak = sn_pollak_bound(model, n, fp)
-            assert agresti == pytest.approx(pollak, rel=1e-13)
+        with mp.workdps(80):
+            # v(1 - h) = inf + O(h), a ratio of two O(h^2) terms: 40 digits left.
+            inf = agresti_v_mp(m)(1 - mp.mpf(10) ** -20)
+            s_inf = 1 - (-mp.lambertw(-m * mp.exp(-m)).real / m)
+            for n in (1, 3, 7, 15):
+                agresti = float(s_inf + agresti_gap_mp(m, inf, n))
+                pollak = sn_pollak_bound(model, n, fp)
+                assert agresti == pytest.approx(pollak, rel=1e-13)
 
 
 def test_agresti_pi_direction_ordering():
-    pi_up = agresti_pi_poisson(1.5, "upper")
-    pi_lo = agresti_pi_poisson(1.5, "lower")
-    assert 0.0 < pi_lo < pi_up < 1.0
+    # pi = sup v lies above inf v, the parameter of the other side.
+    with mp.workdps(80):
+        inf = agresti_v_mp(1.5)(1 - mp.mpf(10) ** -20)
+    assert 0.0 < float(inf) < agresti_pi_poisson(1.5) < 1.0
 
 
 def test_agresti_directions_sandwich_survival():
-    # 'upper' upper-bounds P^(n) (hence lower-bounds S^(n)); 'lower' the reverse.
+    # Agresti's bound lower-bounds S^(n); Pollak's, the other side, upper-bounds it.
     # m = 8 is past where a scan of v at double precision stops decreasing.
     for m in (1.5, 8.0):
         model = Poisson(m=m)
+        fp = extinction_probability(model)
         for n in (1, 5, 10):
             s_n = 1.0 - iterate_extinction(model, n)
-            assert agresti_sn_bound(m, n, "upper") <= s_n + 1e-12
-            assert agresti_sn_bound(m, n, "lower") >= s_n - 1e-12
+            assert agresti_sn_bound(m, n) <= s_n + 1e-12
+            assert sn_pollak_bound(model, n, fp) >= s_n - 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -315,9 +315,12 @@ def test_wf_fixation_a_default_tracks_exact():
 
 
 def test_wf_fixation_a_reduces_to_diffusion():
-    wf = WFModel(pop_size=200, s_sel=0.1, effective_size=200.0)
-    assert wf_fixation_a(200, 0.1, a1=2.0, a2=0.0) == pytest.approx(
-        wf_fixation_diffusion(wf), rel=1e-13)
+    # It is the diffusion approximation with effective_size = pop_size at
+    # 2 s_sel = A = 2s + a2 s^2, a2 = -2/3 - 1/(3Ns).
+    n, s = 200, 0.1
+    a_val = 2.0 * s + (-2.0 / 3.0 - 1.0 / (3.0 * n * s)) * s * s
+    wf = WFModel(pop_size=n, s_sel=a_val / 2.0, effective_size=float(n))
+    assert wf_fixation_a(n, s) == pytest.approx(wf_fixation_diffusion(wf), rel=1e-13)
 
 
 def test_wf_fixation_a_domain():
@@ -334,5 +337,6 @@ def test_wf_fixation_a_domain():
 def test_scaling_report():
     assert scaling_report(1000, 0.1) == pytest.approx(3.0, rel=1e-12)
     assert scaling_report(10_000, 0.01) == pytest.approx(2.0, rel=1e-12)
-    with pytest.raises(DomainError):
-        scaling_report(1000, 0.5, c_const=0.1)  # C <= s
+    for n_pop, s in ((1, 0.1), (1000, 0.0), (1000, 1.0)):
+        with pytest.raises(DomainError):
+            scaling_report(n_pop, s)

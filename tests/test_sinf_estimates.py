@@ -229,7 +229,8 @@ def test_universal_linear_gamma_coefficient():
     # gamma = 1 - s + O(s^2) for every family.
     for model in (poisson_from_s(0.1), binomial_from_s(6, 0.1), negbinomial_from_s(3, 0.1),
                   gp_from_s(0.4, 0.1), fl_from_s(0.5, 0.1)):
-        assert gamma_series_eval(model, 1e-6, order=1) == pytest.approx(1.0 - 1e-6)
+        # The O(s^2) terms are below 1e-11 at s = 1e-6.
+        assert gamma_series_eval(model, 1e-6) == pytest.approx(1.0 - 1e-6, abs=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +271,11 @@ def test_gamma_series_fourth_order(name, ctor):
 def test_series_eval_orders():
     model = poisson_from_s(0.1)
     s = 0.1
-    assert sinf_series_eval(model, s, order=1) == pytest.approx(2.0 * s)
-    assert sinf_series_eval(model, s, order=2) == pytest.approx(2.0 * s - (8.0 / 3.0) * s * s)
-    with pytest.raises(DomainError):
-        sinf_series_eval(model, s, order=4)
+    c = sinf_series(model.mu_table())
+    # The first- and second-order truncations of the Poisson series.
+    assert c.theta * s == pytest.approx(2.0 * s)
+    assert c.theta * s - c.delta2 * s * s == pytest.approx(2.0 * s - (8.0 / 3.0) * s * s)
+    assert sinf_series_eval(model, s) == c.theta * s - c.delta2 * s ** 2 + c.delta3 * s ** 3
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +363,10 @@ def test_sinf_bounds_all_binomial_n2_reports_dn_not_applicable(s):
     # phi'''(1) = 0 for n = 2: the Daley-Narayan bound has no value, but
     # every other entry does. beta is exact here: S_inf = (2p - 1)/p^2.
     model = binomial_from_s(2, s)
-    with pytest.raises(DomainError):
-        dn_upper(model)
+    for bound in (quine_bounds, dn_upper):
+        with pytest.raises(ApplicabilityError) as exc:
+            bound(model)
+        assert (exc.value.condition, exc.value.lhs, exc.value.rhs) == ("phi'''(1) > 0", 0.0, 0.0)
     sb = sinf_bounds_all(model, s)
     assert sb.dn_upper is None
     assert sb.beta == pytest.approx(sb.exact, rel=1e-12)
