@@ -12,7 +12,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     GWError,
-    InconsistencyError,
 )
 from .pgf_core import (
     Binomial,

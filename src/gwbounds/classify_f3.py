@@ -16,10 +16,9 @@ from .fl_bounds import (
     SWITCHES,
     UPPER_ON_S,
     BoundDirection,
-    _check_consistency,
     switch_generation,
 )
-from .pgf_core import FiniteThree, FixedPoint, f3_p_inf
+from .pgf_core import FiniteThree, f3_p_inf
 
 LOWER_BOUND_ON_P = "LowerBoundOnP"    # FL iterates <= P^(n): upper bound on survival
 UPPER_BOUND_ON_P = "UpperBoundOnP"    # FL iterates >= P^(n): lower bound on survival
@@ -131,19 +130,20 @@ def classify_f3(model: FiniteThree) -> F3Class:
     )
 
 
-def f3_bound_direction(model: FiniteThree, fp: FixedPoint) -> BoundDirection:
-    """bound_direction for an F3 law: the direction its region gives, checked
-    by a sign scan of f on [0, P_inf]. A law with p3 = 0 is always in
-    LowerBoundOnP: f(x) = (1-x)(p0 - p2*x)^2 / (1 + p0 - p2*x) >= 0."""
+def f3_bound_direction(model: FiniteThree) -> BoundDirection:
+    """bound_direction for an F3 law: the direction its region gives. A law
+    with p3 = 0 is always in LowerBoundOnP:
+    f(x) = (1-x)(p0 - p2*x)^2 / (1 + p0 - p2*x) >= 0.
+
+    In the Switches region switch_n is the first generation at which the FL
+    iterates fall below P^(n), or None where they never do within
+    SWITCH_N_MAX generations (most of case 3iii and some of 3i)."""
     region = LOWER_BOUND_ON_P if model.p3 == 0.0 else classify_f3(model).region
     if region == LOWER_BOUND_ON_P:
-        out = BoundDirection(UPPER_ON_S)
-    elif region == UPPER_BOUND_ON_P:
-        out = BoundDirection(LOWER_ON_S)
-    else:
-        out = BoundDirection(SWITCHES, switch_n=switch_generation(model))
-    _check_consistency(out.kind, model, fp)
-    return out
+        return BoundDirection(UPPER_ON_S)
+    if region == UPPER_BOUND_ON_P:
+        return BoundDirection(LOWER_ON_S)
+    return BoundDirection(SWITCHES, switch_n=switch_generation(model))
 
 
 def f3_region_volumes(n_samples: int = 1_000_000, seed: int = 0) -> Tuple[float, float, float]:

@@ -50,6 +50,11 @@ def _f2_pinf(s: float, lam: float) -> float:
     return pgf_derivative(model, fp.p_inf, 2) - pgf_derivative(matching_fl(fp), fp.p_inf, 2)
 
 
+# The top of the s range. A law's s is read back as mu/(1 - lam) - 1 (by
+# bound_direction), and mu = (1 + s)(1 - lam) and the quotient each round
+# once, so gp_from_s(lam, 0.5) gives back up to 0.5 + 2^-52, two ulp above.
+S_TOP = 0.5 + 2.0 ** -52
+
 # The lambda bracket of every threshold's bisection, and the width it stops at.
 BISECT_LO, BISECT_HI = 1e-6, 0.6
 BISECT_TOL = 1e-10
@@ -71,8 +76,8 @@ def _bisect_root(fn, s: float) -> float:
 
 def gp_thresholds(s: float) -> GPThresholds:
     """Exact critical lambdas (by bisection) together with the small-s
-    approximations.  Valid for 0 < s <= 0.5."""
-    if not 0.0 < s <= 0.5:
+    approximations.  Valid for 0 < s <= 0.5, up to S_TOP."""
+    if not 0.0 < s <= S_TOP:
         raise DomainError(f"require 0 < s <= 0.5, got {s!r}")
     return GPThresholds(
         s=s,

@@ -28,7 +28,3 @@ class ApplicabilityError(GWError):
 
 class ConvergenceError(GWError):
     """An iterative procedure failed to converge within its iteration cap."""
-
-
-class InconsistencyError(GWError):
-    """An analytic classification disagrees with its numeric cross-check."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
 
-from .errors import ConvergenceError, DomainError, InconsistencyError
+from .errors import ConvergenceError, DomainError
 from .pgf_core import (
     FixedPoint,
     FractionalLinear,
@@ -29,9 +29,6 @@ SWITCHES = "SwitchesAt"
 
 # Generations t_eps_exact iterates before it gives up.
 T_EPS_CAP = 100_000
-# sign_scan's grid over [0, P_inf] and the |f| below which it reads no sign.
-SCAN_POINTS = 2048
-SCAN_TOL = 1e-12
 # Generations switch_generation looks through.
 SWITCH_N_MAX = 2000
 
@@ -174,24 +171,6 @@ def t_eps_app(fp: FixedPoint, eps: float) -> int:
 # Bound-direction classification
 # ---------------------------------------------------------------------------
 
-def sign_scan(model: OffspringModel, fp: FixedPoint):
-    """Signs of f(x) = phi(x) - phi_FL(x) on a grid of SCAN_POINTS cells over
-    [0, P_inf].
-
-    Returns (has_positive, has_negative) ignoring values within SCAN_TOL of 0.
-    """
-    fl = matching_fl(fp)
-    has_pos = has_neg = False
-    for i in range(SCAN_POINTS + 1):
-        x = fp.p_inf * i / SCAN_POINTS
-        f = pgf_eval(model, x) - pgf_eval(fl, x)
-        if f > SCAN_TOL:
-            has_pos = True
-        elif f < -SCAN_TOL:
-            has_neg = True
-    return has_pos, has_neg
-
-
 def switch_generation(model: OffspringModel) -> Optional[int]:
     """First generation n <= SWITCH_N_MAX at which P^(n) - P^(n)_FL changes
     sign, or None."""
@@ -209,24 +188,13 @@ def switch_generation(model: OffspringModel) -> Optional[int]:
     return None
 
 
-def _check_consistency(kind: str, model: OffspringModel, fp: FixedPoint) -> None:
-    has_pos, has_neg = sign_scan(model, fp)
-    if kind == UPPER_ON_S and has_neg:
-        raise InconsistencyError(f"scan found phi < phi_FL on [0,P_inf] for {model!r} classified {kind}")
-    if kind == LOWER_ON_S and has_pos:
-        raise InconsistencyError(f"scan found phi > phi_FL on [0,P_inf] for {model!r} classified {kind}")
-    if kind == SWITCHES and not (has_pos and has_neg):
-        raise InconsistencyError(f"scan found single-signed f for {model!r} classified {kind}")
-
-
 def bound_direction(model: OffspringModel) -> BoundDirection:
     """Whether sn_fl_bound is an upper bound on S^(n) for all n, a lower bound,
     or switches sides at some generation. Families without a proof for every
-    member are classified by their own classifier (classify_f3, classify_gp)."""
-    fp = extinction_probability(model)
+    member are classified by their own classifier (classify_f3, classify_gp);
+    the others are proven upper bounds, so no fixed point is solved for."""
     if not model.fl_upper_proven:
-        return model.fl_direction(fp)
-    _check_consistency(UPPER_ON_S, model, fp)
+        return model.fl_direction()
     return BoundDirection(UPPER_ON_S)
 
 

@@ -18,7 +18,7 @@ from .pgf_core import (
     moments,
 )
 from .sinf_estimates import sinf_series
-from .specfun import exp_e1
+from .specfun import e1_cf_tail, exp_e1
 
 
 # numpy takes ~0.15 s to import and serves only wf_fixation_exact, so
@@ -99,10 +99,17 @@ def mutant_density(a: float, x: float) -> float:
 
 
 def within_variance(a: float) -> float:
-    """Integral of x(1-x)*g_a(x) over [0, 1]:  a(1+a)e^a E1(a) - a."""
+    """Integral of x(1-x)*g_a(x) over [0, 1]:  a(1+a)e^a E1(a) - a.
+
+    For a >= 1, e^a E1(a) = 1/(a+1-T) with T the continued-fraction tail,
+    and the difference is a*T/(a+1-T) with nothing cancelled; the form above
+    loses all of w ~ 1/a to rounding by a ~ 1e8."""
     if not a > 0.0:
         raise DomainError(f"a must be > 0, got {a!r}")
-    return a * (1.0 + a) * exp_e1(a) - a
+    if a < 1.0:
+        return a * (1.0 + a) * exp_e1(a) - a
+    t = e1_cf_tail(a)
+    return a * t / (a + 1.0 - t)
 
 
 def vg_tau(tm: TraitModel, model: OffspringModel, tau: float) -> float:
@@ -250,11 +257,3 @@ def wf_fixation_exact(wf: WFModel) -> float:
     b = transition[:, n]
     q = np.linalg.solve(np.eye(n - 1) - p_int, b)
     return float(q[0])
-
-
-def scaling_report(n_pop: int, s: float) -> float:
-    """Implied exponent K of the scaling regime N*s^K = 1, as a diagnostic:
-    K = -ln(N) / ln(s)."""
-    if not (n_pop >= 2 and 0.0 < s < 1.0):
-        raise DomainError(f"require n_pop >= 2, 0 < s < 1, got ({n_pop}, {s})")
-    return math.log(n_pop) / -math.log(s)

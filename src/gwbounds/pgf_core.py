@@ -64,7 +64,7 @@ class _Family:
 
     # The matching fractional-linear survival bound is proven an upper bound
     # on S^(n) for every member; families without a proof define
-    # fl_direction(fp) instead.
+    # fl_direction() instead.
     fl_upper_proven = True
 
     def closed_p_inf(self) -> Optional[float]:
@@ -251,9 +251,9 @@ class FiniteThree(_Family):
             return f3_p_inf(self.p0, self.p2, self.p3)
         return self.p0 / self.p2
 
-    def fl_direction(self, fp: FixedPoint):
+    def fl_direction(self):
         from .classify_f3 import f3_bound_direction
-        return f3_bound_direction(self, fp)
+        return f3_bound_direction(self)
 
 
 # The generalized Poisson pgf is exp(mu*(t(x) - 1)) where t solves
@@ -328,7 +328,7 @@ class GeneralizedPoisson(_Family):
             mu40=(1.0 + lam * (6.0 + 9.0 * lam - lam ** 3)) / u ** 6,
         )
 
-    def fl_direction(self, fp: FixedPoint):
+    def fl_direction(self):
         from .classify_gp import classify_gp
         return classify_gp(self.mu / (1.0 - self.lam) - 1.0, self.lam)
 
@@ -410,16 +410,6 @@ def extinction_probability(model: OffspringModel) -> FixedPoint:
         p_inf = _root_solve_p_inf(model)
     gamma = pgf_derivative(model, p_inf, 1)
     return FixedPoint(p_inf=p_inf, s_inf=1.0 - p_inf, gamma=gamma)
-
-
-def binomial_xi(model: Binomial) -> float:
-    """xi = P_inf^(1/n), the reparameterization used by the closed-form gamma."""
-    return extinction_probability(model).p_inf ** (1.0 / model.n)
-
-
-def negbinomial_zeta(model: NegBinomial) -> float:
-    """zeta = P_inf^(1/r)."""
-    return extinction_probability(model).p_inf ** (1.0 / model.r)
 
 
 def extinction_iterates(model: OffspringModel) -> Iterator[float]:

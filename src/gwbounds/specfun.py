@@ -78,16 +78,21 @@ def _e1_series(x: float) -> float:
     return total
 
 
-def _e1_cf(x: float) -> float:
-    # exp(x)*E1(x) via the continued fraction
-    #   1/(x+1- 1/(x+3- 4/(x+5- 9/(x+7- ...)))),
-    # evaluated with the modified Lentz algorithm.
+def e1_cf_tail(x: float) -> float:
+    """The tail T = 1/(x+3- 4/(x+5- 9/(x+7- ...))) of the continued fraction
+
+        exp(x)*E1(x) = 1/(x+1-T),
+
+    for x >= 1, by the modified Lentz algorithm. T is about 1/(x+3), so
+    neither exp_e1 nor the per-locus variance built from it cancels."""
+    if not x >= 1.0:
+        raise DomainError(f"e1_cf_tail requires x >= 1, got {x!r}")
     tiny = 1e-300
-    b = x + 1.0
+    b = x + 3.0
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for n in range(1, 200):
+    for n in range(2, 200):
         a = -float(n * n)
         b += 2.0
         d = b + a * d
@@ -110,7 +115,7 @@ def exp_integral_e1(x: float) -> float:
         raise DomainError(f"exp_integral_e1 requires x > 0, got {x!r}")
     if x < 1.0:
         return _e1_series(x)
-    return math.exp(-x) * _e1_cf(x)
+    return math.exp(-x) * exp_e1(x)
 
 
 def exp_e1(x: float) -> float:
@@ -123,4 +128,4 @@ def exp_e1(x: float) -> float:
         raise DomainError(f"exp_e1 requires x > 0, got {x!r}")
     if x < 1.0:
         return math.exp(x) * _e1_series(x)
-    return _e1_cf(x)
+    return 1.0 / (x + 1.0 - e1_cf_tail(x))

@@ -1,10 +1,12 @@
 """Classification of three-child offspring distributions: thresholds, region
 assignment versus a direct sign scan of phi - phi_FL against the matching
-fractional-linear law, the factored f, and Monte-Carlo region volumes."""
+fractional-linear law, bound_direction versus its definition on 50-digit
+iterates, the factored f, and Monte-Carlo region volumes."""
 
 import math
 import random
 
+import mpmath
 import pytest
 
 from gwbounds.classify_f3 import (
@@ -18,7 +20,14 @@ from gwbounds.classify_f3 import (
     thresholds_f3,
 )
 from gwbounds.errors import DomainError
-from gwbounds.fl_bounds import UPPER_ON_S, bound_direction, matching_fl
+from gwbounds.fl_bounds import (
+    LOWER_ON_S,
+    SWITCHES,
+    UPPER_ON_S,
+    BoundDirection,
+    bound_direction,
+    matching_fl,
+)
 from gwbounds.pgf_core import FiniteThree, extinction_probability, pgf_eval
 
 
@@ -161,6 +170,90 @@ def test_classification_agrees_with_sign_scan():
         n_by_region[cls.region] += 1
     # All three regions must actually be exercised.
     assert all(v > 10 for v in n_by_region.values()), n_by_region
+
+
+# ---------------------------------------------------------------------------
+# bound_direction versus its definition
+# ---------------------------------------------------------------------------
+
+def fl_gap_signs(p0, p2, p3):
+    """Signs of d_n = P^(n) - P_FL^(n), n = 1, 2, ..., from 50-digit iterates
+    of phi and the closed form P_FL^(n) = P_inf(1 - g^n)/(1 - g^n P_inf) of
+    the matching FL law, until gamma^n < 1e-40; 0 where |d_n| <= 1e-46."""
+    with mpmath.workdps(50):
+        p0, p2, p3 = (mpmath.mpf(v) for v in (p0, p2, p3))
+        p1 = 1 - p0 - p2 - p3
+        q = p2 + p3
+        p_inf = (mpmath.sqrt(4 * p0 * p3 + q * q) - q) / (2 * p3)
+        gamma = p1 + 2 * p2 * p_inf + 3 * p3 * p_inf ** 2
+        x, gn, signs = mpmath.mpf(0), mpmath.mpf(1), []
+        while gn >= mpmath.mpf(10) ** -40:
+            x = p0 + x * (p1 + x * (p2 + x * p3))
+            gn *= gamma
+            d = x - p_inf * (1 - gn) / (1 - gn * p_inf)
+            signs.append(0 if abs(d) <= mpmath.mpf(10) ** -46 else int(mpmath.sign(d)))
+    return signs
+
+
+def first_sign_change(signs):
+    """The first n (from 1) at which the nonzero signs change, or None."""
+    prev = 0
+    for n, sign in enumerate(signs, start=1):
+        if sign:
+            if prev and sign != prev:
+                return n
+            prev = sign
+    return None
+
+
+def assert_direction_matches_definition(law):
+    """Upper bound on S^(n): d_n >= 0 for all n; lower bound: d_n <= 0;
+    switch: d_n < 0 first, then > 0 from switch_n on, or < 0 throughout
+    with switch_n None."""
+    direction = bound_direction(f3_model(*law))
+    gaps = fl_gap_signs(*law)
+    if direction.kind == UPPER_ON_S:
+        assert -1 not in gaps, law
+    elif direction.kind == LOWER_ON_S:
+        assert 1 not in gaps, law
+    else:
+        assert direction.kind == SWITCHES
+        change = first_sign_change(gaps)
+        assert direction.switch_n == change, law
+        assert [v for v in gaps if v][0] == -1, law
+        if change is not None:
+            assert 1 in gaps[change - 1:] and -1 not in gaps[change - 1:], law
+
+
+def test_bound_direction_matches_definition_stratified():
+    # Random admissible laws, kept until each of Lower, Upper, case 3i and
+    # case 3iii has 10; the Upper region is ~3% of the volume.
+    rng = random.Random(5)
+    want = 10
+    strata = {LOWER_BOUND_ON_P: [], UPPER_BOUND_ON_P: [], "3i": [], "3iii": []}
+    while min(len(v) for v in strata.values()) < want:
+        (law,) = sample_region(rng, 1)
+        cls = classify(*law)
+        key = cls.case_label if cls.region == SWITCHES_REGION else cls.region
+        if len(strata.get(key, ())) < want:
+            strata[key].append(law)
+    switched = 0
+    for laws in strata.values():
+        for law in laws:
+            assert_direction_matches_definition(law)
+            switched += bound_direction(f3_model(*law)).switch_n is not None
+    # Some Switches laws do change sign, so switch_n is checked against a
+    # number as well as against None.
+    assert switched > 0
+
+
+def test_case_3iii_law_that_never_switches():
+    # classify_f3 puts this law in case 3iii, but the FL iterates stay above
+    # P^(n) for every n: SwitchesAt with no switch generation.
+    law = (0.10773068507771688, 0.04575173428481927, 0.29573793718503216)
+    assert classify(*law).case_label == "3iii"
+    assert bound_direction(f3_model(*law)) == BoundDirection(SWITCHES, switch_n=None)
+    assert set(fl_gap_signs(*law)) == {-1}
 
 
 def test_iterate_ordering_follows_region():

@@ -10,6 +10,7 @@ from gwbounds.fl_bounds import (
     LOWER_ON_S,
     SWITCHES,
     UPPER_ON_S,
+    bound_direction,
     matching_fl,
     sn_fl_bound,
 )
@@ -145,6 +146,15 @@ def test_classify_switch_anchor():
     d = classify_gp(0.1, 0.276)
     assert d.kind == SWITCHES
     assert d.switch_n in (3, 4)
+
+
+def test_bound_direction_at_the_top_of_the_s_range():
+    # gp_from_s(lam, 0.5) rounds mu, so bound_direction reads s back up to
+    # two ulp above 0.5 (11 of these lambdas); each law still classifies,
+    # as the law at s = 0.5 does.
+    for i in range(1, 100):
+        lam = i / 100.0
+        assert bound_direction(gp_from_s(lam, 0.5)) == classify_gp(0.5, lam), lam
 
 
 def test_classify_domain():

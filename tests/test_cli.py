@@ -399,12 +399,13 @@ def test_negative_digits_is_a_domain_error(argv, capsys):
 
 def test_genetics_tau_past_the_overflow_of_m_to_the_n(capsys):
     # m^n overflows from n = 1751 at m = 1.5; the cells beyond add nothing.
+    # vg_tau is the 60-digit cell sum, rounded (test_genetics.vg_tau_mp).
     argv = ["genetics", "--dist", "poisson", "--m", "1.5", "--N", "1000", "--s", "0.1",
             "--digits", "17", "--tau"]
     code, out2000, err = run_cli(capsys, *argv, "2000")
     assert code == 0 and err == ""
     _, out1000, _ = run_cli(capsys, *argv, "1000")
-    assert {r[0]: r[1] for r in parse_csv(out2000)[1:]}["vg_tau"] == "1.4353425801289059"
+    assert {r[0]: r[1] for r in parse_csv(out2000)[1:]}["vg_tau"] == "1.4353425801290212"
     assert out2000 == out1000
 
 

@@ -11,6 +11,7 @@ from gwbounds.fl_bounds import (
     LOWER_ON_S,
     SWITCHES,
     UPPER_ON_S,
+    BoundDirection,
     agresti_pi_poisson,
     agresti_sn_bound,
     bin_coeff_cf,
@@ -20,7 +21,6 @@ from gwbounds.fl_bounds import (
     matching_fl,
     nb_coeff_cg,
     pollak_dbar,
-    sign_scan,
     sn_fl_bound,
     sn_pollak_bound,
     sn_simple_bound,
@@ -301,18 +301,18 @@ def test_bound_direction_proven_families():
         assert not d.conjectured
 
 
+def test_bound_direction_geometric_law():
+    # NB r = 1 is geometric, so its own matching FL law: phi - phi_FL is
+    # rounding noise of either sign, and the direction is the proven one.
+    d = bound_direction(negbinomial_from_s(1, 1e-3))
+    assert d == BoundDirection(UPPER_ON_S)
+
+
 def test_bound_direction_gp_switch():
     d = bound_direction(gp_from_s(0.276, 0.1))
     assert d.kind == SWITCHES
     assert d.switch_n in (3, 4)
     assert d.conjectured
-
-
-def test_sign_scan_poisson_one_signed():
-    model = Poisson(m=1.5)
-    fp = extinction_probability(model)
-    has_pos, has_neg = sign_scan(model, fp)
-    assert has_pos and not has_neg
 
 
 def test_switch_generation_gp():

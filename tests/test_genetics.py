@@ -17,7 +17,6 @@ from gwbounds.genetics import (
     TraitModel,
     WFModel,
     mutant_density,
-    scaling_report,
     v1_inf,
     vg_inf,
     vg_tau,
@@ -63,6 +62,19 @@ def test_within_variance_vanishing_limits():
     assert within_variance(1e6) < 2e-6
 
 
+def within_variance_mp(a):
+    """a(1+a)e^a E1(a) - a at 60 digits; the cancellation costs about
+    2*log10(a) of them."""
+    with mpmath.workdps(60):
+        a = mpmath.mpf(a)
+        return a * (1 + a) * mpmath.exp(a) * mpmath.e1(a) - a
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.5, 0.999, 1.0, 1.5, 10.0, 1e3, 1e4, 1e6, 1e8])
+def test_within_variance_against_mpmath(a):
+    assert within_variance(a) == pytest.approx(float(within_variance_mp(a)), rel=1e-13)
+
+
 def test_density_domain_errors():
     with pytest.raises(DomainError):
         mutant_density(0.0, 0.5)
@@ -101,6 +113,29 @@ def test_vg_tau_matches_riemann_oracle():
             vg_tau_oracle(tm, model, tau), rel=1e-3)
 
 
+def vg_tau_mp(tm, model, tau):
+    """vg_tau's cell sum for a Poisson model, with P^(n), m^n and the
+    per-locus variance at 60 digits."""
+    with mpmath.workdps(60):
+        m = mpmath.mpf(model.m)
+        total, x = mpmath.mpf(0), mpmath.mpf(0)
+        for n in range(math.ceil(tau + 0.5)):
+            lo = 0.0 if n == 0 else n - 0.5
+            s_n = 1 - x
+            total += (min(n + 0.5, tau) - lo) * s_n * within_variance_mp(tm.pop_size * s_n / m ** n)
+            x = mpmath.exp(-m * (1 - x))
+        return tm.theta_mut * tm.alpha ** 2 * total
+
+
+@pytest.mark.parametrize("tau", [0.4, 10.0, 60.0])
+def test_vg_tau_large_population_against_mpmath(tau):
+    # N = 1e6 puts a_n near 1e6 in the first cells, where the per-locus
+    # variance is about 1/a_n and a(1+a)e^a E1(a) - a cancels.
+    tm = TraitModel(theta_mut=1.0, alpha=1.0, s_sel=0.1, pop_size=1_000_000)
+    model = poisson_from_s(0.1)
+    assert vg_tau(tm, model, tau) == pytest.approx(float(vg_tau_mp(tm, model, tau)), rel=1e-12)
+
+
 def test_vg_tau_anchor():
     tm = TraitModel(theta_mut=1.0, alpha=1.0, s_sel=0.1, pop_size=1000)
     assert vg_tau(tm, poisson_from_s(0.1), 10.0) == pytest.approx(0.0163582, abs=1e-6)
@@ -126,9 +161,10 @@ def test_vg_tau_scales_with_theta_and_alpha():
 
 def test_vg_tau_stops_where_m_to_the_n_overflows():
     # 1.5^n overflows from n = 1751; the cells beyond it add less than 1e-300.
+    # The value is vg_tau_mp's 60-digit sum, rounded.
     tm = TraitModel(theta_mut=1.0, alpha=1.0, s_sel=0.1, pop_size=1000)
     model = poisson_from_s(0.5)
-    assert vg_tau(tm, model, 1000.0) == 1.435342580128906
+    assert vg_tau(tm, model, 1000.0) == 1.4353425801290212
     for tau in (1750.0, 1751.0, 2000.0, 1e6):
         assert vg_tau(tm, model, tau) == vg_tau(tm, model, 1000.0)
 
@@ -328,15 +364,3 @@ def test_wf_fixation_a_domain():
         wf_fixation_a(1000, 0.0)
     with pytest.raises(DomainError):
         wf_fixation_a(1, 0.1)
-
-
-# ---------------------------------------------------------------------------
-# Scaling diagnostic
-# ---------------------------------------------------------------------------
-
-def test_scaling_report():
-    assert scaling_report(1000, 0.1) == pytest.approx(3.0, rel=1e-12)
-    assert scaling_report(10_000, 0.01) == pytest.approx(2.0, rel=1e-12)
-    for n_pop, s in ((1, 0.1), (1000, 0.0), (1000, 1.0)):
-        with pytest.raises(DomainError):
-            scaling_report(n_pop, s)
