@@ -1,9 +1,7 @@
-"""Bound-direction classification for the generalized Poisson family with
-mean 1+s: critical values of the dispersion parameter lambda at which f(0),
-f'(1), and f''(P_inf) change sign, where f = phi - phi_FL and phi_FL is the
-matching fractional-linear pgf.  The resulting three-way classification is
-conjectural in the switch region and is flagged as such.
-"""
+"""Bound-direction classification for the generalized Poisson family from the
+signs of f = phi - phi_FL on the law itself (phi_FL: the matching fractional-
+linear pgf), conjectural except at lambda = 0, and the lambdas at which f(0),
+f'(1) and f''(P_inf) change sign at mean 1+s."""
 
 from __future__ import annotations
 
@@ -18,7 +16,13 @@ from .fl_bounds import (
     matching_fl,
     switch_generation,
 )
-from .pgf_core import extinction_probability, gp_from_s, pgf_derivative, pgf_eval
+from .pgf_core import (
+    GeneralizedPoisson,
+    extinction_probability,
+    gp_from_s,
+    pgf_derivative,
+    pgf_eval,
+)
 
 
 @dataclass(frozen=True)
@@ -32,42 +36,37 @@ class GPThresholds:
     lambda_c2_approx: float  # 1/4 + 0.202*s
 
 
-def _f0(s: float, lam: float) -> float:
-    model = gp_from_s(lam, s)
-    fl = matching_fl(extinction_probability(model))
+# The functionals of f, each of a law, its fixed point and its matching FL law.
+
+def _f0(model, fp, fl) -> float:
     return pgf_eval(model, 0.0) - pgf_eval(fl, 0.0)
 
 
-def _fprime1(s: float, lam: float) -> float:
-    fp = extinction_probability(gp_from_s(lam, s))
-    return 1.0 + s - 1.0 / fp.gamma
+def _fprime1(model, fp, fl) -> float:
+    return pgf_derivative(model, 1.0, 1) - 1.0 / fp.gamma  # phi_FL'(1) = 1/gamma
 
 
-def _f2_pinf(s: float, lam: float) -> float:
-    # f''(P_inf) = phi''(P_inf) - phi_FL''(P_inf), both in closed form.
-    model = gp_from_s(lam, s)
-    fp = extinction_probability(model)
-    return pgf_derivative(model, fp.p_inf, 2) - pgf_derivative(matching_fl(fp), fp.p_inf, 2)
+def _f2_pinf(model, fp, fl) -> float:
+    return pgf_derivative(model, fp.p_inf, 2) - pgf_derivative(fl, fp.p_inf, 2)
 
-
-# The top of the s range. A law's s is read back as mu/(1 - lam) - 1 (by
-# bound_direction), and mu = (1 + s)(1 - lam) and the quotient each round
-# once, so gp_from_s(lam, 0.5) gives back up to 0.5 + 2^-52, two ulp above.
-S_TOP = 0.5 + 2.0 ** -52
 
 # The lambda bracket of every threshold's bisection, and the width it stops at.
-BISECT_LO, BISECT_HI = 1e-6, 0.6
-BISECT_TOL = 1e-10
+BISECT_LO, BISECT_HI, BISECT_TOL = 1e-6, 0.6, 1e-10
 
 
-def _bisect_root(fn, s: float) -> float:
+def _bisect_root(functional, s: float) -> float:
+    def fn(lam):
+        model = gp_from_s(lam, s)
+        fp = extinction_probability(model)
+        return functional(model, fp, matching_fl(fp))
+
     lo, hi = BISECT_LO, BISECT_HI
-    flo, fhi = fn(s, lo), fn(s, hi)
+    flo, fhi = fn(lo), fn(hi)
     if flo * fhi > 0.0:
         raise ConvergenceError(f"no sign change in [{lo}, {hi}] for s={s!r}")
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if flo * fn(s, mid) <= 0.0:
+        if flo * fn(mid) <= 0.0:
             hi = mid
         else:
             lo = mid
@@ -75,9 +74,8 @@ def _bisect_root(fn, s: float) -> float:
 
 
 def gp_thresholds(s: float) -> GPThresholds:
-    """Exact critical lambdas (by bisection) together with the small-s
-    approximations.  Valid for 0 < s <= 0.5, up to S_TOP."""
-    if not 0.0 < s <= S_TOP:
+    """Critical lambdas by bisection, and their small-s approximations."""
+    if not 0.0 < s <= 0.5:
         raise DomainError(f"require 0 < s <= 0.5, got {s!r}")
     return GPThresholds(
         s=s,
@@ -90,21 +88,19 @@ def gp_thresholds(s: float) -> GPThresholds:
     )
 
 
-def classify_gp(s: float, lam: float) -> BoundDirection:
-    """Direction of the fractional-linear survival bound for the generalized
-    Poisson family: upper bound on S^(n) for lam < lam_c2, lower bound for
-    lam > lam_c0, and a single switch (upper for small n, lower for large n)
-    in between.  The classification is conjectural and flagged accordingly,
-    except lam = 0 (Poisson), which is proven."""
-    if not 0.0 <= lam < 1.0:
-        raise DomainError(f"require 0 <= lam < 1, got {lam!r}")
-    if lam == 0.0:
+def classify_gp(model: GeneralizedPoisson) -> BoundDirection:
+    """Direction of the fractional-linear survival bound for a generalized
+    Poisson law: UpperOnS where f''(P_inf) > 0, else LowerOnS where f(0) < 0,
+    else SwitchesAt. Conjectured, except at lam = 0 (Poisson), which is proven."""
+    if model.lam == 0.0:
         return BoundDirection(UPPER_ON_S, conjectured=False)
-    th = gp_thresholds(s)
-    if lam < th.lambda_c2:
+    # s <= 0.5, by the float expression gp_from_s(lam, 0.5) evaluates.
+    if not model.mu <= 1.5 * (1.0 - model.lam):
+        raise DomainError(f"require s <= 0.5, i.e. mu <= 1.5 (1 - lam), got {model!r}")
+    fp = extinction_probability(model)
+    fl = matching_fl(fp)
+    if _f2_pinf(model, fp, fl) > 0.0:
         return BoundDirection(UPPER_ON_S, conjectured=True)
-    if lam > th.lambda_c0:
+    if _f0(model, fp, fl) < 0.0:
         return BoundDirection(LOWER_ON_S, conjectured=True)
-    n_star = switch_generation(gp_from_s(lam, s))
-    return BoundDirection(SWITCHES, switch_n=n_star, conjectured=True)
-
+    return BoundDirection(SWITCHES, switch_n=switch_generation(model), conjectured=True)

@@ -263,13 +263,14 @@ def cmd_classify(args) -> dict:
         return report
     if args.s is None or args.lam is None:
         raise DomainError("classify gp requires --s and --lambda")
-    direction = classify_gp(args.s, args.lam)
+    thresholds = gp_thresholds(args.s)  # first, for its message on s
+    direction = classify_gp(gp_from_s(args.lam, args.s))
     return {
         "kind": "gp",
         "direction": direction.kind,
         "switch_n": direction.switch_n,
         "conjectured": direction.conjectured,
-        "thresholds": dataclasses.asdict(gp_thresholds(args.s)),
+        "thresholds": dataclasses.asdict(thresholds),
     }
 
 
@@ -339,7 +340,9 @@ def cmd_teps(args):
 def cmd_genetics(args):
     model = build_model(args)
     mom = moments(model)
-    s_sel = args.s if args.s is not None else math.log(mom.m) / args.alpha
+    s_sel = args.s
+    if s_sel is None and args.alpha > 0.0:  # else TraitModel rejects alpha first
+        s_sel = math.log(mom.m) / args.alpha
     tm = TraitModel(theta_mut=args.theta_mut, alpha=args.alpha,
                     s_sel=s_sel, pop_size=args.N)
     fp = extinction_probability(model)

@@ -288,14 +288,14 @@ class GeneralizedPoisson(_Family):
     mu: float
     lam: float
 
-    # The bound direction rests on conjectured lambda thresholds (classify_gp).
+    # The bound direction rests on the conjectured sign rule of classify_gp.
     fl_upper_proven = False
 
     def __post_init__(self):
-        if not self.mu > 0.0:
-            raise DomainError(f"GeneralizedPoisson requires mu > 0, got {self.mu!r}")
         if not 0.0 <= self.lam < 1.0:
             raise DomainError(f"GeneralizedPoisson requires lambda in [0,1), got {self.lam!r}")
+        if not self.mu > 0.0:
+            raise DomainError(f"GeneralizedPoisson requires mu > 0, got {self.mu!r}")
         if not self.mu / (1.0 - self.lam) > 1.0:
             raise DomainError("GeneralizedPoisson requires mean mu/(1-lambda) > 1")
 
@@ -330,7 +330,7 @@ class GeneralizedPoisson(_Family):
 
     def fl_direction(self):
         from .classify_gp import classify_gp
-        return classify_gp(self.mu / (1.0 - self.lam) - 1.0, self.lam)
+        return classify_gp(self)
 
 
 OffspringModel = Union[Poisson, Binomial, NegBinomial, FractionalLinear,

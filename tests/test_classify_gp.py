@@ -14,7 +14,13 @@ from gwbounds.fl_bounds import (
     matching_fl,
     sn_fl_bound,
 )
-from gwbounds.pgf_core import extinction_probability, gp_from_s, moments, pgf_eval
+from gwbounds.pgf_core import (
+    GeneralizedPoisson,
+    extinction_probability,
+    gp_from_s,
+    moments,
+    pgf_eval,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -124,44 +130,72 @@ def test_thresholds_domain():
 # ---------------------------------------------------------------------------
 
 def test_classify_poisson_limit_proven():
-    d = classify_gp(0.1, 0.0)
+    d = classify_gp(gp_from_s(0.0, 0.1))
     assert d.kind == UPPER_ON_S
     assert not d.conjectured
 
 
 def test_classify_three_zones():
     th = gp_thresholds(0.1)
-    assert classify_gp(0.1, 0.1).kind == UPPER_ON_S
-    assert classify_gp(0.1, 0.1).conjectured
+    assert classify_gp(gp_from_s(0.1, 0.1)).kind == UPPER_ON_S
+    assert classify_gp(gp_from_s(0.1, 0.1)).conjectured
     mid = 0.5 * (th.lambda_c2 + th.lambda_c0)
-    d = classify_gp(0.1, mid)
+    d = classify_gp(gp_from_s(mid, 0.1))
     assert d.kind == SWITCHES
     assert d.conjectured
     assert d.switch_n is not None and d.switch_n >= 1
-    assert classify_gp(0.1, 0.5).kind == LOWER_ON_S
+    assert classify_gp(gp_from_s(0.5, 0.1)).kind == LOWER_ON_S
 
 
 def test_classify_switch_anchor():
     # lambda = 0.276, s = 0.1: switch between generations 3 and 4.
-    d = classify_gp(0.1, 0.276)
+    d = classify_gp(gp_from_s(0.276, 0.1))
     assert d.kind == SWITCHES
     assert d.switch_n in (3, 4)
 
 
-def test_bound_direction_at_the_top_of_the_s_range():
-    # gp_from_s(lam, 0.5) rounds mu, so bound_direction reads s back up to
-    # two ulp above 0.5 (11 of these lambdas); each law still classifies,
-    # as the law at s = 0.5 does.
-    for i in range(1, 100):
-        lam = i / 100.0
-        assert bound_direction(gp_from_s(lam, 0.5)) == classify_gp(0.5, lam), lam
+@pytest.mark.parametrize("s", [1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.2, 0.3, 0.4, 0.5])
+def test_sign_rule_agrees_with_the_thresholds(s):
+    # Oracle: the zone of lam against gp_thresholds(s), on lam = 0.005..0.995.
+    # bound_direction decides each law from its own f''(P_inf) and f(0).
+    th = gp_thresholds(s)
+    for i in range(1, 200):
+        lam = i / 200.0
+        if lam < th.lambda_c2:
+            zone = UPPER_ON_S
+        elif lam > th.lambda_c0:
+            zone = LOWER_ON_S
+        else:
+            zone = SWITCHES
+        assert bound_direction(gp_from_s(lam, s)).kind == zone, lam
+
+
+def test_tiny_lambda_is_upper():
+    for lam in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3):
+        d = classify_gp(gp_from_s(lam, 0.1))
+        assert d.kind == UPPER_ON_S and d.conjectured, lam
+
+
+def test_poisson_is_proven_upper_at_any_mean():
+    d = bound_direction(GeneralizedPoisson(mu=2.0, lam=0.0))
+    assert d.kind == UPPER_ON_S
+    assert not d.conjectured
+
+
+def test_classify_s_domain():
+    # s <= 0.5 is read off the law's own parameters: mu <= 1.5 (1 - lam).
+    assert classify_gp(gp_from_s(0.3, 0.5)).kind == UPPER_ON_S
+    with pytest.raises(DomainError):
+        classify_gp(GeneralizedPoisson(mu=1.5 * 0.7 * (1.0 + 2.0 ** -52), lam=0.3))
+    with pytest.raises(DomainError):
+        classify_gp(gp_from_s(0.3, 0.7))
 
 
 def test_classify_domain():
     with pytest.raises(DomainError):
-        classify_gp(0.1, 1.0)
+        classify_gp(gp_from_s(1.0, 0.1))
     with pytest.raises(DomainError):
-        classify_gp(0.1, -0.2)
+        classify_gp(gp_from_s(-0.2, 0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +205,7 @@ def test_classify_domain():
 def test_upper_zone_bound_holds_on_iterates():
     for lam in (0.05, 0.15, 0.25):
         model = gp_from_s(lam, 0.1)
-        assert classify_gp(0.1, lam).kind == UPPER_ON_S
+        assert classify_gp(model).kind == UPPER_ON_S
         fp = extinction_probability(model)
         x = 0.0
         for n in range(1, 100):
@@ -182,7 +216,7 @@ def test_upper_zone_bound_holds_on_iterates():
 def test_lower_zone_bound_holds_on_iterates():
     for lam in (0.4, 0.6, 0.9):
         model = gp_from_s(lam, 0.1)
-        assert classify_gp(0.1, lam).kind == LOWER_ON_S
+        assert classify_gp(model).kind == LOWER_ON_S
         fp = extinction_probability(model)
         x = 0.0
         for n in range(1, 100):
@@ -192,7 +226,7 @@ def test_lower_zone_bound_holds_on_iterates():
 
 def test_switch_zone_bound_changes_side_once():
     model = gp_from_s(0.276, 0.1)
-    d = classify_gp(0.1, 0.276)
+    d = classify_gp(model)
     fp = extinction_probability(model)
     x = 0.0
     sides = []

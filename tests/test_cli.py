@@ -373,6 +373,16 @@ def test_genetics_report(capsys):
     assert rows["wf_fix_improved"] == pytest.approx(0.1758, abs=1e-4)
 
 
+@pytest.mark.parametrize("alpha", ["0", "-1"])
+def test_genetics_nonpositive_alpha_is_a_domain_error(alpha, capsys):
+    # Without --s, s_sel = log(m)/alpha: alpha = 0 must not reach the division.
+    code, out, err = run_cli(capsys, "genetics", "--dist", "poisson", "--m", "1.1",
+                             "--N", "1000", "--alpha", alpha)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "domain",
+                               "message": f"alpha must be > 0, got {float(alpha)!r}"}
+
+
 def test_digits_flag_controls_precision(capsys):
     _, out6, _ = run_cli(capsys, "sinf", "--dist", "poisson", "--m", "1.5")
     _, out10, _ = run_cli(capsys, "sinf", "--dist", "poisson", "--m", "1.5",
