@@ -201,9 +201,13 @@ def wf_fixation_a(n_pop: int, s: float) -> float:
     return -math.expm1(-a_val) / -math.expm1(-a_val * n_pop)
 
 
-# Largest population the dense absorption solve accepts: it holds N x N
-# matrices and takes O(N^3) time.
+# Largest population the exact absorption solve accepts. The banded solve
+# holds O(N b) numbers and takes O(N b^2) time for a half-bandwidth b of
+# about t + sN/4 (t as in binom.pmf): b is about 430 at N = 5000, s = 0.01.
 WF_EXACT_MAX_N = 5000
+
+# Largest mass a transition row may drop outside its window (binom.pmf).
+WINDOW_TAIL = 1e-30
 
 
 class binom:
@@ -213,47 +217,88 @@ class binom:
 
     @staticmethod
     def pmf(n, psi):
-        """Array whose row i is P(Binomial(n, psi[i]) = k), k = 0..n, for
-        0 < psi[i] < 1. A row starts at 1 at its mode min(floor((n+1)psi), n)
-        and multiplies outward by pmf(k+1)/pmf(k) = (n-k)/(k+1) * psi/(1-psi),
-        a factor at most 1 above the mode, or by its inverse, at most 1 below
-        it; so nothing overflows. The row is then divided by its sum. An
-        entry carries a few roundings per step from the mode: entries above
-        1e-300 of six rows with psi from 1e-3 to 1 - 1e-3 were within 3e-14
+        """(start, rows) with rows[i, j] = P(Binomial(n, psi[i]) = start[i] + j),
+        j = 0..2t, for 0 < psi[i] < 1: each row on the window of t states
+        either side of its mode min(floor((n+1)psi), n), with
+        t = ceil(sqrt(n/2 ln(2/WINDOW_TAIL))) + 1 but at most n, and 0 at
+        states below 0 or above n. By Hoeffding's inequality a row has at
+        most WINDOW_TAIL of its mass outside the window.
+
+        A row starts at 1 at its mode and multiplies outward by
+        pmf(k+1)/pmf(k) = (n-k)/(k+1) * psi/(1-psi), a factor at most 1 above
+        the mode, or by its inverse, at most 1 below it; so nothing
+        overflows. The row is then divided by the window's sum. An entry
+        carries a few roundings per step from the mode: entries above 1e-300
+        of six rows with psi from 1e-3 to 1 - 1e-3 were within 3e-14
         relative of a 30-digit mpmath pmf at n = 1000 and 6e-14 at n = 5000,
         and each row sums to 1 within a few ulp."""
         np = _numpy()
+        t = min(math.ceil(math.sqrt(n / 2 * math.log(2 / WINDOW_TAIL))) + 1, n)
+        mode = np.minimum(np.floor((n + 1) * psi).astype(np.intp), n)
         k = np.arange(n)
-        up = (n - k) / (k + 1.0)      # pmf(k+1)/pmf(k) per unit odds
-        down = (k + 1.0) / (n - k)    # pmf(k)/pmf(k+1) per unit inverse odds
-        rows = np.empty((len(psi), n + 1))
-        for row, p in zip(rows, psi):
-            mode = min(math.floor((n + 1) * p), n)
-            row[mode] = 1.0
-            np.cumprod(up[mode:] * (p / (1.0 - p)), out=row[mode + 1:])
-            np.cumprod(down[:mode][::-1] * ((1.0 - p) / p), out=row[:mode][::-1])
-            row /= row.sum()
-        return rows
+        pad = np.zeros(t)
+        # pmf(k+1)/pmf(k) per unit odds at k, 0 from k = n on
+        up = np.concatenate([(n - k) / (k + 1.0), pad])
+        # pmf(k)/pmf(k+1) per unit inverse odds at k + t, 0 below k = 0
+        down = np.concatenate([pad, (k + 1.0) / (n - k)])
+        steps = np.arange(t)
+        rows = np.empty((len(psi), 2 * t + 1))
+        rows[:, t] = 1.0
+        np.cumprod(up[mode[:, None] + steps] * (psi / (1.0 - psi))[:, None],
+                   axis=1, out=rows[:, t + 1:])
+        np.cumprod(down[mode[:, None] + (t - 1) - steps] * ((1.0 - psi) / psi)[:, None],
+                   axis=1, out=rows[:, t - 1::-1])
+        rows /= rows.sum(axis=1, keepdims=True)
+        return mode - t, rows
 
 
 def wf_fixation_exact(wf: WFModel) -> float:
     """Exact fixation probability of a single mutant in the haploid
     Wright-Fisher model with selection: state i has sampling probability
     psi = x(1+s)/(1+s*x), x = i/N, and the next generation is
-    Binomial(N, psi).  Solves the (N-1)-dimensional absorption system, for
-    N up to WF_EXACT_MAX_N, whose rows binom.pmf builds by a ratio
-    recurrence out from each row's mode (within 6e-14 relative of the exact
-    pmf at N = 5000)."""
+    Binomial(N, psi).  Solves the (N-1)-dimensional absorption system
+    (I - P) q = P[:, N] over the interior states, for N up to
+    WF_EXACT_MAX_N.
+
+    binom.pmf builds each row of P on a window around its mode, dropping at
+    most WINDOW_TAIL of its mass; that moves q by at most WINDOW_TAIL times
+    the expected absorption time (about 2N at most). I - P is then banded
+    with half-bandwidth b, and in blocks of b states it is block-tridiagonal.
+    Elimination runs from the last block up, so q[0] comes from the first
+    block's solve, with no back-substitution: O(N b^2) time, O(N b) memory.
+    I - P is a nonsingular M-matrix and so is each Schur complement, so no
+    pivoting across blocks is needed. Where one block holds every state
+    (small N, large s) this is a dense solve."""
     n, s = wf.pop_size, wf.s_sel
     if n > WF_EXACT_MAX_N:
         raise DomainError(
-            f"pop_size must be <= {WF_EXACT_MAX_N} for the dense solve, got {n!r}")
+            f"pop_size must be <= {WF_EXACT_MAX_N} for the exact solve, got {n!r}")
     np = _numpy()
     x = np.arange(1, n) / n           # interior states
     psi = x * (1.0 + s) / (1.0 + s * x)
-    # transition[i, k] = P(Binomial(n, psi_i) = k)
-    transition = binom.pmf(n, psi)
-    p_int = transition[:, 1:n]
-    b = transition[:, n]
-    q = np.linalg.solve(np.eye(n - 1) - p_int, b)
-    return float(q[0])
+    start, rows = binom.pmf(n, psi)
+    width = rows.shape[1]
+    offset = start - np.arange(1, n)  # first window state less the row's state
+    b = int(max(-offset.min(), offset.max() + width - 1))
+    cols = np.arange(width)
+    below = None  # the block below's Schur complement solved against [L | rhs]
+    for r0 in reversed(range(0, n - 1, b)):
+        size = min(b, n - 1 - r0)
+        lines = np.arange(size)
+        states = start[r0:r0 + size, None] + cols
+        window = rows[r0:r0 + size]
+        # Rows r0+1 .. r0+size of I - P over the states r0+1-b .. r0+size+b:
+        # the block before (L), this block and the block after.
+        strip = np.zeros((size, size + 2 * b))
+        strip[lines[:, None], states - (r0 + 1 - b)] = np.where(
+            (states > 0) & (states < n), -window, 0.0)
+        strip[lines, lines + b] += 1.0
+        diag = strip[:, b:b + size]
+        rhs = np.where(states == n, window, 0.0).sum(axis=1)
+        if below is not None:
+            update = strip[:, b + size:b + size + len(below)] @ below
+            diag -= update[:, :-1]
+            rhs -= update[:, -1]
+        if r0 == 0:
+            return float(np.linalg.solve(diag, rhs)[0])
+        below = np.linalg.solve(diag, np.column_stack([strip[:, :b], rhs]))

@@ -1,6 +1,7 @@
 """Population-genetics layer: mutant-frequency density, per-locus variance,
 trait variance through time, and Wright-Fisher fixation probabilities."""
 
+import functools
 import math
 
 import mpmath
@@ -249,16 +250,26 @@ def mp_binom_row(n, psi):
         return [mpmath.binomial(n, k) * p ** k * (1 - p) ** (n - k) for k in range(n + 1)]
 
 
+def window_states(start, rows):
+    """States start[i] + j of each window entry rows[i, j]."""
+    return start[:, None] + np.arange(rows.shape[1])
+
+
 @pytest.mark.parametrize("n", [2, 3, 60])
 def test_binom_rows_against_mpmath(n):
     psi = np.array([1e-12, 1e-3, 1.0 / (n + 1), 0.5 - 1e-9, 0.5, 0.5 + 1e-9,
                     0.75, 1.0 - 1e-3, 1.0 - 1e-12])
-    rows = genetics.binom.pmf(n, psi)
-    assert rows.shape == (len(psi), n + 1)
-    for row, p in zip(rows, psi):
-        for got, want in zip(row, mp_binom_row(n, p)):
-            if want > 1e-300:
-                assert got == pytest.approx(float(want), rel=1e-13)
+    start, rows = genetics.binom.pmf(n, psi)
+    assert rows.shape[0] == len(psi)
+    for row, states, p in zip(rows, window_states(start, rows), psi):
+        want = mp_binom_row(n, p)
+        for got, k in zip(row, states):
+            if not 0 <= k <= n:
+                assert got == 0.0
+            elif want[k] > 1e-300:
+                assert got == pytest.approx(float(want[k]), rel=1e-13)
+        outside = sum(w for k, w in enumerate(want) if k not in states)
+        assert outside <= genetics.WINDOW_TAIL
         assert abs(math.fsum(row) - 1.0) <= 4 * np.finfo(float).eps
 
 
@@ -266,10 +277,22 @@ def test_binom_rows_against_scipy():
     n, s = 1000, 0.1
     x = np.arange(1, n) / n
     psi = np.concatenate([x * (1.0 + s) / (1.0 + s * x), [1e-9, 1.0 - 1e-9]])
-    rows = genetics.binom.pmf(n, psi)
-    want = binom.pmf(np.arange(n + 1)[None, :], n, psi[:, None])
+    start, rows = genetics.binom.pmf(n, psi)
+    want = binom.pmf(window_states(start, rows), n, psi[:, None])
     big = want > 1e-250
     assert np.max(np.abs(rows[big] / want[big] - 1.0)) < 1e-12
+    assert np.all(rows[want == 0.0] == 0.0)
+
+
+@pytest.mark.parametrize("n", [100, 1000, 5000])
+def test_binom_window_drops_at_most_the_tail(n):
+    # The mass of Binomial(n, psi) below and above each row's window.
+    psi = np.concatenate([[1e-3, 1.0 / n, 0.5 / n], np.linspace(0.01, 0.99, 99),
+                          [1.0 - 1e-3]])
+    start, rows = genetics.binom.pmf(n, psi)
+    outside = (binom.cdf(start - 1, n, psi)
+               + binom.sf(start + rows.shape[1] - 1, n, psi))
+    assert np.max(outside) <= genetics.WINDOW_TAIL
 
 
 def test_wf_exact_against_mpmath_solve():
@@ -287,6 +310,34 @@ def test_wf_exact_against_mpmath_solve():
         want = float(mpmath.lu_solve(mpmath.matrix(a), mpmath.matrix(b))[0])
     wf = WFModel(pop_size=n, s_sel=s, effective_size=float(n))
     assert wf_fixation_exact(wf) == pytest.approx(want, rel=1e-13)
+
+
+@functools.lru_cache(maxsize=None)
+def log_choose(n):
+    """log C(n, k), k = 0..n, from 30-digit mpmath, in long double."""
+    with mpmath.workdps(30):
+        return np.array([np.longdouble(mpmath.nstr(mpmath.log(mpmath.binomial(n, k)), 25))
+                         for k in range(n + 1)])
+
+
+def wf_exact_dense(n, s):
+    """The full (N-1)-state absorption system solved densely. Each pmf entry is
+    exp of its log, summed and exponentiated in long double and rounded once;
+    rows from scipy's binom.pmf would move q by up to 4e-13 relative at s = 1e-3."""
+    x = np.arange(1, n) / n
+    psi = (x * (1.0 + s) / (1.0 + s * x)).astype(np.longdouble)[:, None]
+    k = np.arange(n + 1, dtype=np.longdouble)
+    p = np.exp(log_choose(n) + k * np.log(psi) + (n - k) * np.log1p(-psi)).astype(float)
+    return float(np.linalg.solve(np.eye(n - 1) - p[:, 1:n], p[:, n])[0])
+
+
+@pytest.mark.parametrize("s", [1e-3, 0.1, 0.5, 5.0])
+@pytest.mark.parametrize("n", [2, 3, 10, 71, 500, 2000])
+def test_wf_exact_against_dense_solve(n, s):
+    # One block at N <= 10 and at N = 71, s = 5; two at N = 71 otherwise and
+    # 2 to 8 at N = 500 and 2000.
+    wf = WFModel(pop_size=n, s_sel=s, effective_size=float(n))
+    assert wf_fixation_exact(wf) == pytest.approx(wf_exact_dense(n, s), rel=1e-13)
 
 
 def test_wf_exact_n2_closed_form():

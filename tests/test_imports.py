@@ -1,4 +1,4 @@
-"""numpy loads only for the Wright-Fisher dense solve and the F3 Monte Carlo,
+"""numpy loads only for the Wright-Fisher absorption solve and the F3 Monte Carlo,
 and scipy never: `import gwbounds` and every other subcommand start without
 them, and genetics.np / genetics.binom stay module attributes that a caller
 may replace (a timing proxy, say) and wf_fixation_exact then calls."""
@@ -110,7 +110,10 @@ class _Proxy:
         return getattr(self._target, attr)
 
 
-def test_proxies_set_on_the_module_are_what_the_solve_calls(monkeypatch):
+def solve_through_proxies(monkeypatch, wf):
+    """wf_fixation_exact(wf) plain, then with genetics.binom.pmf and
+    genetics.np.linalg.solve proxied: (plain result, proxied result, the
+    proxied calls in order)."""
     calls = []
 
     def counted(name, fn):
@@ -119,12 +122,25 @@ def test_proxies_set_on_the_module_are_what_the_solve_calls(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
-    wf = genetics.WFModel(30, 0.1, 30.0)
     plain = genetics.wf_fixation_exact(wf)
     np = genetics.np
     monkeypatch.setattr(genetics, "binom", _Proxy(
         genetics.binom, pmf=counted("pmf", genetics.binom.pmf)))
     monkeypatch.setattr(genetics, "np", _Proxy(np, linalg=_Proxy(
         np.linalg, solve=counted("solve", np.linalg.solve))))
-    assert genetics.wf_fixation_exact(wf) == plain
+    return plain, genetics.wf_fixation_exact(wf), calls
+
+
+def test_proxies_set_on_the_module_are_what_the_solve_calls(monkeypatch):
+    # N = 30: one block holds every state.
+    plain, proxied, calls = solve_through_proxies(monkeypatch, genetics.WFModel(30, 0.1, 30.0))
+    assert proxied == plain
     assert calls == ["pmf", "solve"]
+
+
+def test_proxied_solve_goes_block_by_block(monkeypatch):
+    # N = 500: several blocks, each eliminated by one solve.
+    plain, proxied, calls = solve_through_proxies(monkeypatch, genetics.WFModel(500, 0.1, 500.0))
+    assert proxied == plain
+    assert calls[0] == "pmf" and calls.count("pmf") == 1
+    assert calls.count("solve") >= 2
