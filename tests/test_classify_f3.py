@@ -3,12 +3,14 @@ assignment versus a direct sign scan of phi - phi_FL against the matching
 fractional-linear law, bound_direction versus its definition on 50-digit
 iterates, the factored f, and Monte-Carlo region volumes."""
 
+import json
 import math
 import random
 
 import mpmath
 import pytest
 
+from gwbounds.cli import main
 from gwbounds.classify_f3 import (
     LOWER_BOUND_ON_P,
     SWITCHES_REGION,
@@ -254,6 +256,24 @@ def test_case_3iii_law_that_never_switches():
     assert classify(*law).case_label == "3iii"
     assert bound_direction(f3_model(*law)) == BoundDirection(SWITCHES, switch_n=None)
     assert set(fl_gap_signs(*law)) == {-1}
+
+
+@pytest.mark.parametrize("law,label", [
+    ((0.10773068507771688, 0.04575173428481927, 0.29573793718503216), "3iii"),
+    ((0.24770606978956944, 0.06531690533727197, 0.10988186875141037), "3i"),
+    ((0.10, 0.10, 0.05), "5"),
+])
+def test_classify_f3_cli_switch_n_is_the_first_sign_change(law, label, capsys):
+    # gwb classify f3 reports switch_n in the Switches region only: the first
+    # generation at which d_n changes sign on 50-digit iterates, or null.
+    p0, p2, p3 = (repr(v) for v in law)
+    assert main(["classify", "f3", "--p0", p0, "--p2", p2, "--p3", p3]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["case_label"] == label
+    if report["region"] == SWITCHES_REGION:
+        assert report["switch_n"] == first_sign_change(fl_gap_signs(*law))
+    else:
+        assert "switch_n" not in report
 
 
 def test_iterate_ordering_follows_region():

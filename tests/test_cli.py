@@ -312,6 +312,13 @@ def test_classify_rejects_model_flags(flag, value, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_classify_gp_without_lambda_exits_2(capsys):
+    code, out, err = run_cli(capsys, "classify", "gp", "--s", "0.1")
+    assert code == 2 and out == ""
+    assert err == ('{"error": "domain", "message": '
+                   '"classify gp requires --s and --lambda"}\n')
+
+
 def test_classify_gp_switch_zone(capsys):
     code, out, _ = run_cli(capsys, "classify", "gp", "--s", "0.1",
                            "--lambda", "0.276")
@@ -361,6 +368,18 @@ def test_teps_ordering(capsys):
     assert abs(t_ser_v - t_exact) <= 3
 
 
+def test_teps_f3_leaves_t_ser_blank(capsys):
+    # t_ser needs the series coefficients of an s-family, which F3 lacks.
+    code, out, err = run_cli(capsys, "teps", "--dist", "f3", "--p0", "0.2", "--p2", "0.2",
+                             "--p3", "0.1", "--eps", "0.01", "0.1")
+    assert code == 0 and err == ""
+    rows = parse_csv(out)
+    assert len(rows) == 3
+    for row in rows[1:]:
+        assert row[4] == ""
+        assert all(cell != "" for i, cell in enumerate(row) if i != 4)
+
+
 def test_genetics_report(capsys):
     code, out, _ = run_cli(capsys, "genetics", "--dist", "poisson", "--m", "1.1",
                            "--N", "1000", "--s", "0.1", "--tau", "10")
@@ -371,6 +390,43 @@ def test_genetics_report(capsys):
     assert rows["v1_inf"] == pytest.approx(9.94386, abs=1e-4)
     assert rows["wf_fix_exact"] == pytest.approx(0.1761, abs=1e-4)
     assert rows["wf_fix_improved"] == pytest.approx(0.1758, abs=1e-4)
+
+
+GENETICS = ["genetics", "--dist", "poisson", "--m", "1.1", "--N", "1000", "--tau", "10",
+            "--digits", "17"]
+
+
+def genetics_rows(capsys, *flags):
+    code, out, err = run_cli(capsys, *GENETICS, *flags)
+    assert code == 0 and err == ""
+    return {r[0]: r[1] for r in parse_csv(out)[1:]}
+
+
+def test_genetics_without_s_selects_log_m_over_alpha(capsys):
+    # s_sel = ln(m)/alpha: the report equals the one given that --s.
+    implied = genetics_rows(capsys, "--alpha", "2")
+    explicit = genetics_rows(capsys, "--alpha", "2", "--s", repr(math.log(1.1) / 2.0))
+    assert implied == explicit
+    assert implied != genetics_rows(capsys, "--alpha", "2", "--s", "0.1")
+
+
+def test_genetics_theta_mut_scales_the_trait_variance_rows(capsys):
+    # Theta multiplies V_G(tau), V_G(inf) (leading and simple) and the
+    # response; multiplying by 2 is exact, so each printed value doubles.
+    base = genetics_rows(capsys, "--s", "0.1")
+    doubled = genetics_rows(capsys, "--s", "0.1", "--theta-mut", "2")
+    scaled = ("vg_tau", "vg_inf_leading", "vg_inf_simple", "delta_mean")
+    for name in scaled:
+        assert float(doubled[name]) == 2.0 * float(base[name]), name
+    assert {k: v for k, v in doubled.items() if k not in scaled} == \
+        {k: v for k, v in base.items() if k not in scaled}
+
+
+def test_genetics_ne_moves_only_the_diffusion_fixation(capsys):
+    base = genetics_rows(capsys, "--s", "0.1")
+    halved = genetics_rows(capsys, "--s", "0.1", "--Ne", "500")
+    assert [k for k in base if base[k] != halved[k]] == ["wf_fix_diffusion"]
+    assert float(halved["wf_fix_diffusion"]) < float(base["wf_fix_diffusion"])
 
 
 @pytest.mark.parametrize("alpha", ["0", "-1"])
@@ -542,6 +598,22 @@ def test_figdata_fig1_poisson_sweep(capsys):
     # Near criticality (pi, rho) -> (1/3, 1/3).
     assert first[1] == pytest.approx(1.0 / 3.0, abs=5e-3)
     assert first[2] == pytest.approx(1.0 / 3.0, abs=5e-3)
+
+
+def test_figdata_fig2_brackets_the_f0_sign_change(capsys):
+    # f = phi - phi_FL for GP at s = 0.3 on either side of lambda_c0, where
+    # f(0) changes sign; f(1) = 0 up to rounding.
+    from gwbounds.classify_gp import gp_thresholds
+    assert 0.30 < gp_thresholds(0.3).lambda_c0 < 0.3145
+    code, out, _ = run_cli(capsys, "figdata", "2", "--digits", "17")
+    assert code == 0
+    rows = parse_csv(out)
+    assert rows[0] == ["x", "f_lambda_0.3", "f_lambda_0.3145"]
+    assert len(rows) == 1 + 201
+    values = [[float(v) for v in row] for row in rows[1:]]
+    assert [v[0] for v in values] == [i / 200.0 for i in range(201)]
+    assert values[0][1] > 0.0 > values[0][2]
+    assert abs(values[-1][1]) <= 1e-15 and abs(values[-1][2]) <= 1e-15
 
 
 def test_figdata_fig4_relative_errors(capsys):
