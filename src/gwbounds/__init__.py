@@ -49,14 +49,8 @@ from .fl_bounds import (
     t_eps_exact,
     t_eps_fl,
 )
-from .classify_f3 import (
-    F3Class,
-    F3Thresholds,
-    classify_f3,
-    f3_region_volumes,
-    thresholds_f3,
-)
-from .classify_gp import GPThresholds, classify_gp, gp_thresholds
+from .classify_f3 import F3Class, F3Thresholds, f3_region_volumes, thresholds_f3
+from .classify_gp import GPThresholds, gp_thresholds
 from .sinf_estimates import (
     MuDerivatives,
     SeriesCoeffs,

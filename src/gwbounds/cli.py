@@ -41,8 +41,9 @@ from .pgf_core import (
     poisson_from_s,
     survival_curve,
 )
-from . import fl_bounds
 from .fl_bounds import (
+    SWITCHES,
+    bound_direction,
     matching_fl,
     sn_fl_bound,
     sn_pollak_bound,
@@ -258,8 +259,9 @@ def cmd_classify(args) -> dict:
             "sign_profile": list(cls.sign_profile),
             "thresholds": dataclasses.asdict(cls.thresholds),
         }
-        if cls.region == "Switches":
-            report["switch_n"] = fl_bounds.switch_generation(model)
+        direction = bound_direction(model)
+        if direction.kind == SWITCHES:
+            report["switch_n"] = direction.switch_n
         return report
     if args.s is None or args.lam is None:
         raise DomainError("classify gp requires --s and --lambda")

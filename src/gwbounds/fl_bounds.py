@@ -13,8 +13,10 @@ from typing import Optional
 
 from .errors import ConvergenceError, DomainError
 from .pgf_core import (
+    FiniteThree,
     FixedPoint,
     FractionalLinear,
+    GeneralizedPoisson,
     OffspringModel,
     Poisson,
     extinction_iterates,
@@ -190,11 +192,17 @@ def switch_generation(model: OffspringModel) -> Optional[int]:
 
 def bound_direction(model: OffspringModel) -> BoundDirection:
     """Whether sn_fl_bound is an upper bound on S^(n) for all n, a lower bound,
-    or switches sides at some generation. Families without a proof for every
-    member are classified by their own classifier (classify_f3, classify_gp);
-    the others are proven upper bounds, so no fixed point is solved for."""
-    if not model.fl_upper_proven:
-        return model.fl_direction()
+    or switches sides at some generation. It is proven an upper bound for every
+    Poisson, binomial, negative binomial and fractional-linear law, so no fixed
+    point is solved for; an F3 law is decided by classify_f3 and a generalized
+    Poisson law by classify_gp. Both classifiers import this module, hence the
+    imports here."""
+    if isinstance(model, FiniteThree):
+        from .classify_f3 import f3_bound_direction
+        return f3_bound_direction(model)
+    if isinstance(model, GeneralizedPoisson):
+        from .classify_gp import classify_gp
+        return classify_gp(model)
     return BoundDirection(UPPER_ON_S)
 
 

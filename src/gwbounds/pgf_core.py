@@ -3,10 +3,9 @@ evaluation, derivatives, moments, iteration of the pgf at 0 (the oracle for all
 bounds), the extinction probability, and the convergence rate gamma.
 
 Each family is one immutable class holding its parameters and what is known
-about it: its pgf and derivatives, its closed-form fixed point if it has one,
-the mu table of its s-family and whether its fractional-linear survival bound
-is proven an upper bound. The module-level functions check their arguments and
-delegate to the model. All operations are pure.
+about it: its pgf and derivatives, its closed-form fixed point if it has one
+and the mu table of its s-family. The module-level functions check their
+arguments and delegate to the model. All operations are pure.
 """
 
 from __future__ import annotations
@@ -61,11 +60,6 @@ class _Family:
     """Defaults shared by the families. Each family is a frozen dataclass whose
     fields are its parameters only; it defines pgf(x) for x in [0, 1] and
     derivative(x, order) for order in {1, 2, 3} and x <= 1."""
-
-    # The matching fractional-linear survival bound is proven an upper bound
-    # on S^(n) for every member; families without a proof define
-    # fl_direction() instead.
-    fl_upper_proven = True
 
     def closed_p_inf(self) -> Optional[float]:
         """P_inf in closed form, or None when it takes a root solve."""
@@ -219,9 +213,6 @@ class FiniteThree(_Family):
     p2: float
     p3: float
 
-    # No proof for the whole family: classify_f3 decides each law.
-    fl_upper_proven = False
-
     def __post_init__(self):
         probs = (self.p0, self.p1, self.p2, self.p3)
         if any(p < 0.0 for p in probs):
@@ -250,10 +241,6 @@ class FiniteThree(_Family):
         if self.p3 > 0.0:
             return f3_p_inf(self.p0, self.p2, self.p3)
         return self.p0 / self.p2
-
-    def fl_direction(self):
-        from .classify_f3 import f3_bound_direction
-        return f3_bound_direction(self)
 
 
 # The generalized Poisson pgf is exp(mu*(t(x) - 1)) where t solves
@@ -287,9 +274,6 @@ def _gp_t_derivs(x: float, lam: float):
 class GeneralizedPoisson(_Family):
     mu: float
     lam: float
-
-    # The bound direction rests on the conjectured sign rule of classify_gp.
-    fl_upper_proven = False
 
     def __post_init__(self):
         if not 0.0 <= self.lam < 1.0:
@@ -327,10 +311,6 @@ class GeneralizedPoisson(_Family):
             mu31=(3.0 - 3.0 * lam ** 2 + 4.0 * lam ** 3 - lam ** 4) / u ** 4,
             mu40=(1.0 + lam * (6.0 + 9.0 * lam - lam ** 3)) / u ** 6,
         )
-
-    def fl_direction(self):
-        from .classify_gp import classify_gp
-        return classify_gp(self)
 
 
 OffspringModel = Union[Poisson, Binomial, NegBinomial, FractionalLinear,

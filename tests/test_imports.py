@@ -1,8 +1,11 @@
 """numpy loads only for the Wright-Fisher absorption solve and the F3 Monte Carlo,
 and scipy never: `import gwbounds` and every other subcommand start without
 them, and genetics.np / genetics.binom stay module attributes that a caller
-may replace (a timing proxy, say) and wf_fixation_exact then calls."""
+may replace (a timing proxy, say) and wf_fixation_exact then calls. The model
+layer imports nothing above it, and the package's classifier attributes are
+their modules."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -144,3 +147,25 @@ def test_proxied_solve_goes_block_by_block(monkeypatch):
     assert proxied == plain
     assert calls[0] == "pmf" and calls.count("pmf") == 1
     assert calls.count("solve") >= 2
+
+
+def test_pgf_core_imports_only_stdlib_errors_and_specfun():
+    with open(os.path.join(PACKAGE_ROOT, "gwbounds", "pgf_core.py")) as fh:
+        tree = ast.parse(fh.read())
+    relative, absolute = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            relative.add(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            absolute.add(node.module)
+        elif isinstance(node, ast.Import):
+            absolute.update(alias.name for alias in node.names)
+    assert relative == {"errors", "specfun"}
+    assert absolute and all(name.split(".")[0] in sys.stdlib_module_names
+                            for name in absolute), absolute
+
+
+@pytest.mark.parametrize("name", ["classify_f3", "classify_gp"])
+def test_package_classifier_attributes_are_the_modules(name):
+    assert getattr(gwbounds, name) is sys.modules[f"gwbounds.{name}"]
+    assert name not in gwbounds.__all__
