@@ -200,10 +200,11 @@ class FractionalLinear(_Family):
 
 
 def f3_p_inf(p0: float, p2: float, p3: float) -> float:
-    """P_inf of the {0,1,2,3} law with p3 > 0: the root in (0,1) of
-    p3 x^2 + (p2 + p3) x - p0 = 0."""
+    """P_inf of the {0,1,2,3} law: the root in (0,1) of
+    p3 x^2 + (p2 + p3) x - p0 = 0, written without a subtraction, so that it
+    keeps full precision for small p3 and is p0/p2 at p3 = 0."""
     q = p2 + p3
-    return (math.sqrt(4.0 * p0 * p3 + q * q) - q) / (2.0 * p3)
+    return 2.0 * p0 / (q + math.sqrt(q * q + 4.0 * p0 * p3))
 
 
 @dataclass(frozen=True)
@@ -238,9 +239,7 @@ class FiniteThree(_Family):
         return 6.0 * self.p3
 
     def closed_p_inf(self) -> float:
-        if self.p3 > 0.0:
-            return f3_p_inf(self.p0, self.p2, self.p3)
-        return self.p0 / self.p2
+        return f3_p_inf(self.p0, self.p2, self.p3)
 
 
 # The generalized Poisson pgf is exp(mu*(t(x) - 1)) where t solves

@@ -218,15 +218,20 @@ def test_gp_near_poisson_for_tiny_lambda():
 
 
 def test_gp_pgf_matches_series_sum():
-    # phi(x) = sum_k p_k x^k with p_k = mu(mu + k*lam)^(k-1) e^(-mu-k*lam)/k!.
+    # phi(x) = sum_k p_k x^k with p_k = mu(mu + k*lam)^(k-1) e^(-mu-k*lam)/k!,
+    # so phi^(k)(0) = k! p_k.
     model = GeneralizedPoisson(mu=0.6, lam=0.5)
+
+    def log_p(k):
+        return (math.log(model.mu) + (k - 1) * math.log(model.mu + k * model.lam)
+                - model.mu - k * model.lam - math.lgamma(k + 1))
+
     for x in (0.0, 0.3, 0.8, 1.0):
-        total = 0.0
-        for k in range(0, 400):
-            log_p = (math.log(model.mu) + (k - 1) * math.log(model.mu + k * model.lam)
-                     - model.mu - k * model.lam - math.lgamma(k + 1))
-            total += math.exp(log_p) * x**k
+        total = sum(math.exp(log_p(k)) * x**k for k in range(400))
         assert pgf_eval(model, x) == pytest.approx(total, rel=1e-10)
+    for k in (1, 2, 3):
+        assert pgf_derivative(model, 0.0, k) == pytest.approx(
+            math.factorial(k) * math.exp(log_p(k)), rel=1e-14), k
 
 
 def test_gp_mean_closed_form():
@@ -244,7 +249,10 @@ def test_fl_extinction_closed_form():
 
 
 def test_finite_three_closed_form_root():
-    for p0, p2, p3 in ((0.1, 0.2, 0.2), (0.2, 0.3, 0.2), (0.05, 0.1, 0.3)):
+    # The last two laws have 4 p0 p3 << (p2 + p3)^2, where the textbook root
+    # (sqrt(4 p0 p3 + q^2) - q)/(2 p3) cancels (off by 3.3e-5 at p3 = 1e-12).
+    for p0, p2, p3 in ((0.1, 0.2, 0.2), (0.2, 0.3, 0.2), (0.05, 0.1, 0.3),
+                       (0.2, 0.5, 1e-12), (0.2, 0.5, 1e-6)):
         model = FiniteThree(p0=p0, p1=1 - p0 - p2 - p3, p2=p2, p3=p3)
         fp = extinction_probability(model)
         assert pgf_eval(model, fp.p_inf) == pytest.approx(fp.p_inf, abs=1e-14)
@@ -253,7 +261,7 @@ def test_finite_three_closed_form_root():
 def test_finite_three_p3_zero():
     model = FiniteThree(p0=0.1, p1=0.6, p2=0.3, p3=0.0)
     fp = extinction_probability(model)
-    assert fp.p_inf == pytest.approx(0.1 / 0.3)
+    assert fp.p_inf == 0.1 / 0.3
 
 
 def test_domain_errors():
