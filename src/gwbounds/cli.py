@@ -73,8 +73,6 @@ from .genetics import (
 def _fmt(value, digits: int) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):

@@ -119,8 +119,8 @@ def test_csv_uses_crlf_and_header():
 
 def test_render_csv_quotes_only_where_needed():
     text = render_csv(["a,b", 'q"x', "plain"],
-                      [["x\ny", None, float("nan")], [True, 3, 0.1 + 0.2]], 17)
-    assert text == '"a,b","q""x",plain\r\n"x\ny",,\r\ntrue,3,0.30000000000000004\r\n'
+                      [["x\ny", None, float("nan")], [-2, 3, 0.1 + 0.2]], 17)
+    assert text == '"a,b","q""x",plain\r\n"x\ny",,\r\n-2,3,0.30000000000000004\r\n'
 
 
 def test_table1_spot_values(capsys):
