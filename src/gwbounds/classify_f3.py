@@ -7,8 +7,7 @@ below for all n, from above for all n, or switch sides once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .errors import DomainError
 from .fl_bounds import (
@@ -18,15 +17,14 @@ from .fl_bounds import (
     BoundDirection,
     switch_generation,
 )
-from .pgf_core import FiniteThree, f3_p_inf
+from .pgf_core import FiniteThree, Record, f3_p_inf
 
 LOWER_BOUND_ON_P = "LowerBoundOnP"    # FL iterates <= P^(n): upper bound on survival
 UPPER_BOUND_ON_P = "UpperBoundOnP"    # FL iterates >= P^(n): lower bound on survival
 SWITCHES_REGION = "Switches"          # above for small n, below for large n
 
 
-@dataclass(frozen=True)
-class F3Thresholds:
+class F3Thresholds(Record):
     p0_plus: float     # sign change of f''(P_inf)
     p0_r: float        # solution of p0 = rho (sign of f(0))
     p0_gamma: float    # solution of gamma*m = 1 (sign of f'(1))
@@ -35,11 +33,10 @@ class F3Thresholds:
     p0_gamma_admissible: bool  # p0_gamma in (0, p2+2*p3)
 
 
-@dataclass(frozen=True)
-class F3Class:
+class F3Class(Record):
     region: str                       # one of the three region constants
     case_label: str                   # "1", "2", "3i", "3ii", "3iii", "4", "5"
-    thresholds: F3Thresholds
+    thresholds: Optional[F3Thresholds]  # None where p3 = 0
     sign_profile: Tuple[int, int, int]  # sign of f at x = 0, P_inf/2, (P_inf+1)/2
 
 
@@ -97,14 +94,18 @@ def _sign(v: float) -> int:
 
 
 def classify_f3(model: FiniteThree) -> F3Class:
-    """Region and case label of an F3 law with p3 > 0.
+    """Region and case label of an F3 law.
 
     Boundary ties: p0 == p0_r belongs to LowerBoundOnP (the bound still holds
     with equality at x = 0); p0 == p0_gamma belongs to UpperBoundOnP.
+
+    A law with p3 = 0 has no thresholds: as p3 -> 0+ they all go to -inf, so
+    it is in case 1 of LowerBoundOnP, as f(x) = (1-x)(p0 - p2*x)^2 / (1 + p0 - p2*x)
+    >= 0 shows directly.
     """
     p0, p2, p3 = model.p0, model.p2, model.p3
-    th = thresholds_f3(p2, p3)
-    if p0 > th.p0_r:
+    th = thresholds_f3(p2, p3) if p3 > 0.0 else None
+    if th is None or p0 > th.p0_r:
         region, label = LOWER_BOUND_ON_P, "1"
     elif p0 == th.p0_r:
         region, label = LOWER_BOUND_ON_P, "2"
@@ -131,14 +132,12 @@ def classify_f3(model: FiniteThree) -> F3Class:
 
 
 def f3_bound_direction(model: FiniteThree) -> BoundDirection:
-    """bound_direction for an F3 law: the direction its region gives. A law
-    with p3 = 0 is always in LowerBoundOnP:
-    f(x) = (1-x)(p0 - p2*x)^2 / (1 + p0 - p2*x) >= 0.
+    """bound_direction for an F3 law: the direction its region gives.
 
     In the Switches region switch_n is the first generation at which the FL
     iterates fall below P^(n), or None where they never do within
     SWITCH_N_MAX generations (most of case 3iii and some of 3i)."""
-    region = LOWER_BOUND_ON_P if model.p3 == 0.0 else classify_f3(model).region
+    region = classify_f3(model).region
     if region == LOWER_BOUND_ON_P:
         return BoundDirection(UPPER_ON_S)
     if region == UPPER_BOUND_ON_P:

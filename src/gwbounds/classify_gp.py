@@ -5,8 +5,6 @@ f'(1) and f''(P_inf) change sign at mean 1+s."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ConvergenceError, DomainError
 from .fl_bounds import (
     LOWER_ON_S,
@@ -18,6 +16,7 @@ from .fl_bounds import (
 )
 from .pgf_core import (
     GeneralizedPoisson,
+    Record,
     extinction_probability,
     gp_from_s,
     pgf_derivative,
@@ -25,8 +24,7 @@ from .pgf_core import (
 )
 
 
-@dataclass(frozen=True)
-class GPThresholds:
+class GPThresholds(Record):
     s: float
     lambda_c0: float        # f(0) changes sign (exact, by bisection)
     lambda_c1: float        # f'(1) = 1 + s - 1/gamma changes sign (exact)

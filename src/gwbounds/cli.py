@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import errno
 import io
 import json
@@ -153,10 +152,9 @@ def build_model(args) -> OffspringModel:
     for name in shared:
         if getattr(args, name) is None:
             raise DomainError(f"{dist} requires {_flag(name)}")
-    names = [field.name for field in dataclasses.fields(cls)]
-    (own,) = (name for name in names if name not in shared)
+    (own,) = (name for name in cls._fields if name not in shared)
     if getattr(args, own) is not None:
-        return cls(**{name: getattr(args, name) for name in names})
+        return cls(**{name: getattr(args, name) for name in cls._fields})
     if args.s is not None:
         return from_s(*(getattr(args, name) for name in shared), args.s)
     raise DomainError(f"{dist} requires {_flag(own)} or --s")
@@ -240,6 +238,11 @@ def table3():
 TABLES = {1: table1, 2: table2, 3: table3}
 
 
+def _by_name(record) -> Optional[dict]:
+    """The fields of a record by name, for a JSON report; None stays None."""
+    return None if record is None else {name: getattr(record, name) for name in record._fields}
+
+
 def cmd_classify(args) -> dict:
     if args.kind == "f3":
         model = f3_model(args)
@@ -255,7 +258,7 @@ def cmd_classify(args) -> dict:
             "fl_pi": fl.pi,
             "fl_rho": fl.rho,
             "sign_profile": list(cls.sign_profile),
-            "thresholds": dataclasses.asdict(cls.thresholds),
+            "thresholds": _by_name(cls.thresholds),
         }
         direction = bound_direction(model)
         if direction.kind == SWITCHES:
@@ -270,7 +273,7 @@ def cmd_classify(args) -> dict:
         "direction": direction.kind,
         "switch_n": direction.switch_n,
         "conjectured": direction.conjectured,
-        "thresholds": dataclasses.asdict(thresholds),
+        "thresholds": _by_name(thresholds),
     }
 
 

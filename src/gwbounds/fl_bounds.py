@@ -7,7 +7,6 @@ Poisson family, convergence times T(eps), and bound-direction classification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
 
@@ -19,6 +18,7 @@ from .pgf_core import (
     GeneralizedPoisson,
     OffspringModel,
     Poisson,
+    Record,
     extinction_iterates,
     extinction_probability,
     pgf_derivative,
@@ -35,8 +35,7 @@ T_EPS_CAP = 100_000
 SWITCH_N_MAX = 2000
 
 
-@dataclass(frozen=True)
-class BoundDirection:
+class BoundDirection(Record):
     kind: str                      # one of UPPER_ON_S, LOWER_ON_S, SWITCHES
     switch_n: Optional[int] = None  # first generation on the asymptotic side, if kind == SWITCHES
     conjectured: bool = False       # True when the classification rests on a conjecture
@@ -143,8 +142,8 @@ def agresti_sn_bound(m: float, n: int) -> float:
 
 def t_eps_exact(model: OffspringModel, eps: float) -> int:
     """Smallest n with S^(n) <= (1 + eps) * S_inf, by iteration."""
-    if not eps > 0.0:
-        raise DomainError(f"eps must be > 0, got {eps!r}")
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"eps must be finite and > 0, got {eps!r}")
     fp = extinction_probability(model)
     target = (1.0 + eps) * fp.s_inf
     for n, x in enumerate(islice(extinction_iterates(model), T_EPS_CAP + 1)):
@@ -156,8 +155,8 @@ def t_eps_exact(model: OffspringModel, eps: float) -> int:
 def t_eps_fl(fp: FixedPoint, eps: float) -> float:
     """Real-valued T solving S^(T) = (1+eps) S_inf for the matching
     fractional-linear model; clamped to 0 when no positive solution exists."""
-    if not eps > 0.0:
-        raise DomainError(f"eps must be > 0, got {eps!r}")
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"eps must be finite and > 0, got {eps!r}")
     arg = (1.0 + 1.0 / eps) * fp.p_inf
     if arg <= 1.0:
         return 0.0

@@ -8,11 +8,11 @@ refined exponential approximations).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .pgf_core import (
     OffspringModel,
+    Record,
     extinction_iterates,
     extinction_probability,
     moments,
@@ -37,8 +37,7 @@ def _numpy():
     return globals()["np"] if "np" in globals() else __getattr__("np")
 
 
-@dataclass(frozen=True)
-class TraitModel:
+class TraitModel(Record):
     """Trait under exponential directional selection: mutations arrive at rate
     theta_mut per generation in the whole population, each adding effect
     alpha > 0 to the trait; a mutant's fitness is m = exp(s_sel*alpha)."""
@@ -47,7 +46,7 @@ class TraitModel:
     s_sel: float
     pop_size: int
 
-    def __post_init__(self):
+    def _validate(self):
         if self.theta_mut < 0.0:
             raise DomainError(f"theta_mut must be >= 0, got {self.theta_mut!r}")
         if not self.alpha > 0.0:
@@ -56,31 +55,31 @@ class TraitModel:
             raise DomainError(f"s_sel must be > 0, got {self.s_sel!r}")
         if self.pop_size < 2:
             raise DomainError(f"pop_size must be >= 2, got {self.pop_size!r}")
+        self._require_finite()
 
     @property
     def fitness(self) -> float:
         return math.exp(self.s_sel * self.alpha)
 
 
-@dataclass(frozen=True)
-class WFModel:
+class WFModel(Record):
     """Haploid Wright-Fisher population of size pop_size with selection
     coefficient s_sel and variance-effective size effective_size."""
     pop_size: int
     s_sel: float
     effective_size: float
 
-    def __post_init__(self):
+    def _validate(self):
         if self.pop_size < 2:
             raise DomainError(f"pop_size must be >= 2, got {self.pop_size!r}")
         if not self.s_sel > 0.0:
             raise DomainError(f"s_sel must be > 0, got {self.s_sel!r}")
         if not self.effective_size > 0.0:
             raise DomainError(f"effective_size must be > 0, got {self.effective_size!r}")
+        self._require_finite()
 
 
-@dataclass(frozen=True)
-class VGInf:
+class VGInf(Record):
     """Asymptotic per-generation variance and response of the trait."""
     v1_inf: float          # variance contributed by one sweeping mutant / alpha^2
     leading: float         # Theta * S_inf * alpha^2 * V1_inf
@@ -119,8 +118,8 @@ def vg_tau(tm: TraitModel, model: OffspringModel, tau: float) -> float:
     The integrand is constant on the cells [0, 1/2), [1/2, 3/2), ... of the
     nearest-integer map. The sum stops where m^n overflows or a_n underflows
     to 0: the cells beyond add less than 1e-300."""
-    if not tau > 0.0:
-        raise DomainError(f"tau must be > 0, got {tau!r}")
+    if not 0.0 < tau < math.inf:
+        raise DomainError(f"tau must be finite and > 0, got {tau!r}")
     mom = moments(model)
     n_cells = math.ceil(tau + 0.5)
     total = 0.0

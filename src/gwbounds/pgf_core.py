@@ -11,7 +11,6 @@ arguments and delegate to the model. All operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional, Sequence, Union
 
@@ -19,8 +18,64 @@ from .errors import ConvergenceError, DomainError
 from .specfun import lambert_w0
 
 
-@dataclass(frozen=True)
-class MuDerivatives:
+class Record:
+    """An immutable record. Its fields are the names annotated in its class
+    bodies, bases first, and a value given there is a default. A call binds
+    them like a function's parameters, then _validate() checks them; assignment
+    raises; equality, hash, repr and pickling go by class and field values."""
+
+    _fields, _defaults = (), {}
+
+    def __init_subclass__(cls):
+        own = tuple(cls.__annotations__)
+        cls._fields += own
+        cls._defaults = {**cls._defaults, **{n: vars(cls)[n] for n in own if n in vars(cls)}}
+        cls._keys = dict.fromkeys(cls._fields).keys()
+
+    def __init__(self, *args, **kwargs):
+        if args or kwargs.keys() != self._keys:  # else every field by keyword
+            names = self._fields
+            values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+            if (len(args) > len(names) or values.keys() != self._keys
+                    or not kwargs.keys().isdisjoint(names[:len(args)])):
+                raise TypeError(f"{type(self).__name__} takes the fields {names}, "
+                                f"got {args!r} and {kwargs!r}")
+            kwargs = values
+        self.__dict__.update(kwargs)
+        self._validate()
+
+    def _validate(self) -> None:
+        """Raise DomainError where the field values leave the domain."""
+
+    def _require_finite(self) -> None:
+        for name, value in self.__dict__.items():
+            if not math.isfinite(value):
+                raise DomainError(f"{type(self).__name__} requires a finite {name}, got {value!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class MuDerivatives(Record):
     """Mixed partial derivatives mu_kl of phi(x; s) at (x, s) = (1, 0) for a
     family parameterized so that the mean is 1 + s."""
     mu20: float
@@ -30,23 +85,21 @@ class MuDerivatives:
     mu31: float
     mu40: float
 
-    def __post_init__(self):
+    def _validate(self):
         if not self.mu20 > 0.0:
             raise DomainError(f"mu20 must be > 0, got {self.mu20!r}")
         if self.mu30 < 0.0:
             raise DomainError(f"mu30 must be >= 0, got {self.mu30!r}")
 
 
-@dataclass(frozen=True)
-class Moments:
+class Moments(Record):
     m: float
     var: float
     b: float
     c: float
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(Record):
     p_inf: float
     s_inf: float
     gamma: float
@@ -56,9 +109,9 @@ class FixedPoint:
 # Model types
 # ---------------------------------------------------------------------------
 
-class _Family:
-    """Defaults shared by the families. Each family is a frozen dataclass whose
-    fields are its parameters only; it defines pgf(x) for x in [0, 1] and
+class _Family(Record):
+    """Defaults shared by the families. Each family is a Record whose fields
+    are its parameters only; it defines pgf(x) for x in [0, 1] and
     derivative(x, order) for order in {1, 2, 3} and x <= 1."""
 
     def closed_p_inf(self) -> Optional[float]:
@@ -70,13 +123,13 @@ class _Family:
         raise DomainError(f"no mu table for {self!r}")
 
 
-@dataclass(frozen=True)
 class Poisson(_Family):
     m: float
 
-    def __post_init__(self):
+    def _validate(self):
         if not self.m > 1.0:
             raise DomainError(f"Poisson requires mean m > 1, got {self.m!r}")
+        self._require_finite()
 
     def pgf(self, x: float) -> float:
         return math.exp(-self.m * (1.0 - x))
@@ -92,18 +145,18 @@ class Poisson(_Family):
         return MuDerivatives(mu20=1.0, mu21=2.0, mu22=2.0, mu30=1.0, mu31=3.0, mu40=1.0)
 
 
-@dataclass(frozen=True)
 class Binomial(_Family):
     n: int
     p: float
 
-    def __post_init__(self):
+    def _validate(self):
         if self.n < 2:
             raise DomainError(f"Binomial requires n >= 2, got {self.n!r}")
         if not 0.0 < self.p < 1.0:
             raise DomainError(f"Binomial requires p in (0,1), got {self.p!r}")
         if not self.n * self.p > 1.0:
             raise DomainError(f"Binomial requires mean n*p > 1, got {self.n * self.p!r}")
+        self._require_finite()
 
     def pgf(self, x: float) -> float:
         return (1.0 - self.p + self.p * x) ** self.n
@@ -123,18 +176,18 @@ class Binomial(_Family):
         return MuDerivatives(mu20=a, mu21=2.0 * a, mu22=2.0 * a, mu30=b, mu31=3.0 * b, mu40=c)
 
 
-@dataclass(frozen=True)
 class NegBinomial(_Family):
     r: int
     p: float
 
-    def __post_init__(self):
+    def _validate(self):
         if self.r < 1:
             raise DomainError(f"NegBinomial requires r >= 1, got {self.r!r}")
         if not 0.0 < self.p < 1.0:
             raise DomainError(f"NegBinomial requires p in (0,1), got {self.p!r}")
         if not self.r * (1.0 - self.p) / self.p > 1.0:
             raise DomainError("NegBinomial requires mean r(1-p)/p > 1")
+        self._require_finite()
 
     def pgf(self, x: float) -> float:
         return self.p ** self.r / (1.0 - (1.0 - self.p) * x) ** self.r
@@ -153,20 +206,20 @@ class NegBinomial(_Family):
         return MuDerivatives(mu20=a, mu21=2.0 * a, mu22=2.0 * a, mu30=b, mu31=3.0 * b, mu40=c)
 
 
-@dataclass(frozen=True)
 class FractionalLinear(_Family):
     """phi(x) = (rho + x(1 - pi - rho)) / (1 - pi x), the family whose n-fold
     compositions stay in the family (see fl_bounds)."""
     pi: float
     rho: float
 
-    def __post_init__(self):
+    def _validate(self):
         if not 0.0 < self.pi < 1.0:
             raise DomainError(f"FractionalLinear requires pi in (0,1), got {self.pi!r}")
         if not 0.0 < self.rho < 1.0:
             raise DomainError(f"FractionalLinear requires rho in (0,1), got {self.rho!r}")
         if not self.rho < self.pi:
             raise DomainError("FractionalLinear requires rho < pi (supercritical)")
+        self._require_finite()
 
     @property
     def m(self) -> float:
@@ -207,14 +260,13 @@ def f3_p_inf(p0: float, p2: float, p3: float) -> float:
     return 2.0 * p0 / (q + math.sqrt(q * q + 4.0 * p0 * p3))
 
 
-@dataclass(frozen=True)
 class FiniteThree(_Family):
     p0: float
     p1: float
     p2: float
     p3: float
 
-    def __post_init__(self):
+    def _validate(self):
         probs = (self.p0, self.p1, self.p2, self.p3)
         if any(p < 0.0 for p in probs):
             raise DomainError("FiniteThree probabilities must be >= 0")
@@ -227,6 +279,7 @@ class FiniteThree(_Family):
         mean = 1.0 - self.p0 + self.p2 + 2.0 * self.p3
         if not mean > 1.0:
             raise DomainError(f"FiniteThree requires mean > 1, got {mean!r}")
+        self._require_finite()
 
     def pgf(self, x: float) -> float:
         return self.p0 + self.p1 * x + self.p2 * x * x + self.p3 * x ** 3
@@ -269,18 +322,18 @@ def _gp_t_derivs(x: float, lam: float):
     return t, t1, t2, t3
 
 
-@dataclass(frozen=True)
 class GeneralizedPoisson(_Family):
     mu: float
     lam: float
 
-    def __post_init__(self):
+    def _validate(self):
         if not 0.0 <= self.lam < 1.0:
             raise DomainError(f"GeneralizedPoisson requires lambda in [0,1), got {self.lam!r}")
         if not self.mu > 0.0:
             raise DomainError(f"GeneralizedPoisson requires mu > 0, got {self.mu!r}")
         if not self.mu / (1.0 - self.lam) > 1.0:
             raise DomainError("GeneralizedPoisson requires mean mu/(1-lambda) > 1")
+        self._require_finite()
 
     def pgf(self, x: float) -> float:
         if self.lam == 0.0:

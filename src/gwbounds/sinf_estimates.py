@@ -8,7 +8,6 @@ of the convergence rate gamma up to third order in s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import ApplicabilityError, DomainError
@@ -16,14 +15,14 @@ from .pgf_core import (
     Moments,
     MuDerivatives,
     OffspringModel,
+    Record,
     extinction_probability,
     moments,
     pgf_derivative,
 )
 
 
-@dataclass(frozen=True)
-class SinfBounds:
+class SinfBounds(Record):
     """All bounds/approximations of S_inf for one model at its current s."""
     beta: float
     quine_lower: Optional[float]
@@ -34,8 +33,7 @@ class SinfBounds:
     exact: float
 
 
-@dataclass(frozen=True)
-class SeriesCoeffs:
+class SeriesCoeffs(Record):
     theta: float
     delta2: float
     delta3: float
@@ -139,16 +137,16 @@ def t_ser(model: OffspringModel, s: float, eps: float) -> int:
     ceil((1/s - 1/2 + gamma2) * ln(1 + 1/eps) - theta)."""
     if not s > 0.0:
         raise DomainError(f"s must be > 0, got {s!r}")
-    if not eps > 0.0:
-        raise DomainError(f"eps must be > 0, got {eps!r}")
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"eps must be finite and > 0, got {eps!r}")
     c = sinf_series(model.mu_table())
     return math.ceil((1.0 / s - 0.5 + c.gamma2) * math.log1p(1.0 / eps) - c.theta)
 
 
 def t_simple(s: float, eps: float) -> int:
     """Leading-order approximation ceil(ln(1 + 1/eps)/s)."""
-    if not (s > 0.0 and eps > 0.0):
-        raise DomainError(f"require s > 0 and eps > 0, got s={s!r}, eps={eps!r}")
+    if not (s > 0.0 and 0.0 < eps < math.inf):
+        raise DomainError(f"require s > 0 and finite eps > 0, got s={s!r}, eps={eps!r}")
     return math.ceil(math.log1p(1.0 / eps) / s)
 
 

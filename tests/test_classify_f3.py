@@ -186,7 +186,7 @@ def fl_gap_signs(p0, p2, p3):
         p0, p2, p3 = (mpmath.mpf(v) for v in (p0, p2, p3))
         p1 = 1 - p0 - p2 - p3
         q = p2 + p3
-        p_inf = (mpmath.sqrt(4 * p0 * p3 + q * q) - q) / (2 * p3)
+        p_inf = 2 * p0 / (q + mpmath.sqrt(4 * p0 * p3 + q * q))  # p0/p2 at p3 = 0
         gamma = p1 + 2 * p2 * p_inf + 3 * p3 * p_inf ** 2
         x, gn, signs = mpmath.mpf(0), mpmath.mpf(1), []
         while gn >= mpmath.mpf(10) ** -40:
@@ -395,10 +395,28 @@ def test_p3zero_f_nonnegative_against_matching_fl():
             assert direct == pytest.approx(factored, abs=1e-14), (p0, p2, x)
 
 
-def test_p3zero_domain_error():
-    # The thresholds need p3 > 0; bound_direction decides p3 = 0 without them.
+def test_p3zero_is_case_1_without_thresholds():
+    # The thresholds need p3 > 0; as p3 -> 0+ they all go to -inf, so a law
+    # with p3 = 0 is in case 1.
     with pytest.raises(DomainError):
-        classify(0.1, 0.3, 0.0)
+        thresholds_f3(0.3, 0.0)
+    for p0, p2 in P3ZERO_LAWS:
+        cls = classify(p0, p2, 0.0)
+        assert (cls.region, cls.case_label, cls.thresholds) == (LOWER_BOUND_ON_P, "1", None)
+        assert cls.sign_profile == (1, 1, 1)
+
+
+@pytest.mark.parametrize("p0, p2", P3ZERO_LAWS)
+def test_p3zero_cli_and_bound_direction(p0, p2, capsys):
+    # gwb classify f3 reports case 1 with null thresholds, and bound_direction
+    # holds on 50-digit iterates.
+    assert main(["classify", "f3", "--p0", repr(p0), "--p2", repr(p2), "--p3", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["region"], report["case_label"]) == (LOWER_BOUND_ON_P, "1")
+    assert report["thresholds"] is None and "switch_n" not in report
+    assert report["p_inf"] == extinction_probability(f3_model(p0, p2, 0.0)).p_inf
+    assert bound_direction(f3_model(p0, p2, 0.0)) == BoundDirection(UPPER_ON_S)
+    assert_direction_matches_definition((p0, p2, 0.0))
 
 
 # ---------------------------------------------------------------------------

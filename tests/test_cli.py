@@ -226,6 +226,31 @@ def test_applicability_error_exit_3(capsys):
     assert "2*beta" in payload["condition"]
 
 
+POISSON_15 = ["--dist", "poisson", "--m", "1.5"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sinf", "--dist", "poisson", "--m", "inf"], "Poisson requires a finite m, got inf"),
+    (["sinf", "--dist", "poisson", "--s", "inf"], "Poisson requires a finite m, got inf"),
+    (["sinf", "--dist", "gp", "--mu", "inf", "--lambda", "0.2"],
+     "GeneralizedPoisson requires a finite mu, got inf"),
+    (["genetics", *POISSON_15, "--N", "100", "--s", "inf"],
+     "TraitModel requires a finite s_sel, got inf"),
+    (["genetics", *POISSON_15, "--N", "100", "--tau", "inf"],
+     "tau must be finite and > 0, got inf"),
+    (["genetics", *POISSON_15, "--N", "100", "--Ne", "inf"],
+     "WFModel requires a finite effective_size, got inf"),
+    (["teps", "--dist", "binomial", "--n", "5", "--p", "0.202", "--eps", "inf"],
+     "eps must be finite and > 0, got inf"),
+    (["teps", *POISSON_15, "--eps", "0.01", "nan"], "eps must be finite and > 0, got nan"),
+], ids=["sinf-m", "sinf-s", "sinf-gp-mu", "genetics-s", "genetics-tau", "genetics-ne",
+        "teps-eps", "teps-eps-nan"])
+def test_non_finite_parameters_exit_2(argv, message, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "domain", "message": message}
+
+
 def test_error_output_is_single_line_json(capsys):
     _, _, err = run_cli(capsys, "survival", "--dist", "poisson", "--m", "0.5")
     assert err.count("\n") == 1 and err.endswith("\n")

@@ -1,9 +1,9 @@
 """numpy loads only for the Wright-Fisher absorption solve and the F3 Monte Carlo,
-and scipy never: `import gwbounds` and every other subcommand start without
-them, and genetics.np / genetics.binom stay module attributes that a caller
-may replace (a timing proxy, say) and wf_fixation_exact then calls. The model
-layer imports nothing above it, and the package's classifier attributes are
-their modules."""
+and scipy and dataclasses never: `import gwbounds` and every other subcommand
+start without them, and genetics.np / genetics.binom stay module attributes
+that a caller may replace (a timing proxy, say) and wf_fixation_exact then
+calls. The model layer imports nothing above it, and the package's classifier
+attributes are their modules."""
 
 import ast
 import os
@@ -18,10 +18,12 @@ from gwbounds import genetics
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(gwbounds.__file__)))
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
-# Printed on stderr at exit: which of numpy and scipy the process loaded.
+# Printed on stderr at exit: which of dataclasses, numpy and scipy the process
+# loaded. dataclasses alone takes ~10 ms to import, and building its classes
+# as much again.
 REPORT_HEAVY = ("import atexit, sys\n"
                 "atexit.register(lambda: sys.stderr.write(repr(sorted(\n"
-                "    m for m in ('numpy', 'scipy') if m in sys.modules)) + '\\n'))\n")
+                "    m for m in ('dataclasses', 'numpy', 'scipy') if m in sys.modules)) + '\\n'))\n")
 
 
 def run_python(code):
