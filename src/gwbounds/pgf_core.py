@@ -20,9 +20,10 @@ from .specfun import lambert_w0
 
 class Record:
     """An immutable record. Its fields are the names annotated in its class
-    bodies, bases first, and a value given there is a default. A call binds
-    them like a function's parameters, then _validate() checks them; assignment
-    raises; equality, hash, repr and pickling go by class and field values."""
+    bodies, bases first, and a value given there is a default. It is built
+    like a call with the fields as parameters, then _validate() checks it;
+    assignment raises; equality, hash, repr and pickling go by class and
+    field values."""
 
     _fields, _defaults = (), {}
 
@@ -30,30 +31,27 @@ class Record:
         own = tuple(cls.__annotations__)
         cls._fields += own
         cls._defaults = {**cls._defaults, **{n: vars(cls)[n] for n in own if n in vars(cls)}}
-        cls._keys = dict.fromkeys(cls._fields).keys()
-
-    def __init__(self, *args, **kwargs):
-        if args or kwargs.keys() != self._keys:  # else every field by keyword
-            names = self._fields
-            values = {**self._defaults, **dict(zip(names, args)), **kwargs}
-            if (len(args) > len(names) or values.keys() != self._keys
-                    or not kwargs.keys().isdisjoint(names[:len(args)])):
-                raise TypeError(f"{type(self).__name__} takes the fields {names}, "
-                                f"got {args!r} and {kwargs!r}")
-            kwargs = values
-        self.__dict__.update(kwargs)
-        self._validate()
+        # Each class compiles its own __init__, as a dataclass does: one that
+        # binds *args and **kwargs itself took 1-2 us more per record.
+        params = "".join(f", {n}=_defaults[{n!r}]" if n in cls._defaults else f", {n}"
+                         for n in cls._fields)
+        body = "".join(f"    _set(self, {n!r}, {n})\n" for n in cls._fields)
+        namespace = {"_set": object.__setattr__, "_defaults": cls._defaults}
+        exec(f"def __init__(self{params}):\n{body}    self._validate()\n", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _validate(self) -> None:
         """Raise DomainError where the field values leave the domain."""
 
     def _require_finite(self) -> None:
-        for name, value in self.__dict__.items():
-            if not math.isfinite(value):
-                raise DomainError(f"{type(self).__name__} requires a finite {name}, got {value!r}")
+        for name in self._fields:
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{type(self).__name__} requires a finite {name}, "
+                                  f"got {getattr(self, name)!r}")
 
     def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
+        return tuple(map(self.__getattribute__, self._fields))
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
