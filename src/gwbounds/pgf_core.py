@@ -46,9 +46,9 @@ class Record:
 
     def _require_finite(self) -> None:
         for name in self._fields:
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{type(self).__name__} requires a finite {name}, "
-                                  f"got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{type(self).__name__} requires a finite {name}, got {value!r}")
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self._fields))
