@@ -32,7 +32,9 @@ class Record:
         cls._fields += own
         cls._defaults = {**cls._defaults, **{n: vars(cls)[n] for n in own if n in vars(cls)}}
         # Each class compiles its own __init__, as a dataclass does: one that
-        # binds *args and **kwargs itself took 1-2 us more per record.
+        # binds *args and **kwargs itself took 1-2 us more per record. Fields
+        # are set one by one: filling self.__dict__ slows every later method
+        # call on the record.
         params = "".join(f", {n}=_defaults[{n!r}]" if n in cls._defaults else f", {n}"
                          for n in cls._fields)
         body = "".join(f"    _set(self, {n!r}, {n})\n" for n in cls._fields)
