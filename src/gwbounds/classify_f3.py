@@ -2,6 +2,7 @@
 supported on {0,1,2,3}: thresholds in p0 separating the parameter region where
 the matching fractional-linear iterates bound the extinction probability from
 below for all n, from above for all n, or switch sides once.
+fl_bounds.bound_direction maps each region to a direction.
 """
 
 from __future__ import annotations
@@ -10,13 +11,6 @@ import math
 from typing import Optional, Tuple
 
 from .errors import DomainError
-from .fl_bounds import (
-    LOWER_ON_S,
-    SWITCHES,
-    UPPER_ON_S,
-    BoundDirection,
-    switch_generation,
-)
 from .pgf_core import FiniteThree, Record, f3_p_inf
 
 LOWER_BOUND_ON_P = "LowerBoundOnP"    # FL iterates <= P^(n): upper bound on survival
@@ -129,20 +123,6 @@ def classify_f3(model: FiniteThree) -> F3Class:
         thresholds=th,
         sign_profile=tuple(_sign(f3_f_value(p0, p2, p3, x)) for x in probes),
     )
-
-
-def f3_bound_direction(model: FiniteThree) -> BoundDirection:
-    """bound_direction for an F3 law: the direction its region gives.
-
-    In the Switches region switch_n is the first generation at which the FL
-    iterates fall below P^(n), or None where they never do within
-    SWITCH_N_MAX generations (most of case 3iii and some of 3i)."""
-    region = classify_f3(model).region
-    if region == LOWER_BOUND_ON_P:
-        return BoundDirection(UPPER_ON_S)
-    if region == UPPER_BOUND_ON_P:
-        return BoundDirection(LOWER_ON_S)
-    return BoundDirection(SWITCHES, switch_n=switch_generation(model))
 
 
 def f3_region_volumes(n_samples: int = 1_000_000, seed: int = 0) -> Tuple[float, float, float]:

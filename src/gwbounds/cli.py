@@ -52,7 +52,7 @@ from .fl_bounds import (
     t_eps_fl,
 )
 from .classify_f3 import classify_f3, f3_region_volumes
-from .classify_gp import classify_gp, gp_thresholds
+from .classify_gp import gp_thresholds
 from .sinf_estimates import dn_upper, quine_bounds, sinf_bounds_all, t_ser, t_simple
 from .genetics import (
     WF_EXACT_MAX_N,
@@ -267,7 +267,7 @@ def cmd_classify(args) -> dict:
     if args.s is None or args.lam is None:
         raise DomainError("classify gp requires --s and --lambda")
     thresholds = gp_thresholds(args.s)  # first, for its message on s
-    direction = classify_gp(gp_from_s(args.lam, args.s))
+    direction = bound_direction(gp_from_s(args.lam, args.s))
     return {
         "kind": "gp",
         "direction": direction.kind,

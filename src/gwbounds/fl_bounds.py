@@ -10,6 +10,7 @@ import math
 from itertools import islice
 from typing import Optional
 
+from .classify_f3 import LOWER_BOUND_ON_P, UPPER_BOUND_ON_P, classify_f3
 from .errors import ConvergenceError, DomainError
 from .pgf_core import (
     FiniteThree,
@@ -69,6 +70,17 @@ def matching_fl(fp: FixedPoint) -> FractionalLinear:
         raise DomainError(f"matching_fl requires P_inf, gamma in (0,1), got {fp!r}")
     pi = (1.0 - fp.gamma) / (1.0 - fp.p_inf * fp.gamma)
     return FractionalLinear(pi=pi, rho=fp.p_inf * pi)
+
+
+def f_at_0(model: OffspringModel, fp: FixedPoint, fl: FractionalLinear) -> float:
+    """f(0) = phi(0) - phi_FL(0), with fl = matching_fl(fp). Like f2_at_p_inf,
+    it takes the law, its fixed point and fl, as gp_thresholds bisects on it."""
+    return pgf_eval(model, 0.0) - pgf_eval(fl, 0.0)
+
+
+def f2_at_p_inf(model: OffspringModel, fp: FixedPoint, fl: FractionalLinear) -> float:
+    """f''(P_inf) = phi''(P_inf) - phi_FL''(P_inf)."""
+    return pgf_derivative(model, fp.p_inf, 2) - pgf_derivative(fl, fp.p_inf, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -191,18 +203,36 @@ def switch_generation(model: OffspringModel) -> Optional[int]:
 
 def bound_direction(model: OffspringModel) -> BoundDirection:
     """Whether sn_fl_bound is an upper bound on S^(n) for all n, a lower bound,
-    or switches sides at some generation. It is proven an upper bound for every
-    Poisson, binomial, negative binomial and fractional-linear law, so no fixed
-    point is solved for; an F3 law is decided by classify_f3 and a generalized
-    Poisson law by classify_gp. Both classifiers import this module, hence the
-    imports here."""
+    or switches sides at some generation.
+
+    It is proven an upper bound for every Poisson, binomial, negative binomial
+    and fractional-linear law, so no fixed point is solved for. An F3 law takes
+    the direction of its classify_f3 region; in the Switches region switch_n is
+    the first generation at which the FL iterates fall below P^(n), or None
+    where they never do within SWITCH_N_MAX generations (most of case 3iii and
+    some of 3i). A generalized Poisson law with s <= 0.5 is decided from the
+    signs of its own f: UpperOnS where f''(P_inf) > 0, else LowerOnS where
+    f(0) < 0, else SwitchesAt. That rule is conjectured, except at lam = 0
+    (Poisson), which is proven UpperOnS at any mean."""
     if isinstance(model, FiniteThree):
-        from .classify_f3 import f3_bound_direction
-        return f3_bound_direction(model)
-    if isinstance(model, GeneralizedPoisson):
-        from .classify_gp import classify_gp
-        return classify_gp(model)
-    return BoundDirection(UPPER_ON_S)
+        region = classify_f3(model).region
+        if region == LOWER_BOUND_ON_P:
+            return BoundDirection(UPPER_ON_S)
+        if region == UPPER_BOUND_ON_P:
+            return BoundDirection(LOWER_ON_S)
+        return BoundDirection(SWITCHES, switch_n=switch_generation(model))
+    if not isinstance(model, GeneralizedPoisson) or model.lam == 0.0:
+        return BoundDirection(UPPER_ON_S)
+    # s <= 0.5, by the float expression gp_from_s(lam, 0.5) evaluates.
+    if not model.mu <= 1.5 * (1.0 - model.lam):
+        raise DomainError(f"require s <= 0.5, i.e. mu <= 1.5 (1 - lam), got {model!r}")
+    fp = extinction_probability(model)
+    fl = matching_fl(fp)
+    if f2_at_p_inf(model, fp, fl) > 0.0:
+        return BoundDirection(UPPER_ON_S, conjectured=True)
+    if f_at_0(model, fp, fl) < 0.0:
+        return BoundDirection(LOWER_ON_S, conjectured=True)
+    return BoundDirection(SWITCHES, switch_n=switch_generation(model), conjectured=True)
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,14 @@ class _Family(Record):
         """Mu table of the s-family through this model (mean 1 + s, s varying)."""
         raise DomainError(f"no mu table for {self!r}")
 
+    def _require_p0(self) -> None:
+        """phi(0) > 0 in floating point: where it underflows to 0, so do P_inf
+        and gamma, and the bounds divide by them."""
+        p0 = self.pgf(0.0)
+        if not p0 > 0.0:
+            raise DomainError(f"{type(self).__name__} requires phi(0) > 0, "
+                              f"got phi(0) = {p0!r} (underflow) for {self!r}")
+
 
 class Poisson(_Family):
     m: float
@@ -130,6 +138,7 @@ class Poisson(_Family):
         if not self.m > 1.0:
             raise DomainError(f"Poisson requires mean m > 1, got {self.m!r}")
         self._require_finite()
+        self._require_p0()
 
     def pgf(self, x: float) -> float:
         return math.exp(-self.m * (1.0 - x))
@@ -157,6 +166,7 @@ class Binomial(_Family):
         if not self.n * self.p > 1.0:
             raise DomainError(f"Binomial requires mean n*p > 1, got {self.n * self.p!r}")
         self._require_finite()
+        self._require_p0()
 
     def pgf(self, x: float) -> float:
         return (1.0 - self.p + self.p * x) ** self.n
@@ -188,6 +198,7 @@ class NegBinomial(_Family):
         if not self.r * (1.0 - self.p) / self.p > 1.0:
             raise DomainError("NegBinomial requires mean r(1-p)/p > 1")
         self._require_finite()
+        self._require_p0()
 
     def pgf(self, x: float) -> float:
         return self.p ** self.r / (1.0 - (1.0 - self.p) * x) ** self.r
@@ -334,6 +345,7 @@ class GeneralizedPoisson(_Family):
         if not self.mu / (1.0 - self.lam) > 1.0:
             raise DomainError("GeneralizedPoisson requires mean mu/(1-lambda) > 1")
         self._require_finite()
+        self._require_p0()
 
     def pgf(self, x: float) -> float:
         if self.lam == 0.0:

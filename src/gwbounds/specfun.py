@@ -31,8 +31,8 @@ def _branch_series(z: float) -> float:
 
 def lambert_w0(z: float) -> float:
     """Principal branch W(z) of w*exp(w) = z for z >= -1/e."""
-    if z < -_INV_E - _BRANCH_SLACK:
-        raise DomainError(f"lambert_w0 requires z >= -1/e, got {z!r}")
+    if not -_INV_E - _BRANCH_SLACK <= z < math.inf:
+        raise DomainError(f"lambert_w0 requires a finite z >= -1/e, got {z!r}")
     if z == 0.0:
         return 0.0
     if z <= -_INV_E + 1e-6:
@@ -85,8 +85,8 @@ def e1_cf_tail(x: float) -> float:
 
     for x >= 1, by the modified Lentz algorithm. T is about 1/(x+3), so
     neither exp_e1 nor the per-locus variance built from it cancels."""
-    if not x >= 1.0:
-        raise DomainError(f"e1_cf_tail requires x >= 1, got {x!r}")
+    if not 1.0 <= x < math.inf:
+        raise DomainError(f"e1_cf_tail requires a finite x >= 1, got {x!r}")
     tiny = 1e-300
     b = x + 3.0
     c = 1.0 / tiny
@@ -111,8 +111,8 @@ def e1_cf_tail(x: float) -> float:
 
 def exp_integral_e1(x: float) -> float:
     """E1(x) = integral_x^inf exp(-t)/t dt for x > 0."""
-    if not x > 0.0:
-        raise DomainError(f"exp_integral_e1 requires x > 0, got {x!r}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"exp_integral_e1 requires a finite x > 0, got {x!r}")
     if x < 1.0:
         return _e1_series(x)
     return math.exp(-x) * exp_e1(x)
@@ -124,8 +124,8 @@ def exp_e1(x: float) -> float:
     exp(x) alone overflows near x ~ 709 while the product is O(1/x); the
     continued-fraction route never forms exp(x) for large x.
     """
-    if not x > 0.0:
-        raise DomainError(f"exp_e1 requires x > 0, got {x!r}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"exp_e1 requires a finite x > 0, got {x!r}")
     if x < 1.0:
         return math.exp(x) * _e1_series(x)
     return 1.0 / (x + 1.0 - e1_cf_tail(x))

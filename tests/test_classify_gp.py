@@ -1,10 +1,10 @@
-"""Generalized-Poisson bound-direction thresholds in the dispersion parameter
-and the three-way classification built on them."""
+"""Generalized-Poisson bound-direction thresholds in the dispersion parameter,
+and the three-way classification that bound_direction makes by the sign rule."""
 
 import mpmath
 import pytest
 
-from gwbounds.classify_gp import classify_gp, gp_thresholds
+from gwbounds.classify_gp import gp_thresholds
 from gwbounds.errors import DomainError
 from gwbounds.fl_bounds import (
     LOWER_ON_S,
@@ -129,27 +129,21 @@ def test_thresholds_domain():
 # Classification
 # ---------------------------------------------------------------------------
 
-def test_classify_poisson_limit_proven():
-    d = classify_gp(gp_from_s(0.0, 0.1))
-    assert d.kind == UPPER_ON_S
-    assert not d.conjectured
-
-
 def test_classify_three_zones():
     th = gp_thresholds(0.1)
-    assert classify_gp(gp_from_s(0.1, 0.1)).kind == UPPER_ON_S
-    assert classify_gp(gp_from_s(0.1, 0.1)).conjectured
+    assert bound_direction(gp_from_s(0.1, 0.1)).kind == UPPER_ON_S
+    assert bound_direction(gp_from_s(0.1, 0.1)).conjectured
     mid = 0.5 * (th.lambda_c2 + th.lambda_c0)
-    d = classify_gp(gp_from_s(mid, 0.1))
+    d = bound_direction(gp_from_s(mid, 0.1))
     assert d.kind == SWITCHES
     assert d.conjectured
     assert d.switch_n is not None and d.switch_n >= 1
-    assert classify_gp(gp_from_s(0.5, 0.1)).kind == LOWER_ON_S
+    assert bound_direction(gp_from_s(0.5, 0.1)).kind == LOWER_ON_S
 
 
 def test_classify_switch_anchor():
     # lambda = 0.276, s = 0.1: switch between generations 3 and 4.
-    d = classify_gp(gp_from_s(0.276, 0.1))
+    d = bound_direction(gp_from_s(0.276, 0.1))
     assert d.kind == SWITCHES
     assert d.switch_n in (3, 4)
 
@@ -172,30 +166,32 @@ def test_sign_rule_agrees_with_the_thresholds(s):
 
 def test_tiny_lambda_is_upper():
     for lam in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3):
-        d = classify_gp(gp_from_s(lam, 0.1))
+        d = bound_direction(gp_from_s(lam, 0.1))
         assert d.kind == UPPER_ON_S and d.conjectured, lam
 
 
 def test_poisson_is_proven_upper_at_any_mean():
-    d = bound_direction(GeneralizedPoisson(mu=2.0, lam=0.0))
-    assert d.kind == UPPER_ON_S
-    assert not d.conjectured
+    # lam = 0 is decided before the s <= 0.5 check: at s = 0.1 and at s = 1.
+    for model in (gp_from_s(0.0, 0.1), GeneralizedPoisson(mu=2.0, lam=0.0)):
+        d = bound_direction(model)
+        assert d.kind == UPPER_ON_S
+        assert not d.conjectured
 
 
 def test_classify_s_domain():
     # s <= 0.5 is read off the law's own parameters: mu <= 1.5 (1 - lam).
-    assert classify_gp(gp_from_s(0.3, 0.5)).kind == UPPER_ON_S
+    assert bound_direction(gp_from_s(0.3, 0.5)).kind == UPPER_ON_S
     with pytest.raises(DomainError):
-        classify_gp(GeneralizedPoisson(mu=1.5 * 0.7 * (1.0 + 2.0 ** -52), lam=0.3))
+        bound_direction(GeneralizedPoisson(mu=1.5 * 0.7 * (1.0 + 2.0 ** -52), lam=0.3))
     with pytest.raises(DomainError):
-        classify_gp(gp_from_s(0.3, 0.7))
+        bound_direction(gp_from_s(0.3, 0.7))
 
 
 def test_classify_domain():
     with pytest.raises(DomainError):
-        classify_gp(gp_from_s(1.0, 0.1))
+        bound_direction(gp_from_s(1.0, 0.1))
     with pytest.raises(DomainError):
-        classify_gp(gp_from_s(-0.2, 0.1))
+        bound_direction(gp_from_s(-0.2, 0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +201,7 @@ def test_classify_domain():
 def test_upper_zone_bound_holds_on_iterates():
     for lam in (0.05, 0.15, 0.25):
         model = gp_from_s(lam, 0.1)
-        assert classify_gp(model).kind == UPPER_ON_S
+        assert bound_direction(model).kind == UPPER_ON_S
         fp = extinction_probability(model)
         x = 0.0
         for n in range(1, 100):
@@ -216,7 +212,7 @@ def test_upper_zone_bound_holds_on_iterates():
 def test_lower_zone_bound_holds_on_iterates():
     for lam in (0.4, 0.6, 0.9):
         model = gp_from_s(lam, 0.1)
-        assert classify_gp(model).kind == LOWER_ON_S
+        assert bound_direction(model).kind == LOWER_ON_S
         fp = extinction_probability(model)
         x = 0.0
         for n in range(1, 100):
@@ -226,7 +222,7 @@ def test_lower_zone_bound_holds_on_iterates():
 
 def test_switch_zone_bound_changes_side_once():
     model = gp_from_s(0.276, 0.1)
-    d = classify_gp(model)
+    d = bound_direction(model)
     fp = extinction_probability(model)
     x = 0.0
     sides = []

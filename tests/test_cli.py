@@ -251,6 +251,37 @@ def test_non_finite_parameters_exit_2(argv, message, capsys):
     assert json.loads(err) == {"error": "domain", "message": message}
 
 
+@pytest.mark.parametrize("argv, family", [
+    (["survival", "--dist", "poisson", "--m", "750", "--nmax", "3"], "Poisson"),
+    (["survival", "--dist", "poisson", "--m", "1e300", "--nmax", "3"], "Poisson"),
+    (["genetics", "--dist", "poisson", "--m", "1e300", "--N", "100", "--s", "0.1"], "Poisson"),
+    (["survival", "--dist", "binomial", "--n", "100000", "--p", "0.5", "--nmax", "2"],
+     "Binomial"),
+    (["survival", "--dist", "negbinomial", "--r", "2000", "--p", "0.2", "--nmax", "2"],
+     "NegBinomial"),
+    (["survival", "--dist", "gp", "--mu", "800", "--lambda", "0.5", "--nmax", "2"],
+     "GeneralizedPoisson"),
+], ids=["poisson-750", "poisson-1e300", "genetics-poisson-1e300", "binomial", "negbinomial",
+        "gp"])
+def test_phi0_underflow_exits_2(argv, family, capsys):
+    # phi(0) rounds to 0, so P_inf and gamma would too: the law is rejected
+    # when it is built, before genetics reads its moments.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "domain"
+    assert payload["message"].startswith(f"{family} requires phi(0) > 0, got phi(0) = 0.0")
+
+
+def test_subnormal_phi0_is_accepted(capsys):
+    # exp(-740) is subnormal but > 0.
+    code, out, err = run_cli(capsys, "survival", "--dist", "poisson", "--m", "740",
+                             "--nmax", "3")
+    assert (code, err) == (0, "")
+    assert out == "n,s_n,fl_bound,simple_bound,pollak_bound\r\n" + "".join(
+        f"{n},1,1,1,1\r\n" for n in range(4))
+
+
 def test_error_output_is_single_line_json(capsys):
     _, _, err = run_cli(capsys, "survival", "--dist", "poisson", "--m", "0.5")
     assert err.count("\n") == 1 and err.endswith("\n")
@@ -586,6 +617,22 @@ def test_sinf_strict_binomial_n2_is_an_applicability_error(capsys):
     assert json.loads(err) == {
         "error": "applicability", "condition": "phi'''(1) > 0", "lhs": 0.0, "rhs": 0.0,
         "message": "condition violated: phi'''(1) > 0 (lhs=0.0, rhs=0.0)"}
+
+
+def test_sinf_strict_prints_what_the_plain_run_prints(capsys):
+    # Poisson meets the Quine and Daley-Narayan conditions, so --strict passes.
+    plain = run_cli(capsys, "sinf", "--dist", "poisson", "--m", "1.1")
+    strict = run_cli(capsys, "sinf", "--dist", "poisson", "--m", "1.1", "--strict")
+    assert plain[0] == 0 and plain[1]
+    assert strict == plain
+
+
+def test_teps_past_the_iteration_cap_exits_1(capsys):
+    code, out, err = run_cli(capsys, "teps", "--dist", "poisson", "--s", "1e-6")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "ConvergenceError",
+        "message": "t_eps_exact exceeded the iteration cap (100000)"}
 
 
 def test_sinf_f3_prints_moment_bounds_and_blanks_only_the_series(capsys):

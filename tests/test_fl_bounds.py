@@ -6,9 +6,10 @@ import math
 import pytest
 from mpmath import mp
 
-from gwbounds.errors import DomainError
+from gwbounds.errors import ConvergenceError, DomainError
 from gwbounds.fl_bounds import (
     LOWER_ON_S,
+    T_EPS_CAP,
     SWITCHES,
     UPPER_ON_S,
     BoundDirection,
@@ -270,6 +271,12 @@ def test_t_eps_exact_definition():
         assert 1.0 - iterate_extinction(model, t) <= threshold
         if t > 0:
             assert 1.0 - iterate_extinction(model, t - 1) > threshold
+
+
+def test_t_eps_exact_raises_past_the_iteration_cap():
+    # T(0.01) is about 4.6/s generations: at s = 1e-6 it lies past T_EPS_CAP.
+    with pytest.raises(ConvergenceError, match=rf"iteration cap \({T_EPS_CAP}\)"):
+        t_eps_exact(poisson_from_s(1e-6), 0.01)
 
 
 def test_t_eps_fl_bounds_exact_for_proven_families():

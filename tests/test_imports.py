@@ -2,8 +2,9 @@
 and scipy and dataclasses never: `import gwbounds` and every other subcommand
 start without them, and genetics.np / genetics.binom stay module attributes
 that a caller may replace (a timing proxy, say) and wf_fixation_exact then
-calls. The model layer imports nothing above it, and the package's classifier
-attributes are their modules."""
+calls. The model layer imports nothing above it, the F3 classifier nothing
+above the model layer, no function imports a gwbounds module, and the
+package's classifier attributes are their modules."""
 
 import ast
 import os
@@ -151,9 +152,17 @@ def test_proxied_solve_goes_block_by_block(monkeypatch):
     assert calls.count("solve") >= 2
 
 
-def test_pgf_core_imports_only_stdlib_errors_and_specfun():
-    with open(os.path.join(PACKAGE_ROOT, "gwbounds", "pgf_core.py")) as fh:
-        tree = ast.parse(fh.read())
+def parse_module(name):
+    with open(os.path.join(PACKAGE_ROOT, "gwbounds", f"{name}.py")) as fh:
+        return ast.parse(fh.read())
+
+
+MODULES = sorted(f[:-3] for f in os.listdir(os.path.join(PACKAGE_ROOT, "gwbounds"))
+                 if f.endswith(".py"))
+
+
+def imported_modules(tree):
+    """(relative, absolute): the modules that the imports under tree name."""
     relative, absolute = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
@@ -162,6 +171,11 @@ def test_pgf_core_imports_only_stdlib_errors_and_specfun():
             absolute.add(node.module)
         elif isinstance(node, ast.Import):
             absolute.update(alias.name for alias in node.names)
+    return relative, absolute
+
+
+def test_pgf_core_imports_only_stdlib_errors_and_specfun():
+    relative, absolute = imported_modules(parse_module("pgf_core"))
     assert relative == {"errors", "specfun"}
     assert absolute and all(name.split(".")[0] in sys.stdlib_module_names
                             for name in absolute), absolute
@@ -171,3 +185,20 @@ def test_pgf_core_imports_only_stdlib_errors_and_specfun():
 def test_package_classifier_attributes_are_the_modules(name):
     assert getattr(gwbounds, name) is sys.modules[f"gwbounds.{name}"]
     assert name not in gwbounds.__all__
+
+
+def test_classify_f3_imports_nothing_above_the_model_layer():
+    # fl_bounds imports classify_f3 to decide an F3 law's direction.
+    relative, _ = imported_modules(parse_module("classify_f3"))
+    assert relative == {"errors", "pgf_core"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_imports_a_gwbounds_module(module):
+    # Imports inside a function hide a cycle in the module graph. Only
+    # numpy is imported late (genetics, classify_f3): it is slow to load.
+    for func in ast.walk(parse_module(module)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            relative, absolute = imported_modules(func)
+            assert not relative, (func.name, relative)
+            assert not any(name.split(".")[0] == "gwbounds" for name in absolute), func.name

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.special import exp1 as scipy_exp1
 from scipy.special import lambertw as scipy_lambertw
 
-from gwbounds.specfun import exp_e1, exp_integral_e1, lambert_w0
+from gwbounds.errors import DomainError
+from gwbounds.specfun import e1_cf_tail, exp_e1, exp_integral_e1, lambert_w0
 
 
 def w0_bisection_oracle(x: float) -> float:
@@ -71,3 +72,17 @@ def test_exp_e1_sandwich(x):
 @settings(max_examples=200, deadline=None)
 def test_exp_e1_consistent_with_e1(x):
     assert exp_e1(x) == pytest.approx(math.exp(x) * exp_integral_e1(x), rel=1e-11)
+
+
+@pytest.mark.parametrize("fn, x", [
+    (lambert_w0, math.nan), (lambert_w0, math.inf), (lambert_w0, -math.inf),
+    (lambert_w0, -0.5),
+    (exp_e1, math.nan), (exp_e1, math.inf), (exp_e1, 0.0),
+    (exp_integral_e1, math.nan), (exp_integral_e1, math.inf), (exp_integral_e1, -1.0),
+    (e1_cf_tail, math.nan), (e1_cf_tail, math.inf), (e1_cf_tail, 0.5),
+], ids=lambda v: v.__name__ if callable(v) else repr(v))
+def test_arguments_outside_the_domain_raise_domain_error(fn, x):
+    # Non-finite arguments too: they used to run the iterations to their cap
+    # and raise ConvergenceError.
+    with pytest.raises(DomainError):
+        fn(x)
