@@ -129,6 +129,12 @@ def test_thresholds_domain():
 # Classification
 # ---------------------------------------------------------------------------
 
+def test_classify_poisson_limit_proven():
+    d = bound_direction(gp_from_s(0.0, 0.1))
+    assert d.kind == UPPER_ON_S
+    assert not d.conjectured
+
+
 def test_classify_three_zones():
     th = gp_thresholds(0.1)
     assert bound_direction(gp_from_s(0.1, 0.1)).kind == UPPER_ON_S
@@ -171,11 +177,10 @@ def test_tiny_lambda_is_upper():
 
 
 def test_poisson_is_proven_upper_at_any_mean():
-    # lam = 0 is decided before the s <= 0.5 check: at s = 0.1 and at s = 1.
-    for model in (gp_from_s(0.0, 0.1), GeneralizedPoisson(mu=2.0, lam=0.0)):
-        d = bound_direction(model)
-        assert d.kind == UPPER_ON_S
-        assert not d.conjectured
+    # lam = 0 is decided before the s <= 0.5 check, so s = 1 is accepted.
+    d = bound_direction(GeneralizedPoisson(mu=2.0, lam=0.0))
+    assert d.kind == UPPER_ON_S
+    assert not d.conjectured
 
 
 def test_classify_s_domain():
