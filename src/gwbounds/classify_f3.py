@@ -34,14 +34,12 @@ class F3Class(Record):
     sign_profile: Tuple[int, int, int]  # sign of f at x = 0, P_inf/2, (P_inf+1)/2
 
 
-def _p0_r_gamma(p2, p3, sqrt=math.sqrt):
-    """(p0_r, p0_gamma) for floats, or elementwise for numpy arrays with
-    sqrt=np.sqrt."""
+def _p0_r_gamma(p2, p3):
     q = p2 + p3
-    p0_r = 0.5 - (q / (8.0 * p3)) * (q + sqrt(8.0 * p3 + q * q))
+    p0_r = 0.5 - (q / (8.0 * p3)) * (q + math.sqrt(8.0 * p3 + q * q))
     t = p2 + 3.0 * p3
     p0_gamma = 0.5 - (1.0 / (8.0 * p3)) * (
-        2.0 * q * q + t * sqrt(8.0 * p3 + t * t) - t * t)
+        2.0 * q * q + t * math.sqrt(8.0 * p3 + t * t) - t * t)
     return p0_r, p0_gamma
 
 
@@ -125,26 +123,45 @@ def classify_f3(model: FiniteThree) -> F3Class:
     )
 
 
-def f3_region_volumes(n_samples: int = 1_000_000, seed: int = 0) -> Tuple[float, float, float]:
-    """Monte-Carlo fractions of the admissible region occupied by the three
-    classes, in the order (LowerBoundOnP, Switches, UpperBoundOnP).
+def _gauss_legendre(n: int):
+    """(node, weight) pairs of the n-point Gauss-Legendre rule on [-1, 1]."""
+    rule = []
+    for i in range(1, n + 1):
+        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(6):  # Newton's method on the Legendre recurrence
+            p_prev, p = 1.0, x
+            for k in range(2, n + 1):
+                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+            dp = n * (x * p - p_prev) / (x * x - 1.0)
+            x -= p / dp
+        rule.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
+    return rule
 
-    Reference values at large n_samples: approximately (0.866, 0.102, 0.032).
-    """
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
-    import numpy as np  # here only: numpy takes ~0.15 s to import
 
-    rng = np.random.default_rng(seed)
-    p0 = rng.random(n_samples)
-    p2 = rng.random(n_samples)
-    p3 = rng.random(n_samples)
-    in_region = (p0 > 0) & (p3 > 0) & (p0 + p2 + p3 <= 1.0) & (p0 < p2 + 2.0 * p3)
-    p0, p2, p3 = p0[in_region], p2[in_region], p3[in_region]
-    p0_r, p0_gamma = _p0_r_gamma(p2, p3, np.sqrt)
-    total = p0.size
-    if total == 0:
-        raise DomainError("no samples fell in the admissible region")
-    lower = np.count_nonzero(p0 >= p0_r)
-    upper = np.count_nonzero(p0 <= p0_gamma)
-    return (lower / total, (total - lower - upper) / total, upper / total)
+def f3_region_volumes() -> Tuple[float, float, float]:
+    """Exact shares of the admissible region (0 < p0 < p2 + 2*p3, p3 > 0,
+    p0 + p2 + p3 <= 1; volume 5/36) in (LowerBoundOnP, Switches, UpperBoundOnP).
+    With p3 = v^2 and p2 + p3 = u*v, p0 < top = min(1 - u*v, u*v + v^2), p0_r
+    depends on u alone and is <= 0 for u >= 1, and a threshold's volume is the
+    integral of 2v^2 * clamp(threshold, 0, top) over 0 < v < u < 1."""
+    rule = _gauss_legendre(8)  # within 1e-15 of 24 nodes
+
+    def gauss(f, a, b):
+        h, c = (b - a) / 2.0, (b + a) / 2.0
+        return h * sum(w * f(c + h * x) for x, w in rule)
+
+    # Below v, clamp = top = u*v + v^2, and u*v^4/2 + 2v^5/5 integrates it.
+    def not_lower(u):  # p0_r stays below 1 - u*v and meets u*v + v^2 at v
+        r = _p0_r_gamma(0.0, u * u)[0]
+        v = min((math.sqrt(u * u + 4.0 * r) - u) / 2.0, u)
+        return u * v ** 4 / 2.0 + 0.4 * v ** 5 + 2.0 * r * (u ** 3 - v ** 3) / 3.0
+
+    def upper(u):  # p0_gamma >= u*v + v^2 for v < a, and 0 < p0_gamma < top for a < v < b
+        a, b = min((1.0 - u) / 2.0, u), min((1.0 - u * u) / u, u)
+        return u * a ** 4 / 2.0 + 0.4 * a ** 5 + gauss(
+            lambda v: 2.0 * v * v * _p0_r_gamma(u * v - v * v, v * v)[1], a, b)
+
+    cuts = (0.0, 1.0 / 3.0, math.sqrt(1.0 / 6.0), math.sqrt(0.5), 1.0)  # a, v or b reach u
+    out, up = (sum(gauss(f, lo, hi) for lo, hi in zip(cuts, cuts[1:])) for f in (not_lower, upper))
+    total = 5.0 / 36.0
+    return ((total - out) / total, (out - up) / total, up / total)

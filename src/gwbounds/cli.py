@@ -393,8 +393,7 @@ def figure2(args):
 
 
 def figure3_volumes(args):
-    fracs = f3_region_volumes(args.samples, args.seed)
-    return ["lower_bound_on_p", "switches", "upper_bound_on_p"], [list(fracs)]
+    return ["lower_bound_on_p", "switches", "upper_bound_on_p"], [list(f3_region_volumes())]
 
 
 def figure4(args):
@@ -490,8 +489,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figdata", help="emit plot-ready figure data")
     p_fig.add_argument("fig", choices=list(FIGURES))
-    p_fig.add_argument("--samples", type=int, default=1_000_000)
-    p_fig.add_argument("--seed", type=int, default=0)
+    for flag in ("--samples", "--seed"):
+        p_fig.add_argument(flag, type=int, help="ignored: the 3-volumes shares are exact")
     _add_output_flags(p_fig)
     p_fig.set_defaults(func=lambda args: FIGURES[args.fig](args))
 

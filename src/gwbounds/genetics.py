@@ -53,6 +53,7 @@ class TraitModel(Record):
             raise DomainError(f"alpha must be > 0, got {self.alpha!r}")
         if not self.s_sel > 0.0:
             raise DomainError(f"s_sel must be > 0, got {self.s_sel!r}")
+        self._require_index("pop_size")
         if self.pop_size < 2:
             raise DomainError(f"pop_size must be >= 2, got {self.pop_size!r}")
         self._require_finite()
@@ -70,6 +71,7 @@ class WFModel(Record):
     effective_size: float
 
     def _validate(self):
+        self._require_index("pop_size")
         if self.pop_size < 2:
             raise DomainError(f"pop_size must be >= 2, got {self.pop_size!r}")
         if not self.s_sel > 0.0:

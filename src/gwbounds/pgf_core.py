@@ -46,6 +46,11 @@ class Record:
     def _validate(self) -> None:
         """Raise DomainError where the field values leave the domain."""
 
+    def _require_index(self, name: str) -> None:
+        if not hasattr(type(getattr(self, name)), "__index__"):  # as operator.index
+            raise DomainError(f"{type(self).__name__} requires an integer {name}, "
+                              f"got {getattr(self, name)!r}")
+
     def _require_finite(self) -> None:
         for name in self._fields:
             value = getattr(self, name)
@@ -159,6 +164,7 @@ class Binomial(_Family):
     p: float
 
     def _validate(self):
+        self._require_index("n")
         if self.n < 2:
             raise DomainError(f"Binomial requires n >= 2, got {self.n!r}")
         if not 0.0 < self.p < 1.0:
@@ -191,6 +197,7 @@ class NegBinomial(_Family):
     p: float
 
     def _validate(self):
+        self._require_index("r")
         if self.r < 1:
             raise DomainError(f"NegBinomial requires r >= 1, got {self.r!r}")
         if not 0.0 < self.p < 1.0:

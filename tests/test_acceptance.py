@@ -494,12 +494,12 @@ def test_criterion_6_gp_thresholds():
 
 def test_criterion_7_region_volumes():
     failures = []
-    lower, switches, upper = f3_region_volumes(1_000_000, seed=0)
+    lower, switches, upper = f3_region_volumes()
     for name, got, want in (("lower", lower, 0.866), ("switches", switches, 0.102),
                             ("upper", upper, 0.032)):
         if not close(got, want, 0.005):
             failures.append(f"{name}: got {got:.4f}, want {want}+-0.005")
-    report(7, failures, "Monte-Carlo region volumes at 1e6 samples")
+    report(7, failures, "exact region volumes")
 
 
 # ---------------------------------------------------------------------------

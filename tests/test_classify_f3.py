@@ -1,7 +1,7 @@
 """Classification of three-child offspring distributions: thresholds, region
 assignment versus a direct sign scan of phi - phi_FL against the matching
 fractional-linear law, bound_direction versus its definition on 50-digit
-iterates, the factored f, and Monte-Carlo region volumes."""
+iterates, the factored f, and the region volumes against a scipy quadrature."""
 
 import json
 import math
@@ -9,6 +9,7 @@ import random
 
 import mpmath
 import pytest
+from scipy.integrate import quad
 
 from gwbounds.cli import main
 from gwbounds.classify_f3 import (
@@ -434,20 +435,48 @@ def test_sign_values_default_probes():
         assert classify(p0, p2, p3).sign_profile == tuple(1 if d > 0 else -1 for d in direct)
 
 
+def quad_region_volumes():
+    """(LowerBoundOnP, Switches, UpperBoundOnP) shares by nested scipy quad in
+    (p2, p3): p0 is integrated exactly, as the length of its interval below
+    min(1 - p2 - p3, p2 + 2*p3), whose branches meet at p2 = (1 - 3*p3)/2.
+    p0_r > 0 only where p2 < sqrt(p3) - p3."""
+    def p0_r(p2, p3):
+        q = p2 + p3
+        return 0.5 - q * (q + math.sqrt(8.0 * p3 + q * q)) / (8.0 * p3)
+
+    def p0_gamma(p2, p3):
+        q, t = p2 + p3, p2 + 3.0 * p3
+        return 0.5 - (2.0 * q * q + t * math.sqrt(8.0 * p3 + t * t) - t * t) / (8.0 * p3)
+
+    def volume(threshold):
+        """Volume of {0 < p0 < threshold} in the admissible region, or of the
+        whole region when threshold is None."""
+        def area(p3):
+            def length(p2):
+                top = min(1.0 - p2 - p3, p2 + 2.0 * p3)
+                return top if threshold is None else min(max(threshold(p2, p3), 0.0), top)
+            kinks = [k for k in ((1.0 - 3.0 * p3) / 2.0, math.sqrt(p3) - p3) if 0.0 < k < 1.0 - p3]
+            return quad(length, 0.0, 1.0 - p3, points=kinks or None,
+                        epsabs=1e-11, epsrel=1e-10, limit=200)[0]
+        return quad(area, 0.0, 1.0, epsabs=1e-11, epsrel=1e-10, limit=200)[0]
+
+    total, not_lower, upper = volume(None), volume(p0_r), volume(p0_gamma)
+    assert total == pytest.approx(5.0 / 36.0, abs=1e-12)
+    return ((total - not_lower) / total, (not_lower - upper) / total, upper / total)
+
+
 def test_region_volumes():
-    lower, switches, upper = f3_region_volumes(100_000, seed=0)
-    assert lower + switches + upper == pytest.approx(1.0, abs=1e-12)
-    assert lower == pytest.approx(0.866, abs=0.005)
-    assert switches == pytest.approx(0.102, abs=0.005)
-    assert upper == pytest.approx(0.032, abs=0.005)
-
-
-def test_region_volumes_deterministic():
-    assert f3_region_volumes(5000, seed=7) == f3_region_volumes(5000, seed=7)
+    # The oracle's own error is about 3e-10, at a kink of min(p0_r, top)
+    # that it does not split at.
+    volumes = f3_region_volumes()
+    assert sum(volumes) == pytest.approx(1.0, abs=1e-15)
+    for got, want in zip(volumes, quad_region_volumes()):
+        assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_region_volumes_match_pointwise_classifier():
-    # The vectorized volume computation and classify_f3 must agree.
+    # f3_region_volumes integrates the regions as p0 >= p0_r and
+    # p0 <= p0_gamma; classify_f3 must draw them the same way.
     rng = random.Random(5)
     for p0, p2, p3 in sample_region(rng, 300):
         th = thresholds_f3(p2, p3)

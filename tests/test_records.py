@@ -170,3 +170,15 @@ def test_non_finite_parameters_are_domain_errors(record, message):
     with pytest.raises(DomainError) as info:
         record()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("record, message", [
+    (lambda: Binomial(n=5.5, p=0.3), "Binomial requires an integer n, got 5.5"),
+    (lambda: NegBinomial(r=2.5, p=0.3), "NegBinomial requires an integer r, got 2.5"),
+    (lambda: WFModel(100.0, 0.1, 100.0), "WFModel requires an integer pop_size, got 100.0"),
+    (lambda: TraitModel(1, 1, 0.1, 100.5), "TraitModel requires an integer pop_size, got 100.5"),
+], ids=["binomial", "negbinomial", "wf", "trait"])
+def test_non_integer_sizes_are_domain_errors(record, message):
+    with pytest.raises(DomainError) as info:
+        record()
+    assert str(info.value) == message
