@@ -360,7 +360,7 @@ def cmd_genetics(args):
         ["vg_inf_simple", asymptotic.simple],
         ["delta_mean", asymptotic.delta_mean],
         ["wf_fix_diffusion", wf_fixation_diffusion(wf)],
-        ["wf_fix_improved", wf_fixation_a(args.N, s_sel)],
+        ["wf_fix_improved", wf_fixation_a(wf)],
     ]
     if args.tau is not None:
         rows.insert(1, ["vg_tau", vg_tau(tm, model, args.tau)])
@@ -369,7 +369,7 @@ def cmd_genetics(args):
     return header, rows
 
 
-def figure1(args):
+def figure1():
     rows = []
     for i in range(101, 301):
         m = i / 100.0
@@ -379,7 +379,7 @@ def figure1(args):
     return ["m", "pi", "rho", "p_inf"], rows
 
 
-def figure2(args):
+def figure2():
     s = 0.3
     lams = (0.30, 0.3145)
     header = ["x"] + [f"f_lambda_{lam:g}" for lam in lams]
@@ -392,11 +392,11 @@ def figure2(args):
     return header, rows
 
 
-def figure3_volumes(args):
+def figure3_volumes():
     return ["lower_bound_on_p", "switches", "upper_bound_on_p"], [list(f3_region_volumes())]
 
 
-def figure4(args):
+def figure4():
     s = 0.1
     lams = (0.0, 0.1, 0.276, 0.5, 0.9)
     header = ["n"] + [f"relerr_lambda_{lam:g}" for lam in lams]
@@ -492,7 +492,7 @@ def make_parser() -> argparse.ArgumentParser:
     for flag in ("--samples", "--seed"):
         p_fig.add_argument(flag, type=int, help="ignored: the 3-volumes shares are exact")
     _add_output_flags(p_fig)
-    p_fig.set_defaults(func=lambda args: FIGURES[args.fig](args))
+    p_fig.set_defaults(func=lambda args: FIGURES[args.fig]())
 
     return parser
 

@@ -123,8 +123,6 @@ def agresti_pi_poisson(m: float) -> float:
 
     which decreases on [0, 1). Its infimum, the limit at x -> 1-, gives the
     other side, which is Pollak's bound (sn_pollak_bound)."""
-    if not m > 1.0:
-        raise DomainError(f"m must be > 1, got {m!r}")
     model = Poisson(m=m)
     fp = extinction_probability(model)
     return (pgf_eval(model, 0.0) / fp.p_inf - 1.0 + fp.gamma) / fp.gamma

@@ -139,14 +139,11 @@ def vg_tau(tm: TraitModel, model: OffspringModel, tau: float) -> float:
     return tm.theta_mut * tm.alpha ** 2 * total
 
 
-def v1_inf(n_pop: int, s_alpha: float, s_inf: float) -> float:
+def v1_inf(tm: TraitModel, s_inf: float) -> float:
     """Total variance (per alpha^2) contributed by a single mutant sweeping to
     fixation: N*S_inf*e^(N*S_inf)*E1(N*S_inf) / (s*alpha)."""
-    if not (n_pop >= 2 and 0.0 < s_inf < 1.0 and s_alpha > 0.0):
-        raise DomainError(
-            f"require n_pop >= 2, s_inf in (0,1), s_alpha > 0, got ({n_pop}, {s_inf}, {s_alpha})")
-    z = n_pop * s_inf
-    return z * exp_e1(z) / s_alpha
+    z = tm.pop_size * s_inf
+    return z * exp_e1(z) / (tm.s_sel * tm.alpha)
 
 
 def vg_inf(tm: TraitModel, model: OffspringModel) -> VGInf:
@@ -157,15 +154,13 @@ def vg_inf(tm: TraitModel, model: OffspringModel) -> VGInf:
     NaN for models without a series family (e.g. three-offspring models)."""
     fp = extinction_probability(model)
     sa = tm.s_sel * tm.alpha
-    v1 = v1_inf(tm.pop_size, sa, fp.s_inf)
+    v1 = v1_inf(tm, fp.s_inf)
     lead = tm.theta_mut * fp.s_inf * tm.alpha ** 2 * v1
-    simple = float("nan")
-    delta_mean = float("nan")
     try:
         coeffs = sinf_series(model.mu_table())
     except DomainError:
-        coeffs = None
-    if coeffs is not None:
+        simple = delta_mean = float("nan")
+    else:
         factor = coeffs.theta * (1.0 - coeffs.delta2 * sa)
         simple = tm.theta_mut * tm.alpha ** 2 * factor
         delta_mean = tm.theta_mut * coeffs.theta * tm.s_sel * tm.alpha ** 2 \
@@ -184,22 +179,20 @@ def wf_fixation_diffusion(wf: WFModel) -> float:
     return -math.expm1(-2.0 * s * ne / n) / -math.expm1(-2.0 * s * ne)
 
 
-def wf_fixation_a(n_pop: int, s: float) -> float:
+def wf_fixation_a(wf: WFModel) -> float:
     """Exponential-form approximation (1 - exp(-A))/(1 - exp(-A*N)) with
     A = 2s + a2*s^2, a2 = -2/3 - 1/(3*N*s), which matches the exact series
     2s - (8/3 + 1/(3Ns))s^2 + ... for large N*s; the first term it misses,
     (4/9)s^3, leaves a relative error of about (2/9)s^2 (the approximation
     is low).  With a2 = 0 it would be the diffusion approximation with
-    effective_size = pop_size."""
-    if not s > 0.0:
-        raise DomainError(f"s must be > 0, got {s!r}")
-    if n_pop < 2:
-        raise DomainError(f"n_pop must be >= 2, got {n_pop!r}")
-    a2 = -2.0 / 3.0 - 1.0 / (3.0 * n_pop * s)
+    effective_size = pop_size (not read here).  It requires A > 0."""
+    n, s = wf.pop_size, wf.s_sel
+    a2 = -2.0 / 3.0 - 1.0 / (3.0 * n * s)
     a_val = 2.0 * s + a2 * s * s
-    if a_val == 0.0:
-        raise DomainError("A(s) must be nonzero")
-    return -math.expm1(-a_val) / -math.expm1(-a_val * n_pop)
+    if not a_val > 0.0:
+        raise DomainError(f"wf_fixation_a requires A = 2s - (2/3 + 1/(3Ns))s^2 > 0, that is "
+                          f"s_sel < 3 - 1/(2N), got s_sel = {s!r} at pop_size = {n!r}")
+    return -math.expm1(-a_val) / -math.expm1(-a_val * n)
 
 
 # Largest population the exact absorption solve accepts. The banded solve
@@ -259,7 +252,7 @@ def wf_fixation_exact(wf: WFModel) -> float:
     psi = x(1+s)/(1+s*x), x = i/N, and the next generation is
     Binomial(N, psi).  Solves the (N-1)-dimensional absorption system
     (I - P) q = P[:, N] over the interior states, for N up to
-    WF_EXACT_MAX_N.
+    WF_EXACT_MAX_N and psi < 1 in floating point (s_sel*N below about 1e16).
 
     binom.pmf builds each row of P on a window around its mode, dropping at
     most WINDOW_TAIL of its mass; that moves q by at most WINDOW_TAIL times
@@ -277,6 +270,9 @@ def wf_fixation_exact(wf: WFModel) -> float:
     np = _numpy()
     x = np.arange(1, n) / n           # interior states
     psi = x * (1.0 + s) / (1.0 + s * x)
+    if not psi.max() < 1.0:  # binom.pmf divides by 1 - psi
+        raise DomainError(f"s_sel = {s!r} is too large for the exact solve at "
+                          f"pop_size = {n!r}: a sampling probability psi rounds to 1")
     start, rows = binom.pmf(n, psi)
     width = rows.shape[1]
     offset = start - np.arange(1, n)  # first window state less the row's state

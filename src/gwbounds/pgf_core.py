@@ -116,8 +116,8 @@ class FixedPoint(Record):
 
 class _Family(Record):
     """Defaults shared by the families. Each family is a Record whose fields
-    are its parameters only; it defines pgf(x) for x in [0, 1] and
-    derivative(x, order) for order in {1, 2, 3} and x <= 1."""
+    are its parameters only; it defines _check() for its own domain, pgf(x)
+    for x in [0, 1] and derivative(x, order) for order in {1, 2, 3} and x <= 1."""
 
     def closed_p_inf(self) -> Optional[float]:
         """P_inf in closed form, or None when it takes a root solve."""
@@ -127,23 +127,28 @@ class _Family(Record):
         """Mu table of the s-family through this model (mean 1 + s, s varying)."""
         raise DomainError(f"no mu table for {self!r}")
 
-    def _require_p0(self) -> None:
-        """phi(0) > 0 in floating point: where it underflows to 0, so do P_inf
-        and gamma, and the bounds divide by them."""
+    def _validate(self) -> None:
+        # Last, phi(0) > 0 in floating point: where it underflows to 0, so do
+        # P_inf and gamma, and the bounds divide by them.
+        self._check()
+        self._require_finite()
         p0 = self.pgf(0.0)
         if not p0 > 0.0:
             raise DomainError(f"{type(self).__name__} requires phi(0) > 0, "
                               f"got phi(0) = {p0!r} (underflow) for {self!r}")
 
 
+def _scaled_mu(a: float, b: float, c: float) -> MuDerivatives:
+    """The mu table (a, 2a, 2a, b, 3b, c) of the Poisson, binomial and NB s-families."""
+    return MuDerivatives(mu20=a, mu21=2.0 * a, mu22=2.0 * a, mu30=b, mu31=3.0 * b, mu40=c)
+
+
 class Poisson(_Family):
     m: float
 
-    def _validate(self):
+    def _check(self):
         if not self.m > 1.0:
             raise DomainError(f"Poisson requires mean m > 1, got {self.m!r}")
-        self._require_finite()
-        self._require_p0()
 
     def pgf(self, x: float) -> float:
         return math.exp(-self.m * (1.0 - x))
@@ -156,14 +161,14 @@ class Poisson(_Family):
         return -lambert_w0(-m * math.exp(-m)) / m
 
     def mu_table(self) -> MuDerivatives:
-        return MuDerivatives(mu20=1.0, mu21=2.0, mu22=2.0, mu30=1.0, mu31=3.0, mu40=1.0)
+        return _scaled_mu(1.0, 1.0, 1.0)
 
 
 class Binomial(_Family):
     n: int
     p: float
 
-    def _validate(self):
+    def _check(self):
         self._require_index("n")
         if self.n < 2:
             raise DomainError(f"Binomial requires n >= 2, got {self.n!r}")
@@ -171,8 +176,6 @@ class Binomial(_Family):
             raise DomainError(f"Binomial requires p in (0,1), got {self.p!r}")
         if not self.n * self.p > 1.0:
             raise DomainError(f"Binomial requires mean n*p > 1, got {self.n * self.p!r}")
-        self._require_finite()
-        self._require_p0()
 
     def pgf(self, x: float) -> float:
         return (1.0 - self.p + self.p * x) ** self.n
@@ -186,17 +189,15 @@ class Binomial(_Family):
 
     def mu_table(self) -> MuDerivatives:
         n = self.n
-        a = (n - 1) / n
-        b = (n - 1) * (n - 2) / n ** 2
-        c = (n - 1) * (n - 2) * (n - 3) / n ** 3
-        return MuDerivatives(mu20=a, mu21=2.0 * a, mu22=2.0 * a, mu30=b, mu31=3.0 * b, mu40=c)
+        return _scaled_mu((n - 1) / n, (n - 1) * (n - 2) / n ** 2,
+                          (n - 1) * (n - 2) * (n - 3) / n ** 3)
 
 
 class NegBinomial(_Family):
     r: int
     p: float
 
-    def _validate(self):
+    def _check(self):
         self._require_index("r")
         if self.r < 1:
             raise DomainError(f"NegBinomial requires r >= 1, got {self.r!r}")
@@ -204,8 +205,6 @@ class NegBinomial(_Family):
             raise DomainError(f"NegBinomial requires p in (0,1), got {self.p!r}")
         if not self.r * (1.0 - self.p) / self.p > 1.0:
             raise DomainError("NegBinomial requires mean r(1-p)/p > 1")
-        self._require_finite()
-        self._require_p0()
 
     def pgf(self, x: float) -> float:
         return self.p ** self.r / (1.0 - (1.0 - self.p) * x) ** self.r
@@ -218,10 +217,8 @@ class NegBinomial(_Family):
 
     def mu_table(self) -> MuDerivatives:
         r = self.r
-        a = (r + 1) / r
-        b = (r + 1) * (r + 2) / r ** 2
-        c = (r + 1) * (r + 2) * (r + 3) / r ** 3
-        return MuDerivatives(mu20=a, mu21=2.0 * a, mu22=2.0 * a, mu30=b, mu31=3.0 * b, mu40=c)
+        return _scaled_mu((r + 1) / r, (r + 1) * (r + 2) / r ** 2,
+                          (r + 1) * (r + 2) * (r + 3) / r ** 3)
 
 
 class FractionalLinear(_Family):
@@ -230,14 +227,13 @@ class FractionalLinear(_Family):
     pi: float
     rho: float
 
-    def _validate(self):
+    def _check(self):
         if not 0.0 < self.pi < 1.0:
             raise DomainError(f"FractionalLinear requires pi in (0,1), got {self.pi!r}")
         if not 0.0 < self.rho < 1.0:
             raise DomainError(f"FractionalLinear requires rho in (0,1), got {self.rho!r}")
         if not self.rho < self.pi:
             raise DomainError("FractionalLinear requires rho < pi (supercritical)")
-        self._require_finite()
 
     @property
     def m(self) -> float:
@@ -284,7 +280,7 @@ class FiniteThree(_Family):
     p2: float
     p3: float
 
-    def _validate(self):
+    def _check(self):
         probs = (self.p0, self.p1, self.p2, self.p3)
         if any(p < 0.0 for p in probs):
             raise DomainError("FiniteThree probabilities must be >= 0")
@@ -297,7 +293,6 @@ class FiniteThree(_Family):
         mean = 1.0 - self.p0 + self.p2 + 2.0 * self.p3
         if not mean > 1.0:
             raise DomainError(f"FiniteThree requires mean > 1, got {mean!r}")
-        self._require_finite()
 
     def pgf(self, x: float) -> float:
         return self.p0 + self.p1 * x + self.p2 * x * x + self.p3 * x ** 3
@@ -321,13 +316,15 @@ class FiniteThree(_Family):
 # and t''' follows by logarithmic differentiation of t''.
 
 def _gp_t(x: float, lam: float) -> float:
-    if x == 0.0:
-        return 0.0
+    if x == 0.0 or lam == 0.0:  # t(x) = x at lambda = 0 (Poisson)
+        return x
     return -lambert_w0(-x * lam * math.exp(-lam)) / lam
 
 
 def _gp_t_derivs(x: float, lam: float):
-    """Return (t, t', t'', t''') at x for the given lambda > 0."""
+    """Return (t, t', t'', t''') at x."""
+    if lam == 0.0:
+        return x, 1.0, 0.0, 0.0
     if x == 0.0:
         e = math.exp(-lam)
         return 0.0, e, 2.0 * lam * e * e, 9.0 * lam * lam * e ** 3
@@ -344,26 +341,20 @@ class GeneralizedPoisson(_Family):
     mu: float
     lam: float
 
-    def _validate(self):
+    def _check(self):
         if not 0.0 <= self.lam < 1.0:
             raise DomainError(f"GeneralizedPoisson requires lambda in [0,1), got {self.lam!r}")
         if not self.mu > 0.0:
             raise DomainError(f"GeneralizedPoisson requires mu > 0, got {self.mu!r}")
         if not self.mu / (1.0 - self.lam) > 1.0:
             raise DomainError("GeneralizedPoisson requires mean mu/(1-lambda) > 1")
-        self._require_finite()
-        self._require_p0()
 
     def pgf(self, x: float) -> float:
-        if self.lam == 0.0:
-            return math.exp(-self.mu * (1.0 - x))
         return math.exp(self.mu * (_gp_t(x, self.lam) - 1.0))
 
     def derivative(self, x: float, order: int) -> float:
-        mu, lam = self.mu, self.lam
-        if lam == 0.0:
-            return mu ** order * math.exp(-mu * (1.0 - x))
-        t, t1, t2, t3 = _gp_t_derivs(x, lam)
+        mu = self.mu
+        t, t1, t2, t3 = _gp_t_derivs(x, self.lam)
         phi = math.exp(mu * (t - 1.0))
         if order == 1:
             return phi * mu * t1

@@ -86,8 +86,7 @@ def beta_bound(model: OffspringModel) -> float:
 
 
 def _beta(mom: Moments) -> float:
-    if not mom.b > 0.0:
-        raise DomainError(f"phi''(1) must be > 0, got {mom.b!r}")
+    # phi''(1) > 0 for every admissible law (F3: p0 + p1 < 1).
     return 2.0 * (mom.m - 1.0) / mom.b
 
 

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 import gwbounds
@@ -491,6 +492,33 @@ def test_genetics_nonpositive_alpha_is_a_domain_error(alpha, capsys):
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": "domain",
                                "message": f"alpha must be > 0, got {float(alpha)!r}"}
+
+
+@pytest.mark.parametrize("s_sel", ["3", "5"])
+def test_genetics_beyond_the_improved_fixation_form_is_a_domain_error(s_sel, capsys):
+    # wf_fixation_a needs A > 0, that is s < 3 - 1/(2N); past it the form
+    # is no probability (s = 3) or overflows (s = 5).
+    code, out, err = run_cli(capsys, "genetics", "--dist", "poisson", "--m", "1.1",
+                             "--N", "1000", "--s", s_sel)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload == {"error": "domain", "message": (
+        "wf_fixation_a requires A = 2s - (2/3 + 1/(3Ns))s^2 > 0, that is "
+        f"s_sel < 3 - 1/(2N), got s_sel = {float(s_sel)!r} at pop_size = 1000")}
+
+
+def test_genetics_survival_probability_that_rounds_to_one(capsys):
+    # At m = 40, P_inf is about 4e-18, so S_inf rounds to 1, an admissible
+    # value: V1_inf is z e^z E1(z) / s at z = N = 100.
+    code, out, err = run_cli(capsys, "genetics", "--dist", "poisson", "--m", "40",
+                             "--N", "100", "--s", "0.1", "--digits", "17")
+    assert code == 0 and err == ""
+    rows = {r[0]: float(r[1]) for r in parse_csv(out)[1:]}
+    assert rows["s_inf"] == 1.0
+    with mpmath.workdps(50):
+        expected = 100 * mpmath.exp(100) * mpmath.e1(100) / mpmath.mpf(0.1)
+    assert rows["v1_inf"] == pytest.approx(float(expected), rel=1e-14)
 
 
 def test_digits_flag_controls_precision(capsys):

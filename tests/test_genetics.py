@@ -183,9 +183,9 @@ def test_vg_tau_domain():
 def test_v1_inf_against_scipy():
     for n_pop, s_inf, sa in ((1000, 0.1813, 0.1), (100, 0.4, 0.2)):
         z = n_pop * s_inf
-        expected = z * math.exp(z) * float(scipy_exp1(z)) / sa if z < 700 else None
-        if z < 700:
-            assert v1_inf(n_pop, sa, s_inf) == pytest.approx(expected, rel=1e-10)
+        expected = z * math.exp(z) * float(scipy_exp1(z)) / sa
+        tm = TraitModel(theta_mut=1.0, alpha=1.0, s_sel=sa, pop_size=n_pop)
+        assert v1_inf(tm, s_inf) == pytest.approx(expected, rel=1e-10)
 
 
 def test_vg_inf_poisson_anchors():
@@ -384,9 +384,17 @@ def test_wf_exact_size_cap():
                                   effective_size=float(WF_EXACT_MAX_N + 1)))
 
 
+def test_wf_exact_rejects_a_sampling_probability_that_rounds_to_one():
+    # psi = x(1+s)/(1+sx) at x = 99/100 rounds to 1 at s = 1e15, and the
+    # rows divide by 1 - psi: a nan, not a number, would come out.
+    with pytest.raises(DomainError, match=r"s_sel = 1000000000000000\.0 is too large"):
+        wf_fixation_exact(WFModel(100, 1e15, 100.0))
+    assert wf_fixation_exact(WFModel(100, 1e14, 100.0)) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_wf_fixation_a_anchors():
-    assert wf_fixation_a(1000, 0.1) == pytest.approx(0.1758, abs=1e-4)
-    assert wf_fixation_a(100, 0.1) == pytest.approx(0.1755, abs=1e-4)
+    assert wf_fixation_a(WFModel(1000, 0.1, 1000.0)) == pytest.approx(0.1758, abs=1e-4)
+    assert wf_fixation_a(WFModel(100, 0.1, 100.0)) == pytest.approx(0.1755, abs=1e-4)
 
 
 def test_wf_fixation_a_default_tracks_exact():
@@ -395,7 +403,7 @@ def test_wf_fixation_a_default_tracks_exact():
     for n, s in ((100, 0.1), (1000, 0.1), (1000, 0.05)):
         wf = WFModel(pop_size=n, s_sel=s, effective_size=float(n))
         exact = wf_fixation_exact(wf)
-        refined = wf_fixation_a(n, s)
+        refined = wf_fixation_a(wf)
         diffusion = wf_fixation_diffusion(wf)
         assert abs(refined - exact) < abs(diffusion - exact)
         assert refined == pytest.approx(exact, rel=3e-3)
@@ -407,11 +415,22 @@ def test_wf_fixation_a_reduces_to_diffusion():
     n, s = 200, 0.1
     a_val = 2.0 * s + (-2.0 / 3.0 - 1.0 / (3.0 * n * s)) * s * s
     wf = WFModel(pop_size=n, s_sel=a_val / 2.0, effective_size=float(n))
-    assert wf_fixation_a(n, s) == pytest.approx(wf_fixation_diffusion(wf), rel=1e-13)
+    assert wf_fixation_a(WFModel(n, s, float(n))) == \
+        pytest.approx(wf_fixation_diffusion(wf), rel=1e-13)
 
 
 def test_wf_fixation_a_domain():
-    with pytest.raises(DomainError):
-        wf_fixation_a(1000, 0.0)
-    with pytest.raises(DomainError):
-        wf_fixation_a(1, 0.1)
+    # s_sel > 0 and N >= 2 are WFModel's; A = 2s - (2/3 + 1/(3Ns))s^2 > 0,
+    # that is s < 3 - 1/(2N), is the form's own. Past it the form reads 5.8e-4
+    # at N = 1000, s = 3, where the exact solve gives 0.980, and overflows.
+    with pytest.raises(DomainError, match="s_sel must be > 0"):
+        wf_fixation_a(WFModel(1000, 0.0, 1000.0))
+    with pytest.raises(DomainError, match="pop_size must be >= 2"):
+        wf_fixation_a(WFModel(1, 0.1, 1.0))
+    assert wf_fixation_a(WFModel(1000, 2.9994, 1000.0)) > 0.0
+    for n, s in ((1000, 2.9996), (1000, 3.0), (1000, 5.0), (2, 2.75), (2, 1e300)):
+        with pytest.raises(DomainError) as info:
+            wf_fixation_a(WFModel(n, s, float(n)))
+        assert str(info.value) == ("wf_fixation_a requires A = 2s - (2/3 + 1/(3Ns))s^2 > 0, "
+                                   f"that is s_sel < 3 - 1/(2N), got s_sel = {s!r} "
+                                   f"at pop_size = {n!r}")

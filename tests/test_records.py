@@ -182,3 +182,30 @@ def test_non_integer_sizes_are_domain_errors(record, message):
     with pytest.raises(DomainError) as info:
         record()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("record, message", [
+    (lambda: MuDerivatives(1.0, 2.0, 2.0, -1.0, 3.0, 1.0), "mu30 must be >= 0, got -1.0"),
+    (lambda: Binomial(n=5, p=1.5), "Binomial requires p in (0,1), got 1.5"),
+    (lambda: Binomial(n=2, p=0.3), "Binomial requires mean n*p > 1, got 0.6"),
+    (lambda: NegBinomial(r=0, p=0.3), "NegBinomial requires r >= 1, got 0"),
+    (lambda: NegBinomial(r=5, p=1.0), "NegBinomial requires p in (0,1), got 1.0"),
+    (lambda: NegBinomial(r=1, p=0.6), "NegBinomial requires mean r(1-p)/p > 1"),
+    (lambda: FractionalLinear(pi=0.5, rho=0.0),
+     "FractionalLinear requires rho in (0,1), got 0.0"),
+    (lambda: FiniteThree(p0=0.0, p1=0.5, p2=0.3, p3=0.2), "FiniteThree requires p0 > 0"),
+    (lambda: FiniteThree(p0=0.5, p1=0.5, p2=0.0, p3=0.0), "FiniteThree requires p0 + p1 < 1"),
+    (lambda: GeneralizedPoisson(mu=0.0, lam=0.5),
+     "GeneralizedPoisson requires mu > 0, got 0.0"),
+    (lambda: TraitModel(1.0, 1.0, 0.0, 100), "s_sel must be > 0, got 0.0"),
+    (lambda: TraitModel(1.0, 1.0, 0.1, 1), "pop_size must be >= 2, got 1"),
+    (lambda: WFModel(1, 0.1, 1.0), "pop_size must be >= 2, got 1"),
+    (lambda: WFModel(100, 0.0, 100.0), "s_sel must be > 0, got 0.0"),
+    (lambda: WFModel(100, 0.1, 0.0), "effective_size must be > 0, got 0.0"),
+], ids=["mu30", "binomial_p", "binomial_mean", "negbinomial_r", "negbinomial_p",
+        "negbinomial_mean", "fl_rho", "f3_p0", "f3_p0_p1", "gp_mu", "trait_s_sel",
+        "trait_pop_size", "wf_pop_size", "wf_s_sel", "wf_effective_size"])
+def test_out_of_domain_parameters_are_domain_errors(record, message):
+    with pytest.raises(DomainError) as info:
+        record()
+    assert str(info.value) == message
