@@ -189,7 +189,8 @@ def switch_generation(model: OffspringModel) -> Optional[int]:
     prev_sign = 0
     iterates = islice(extinction_iterates(model), 1, SWITCH_N_MAX + 1)
     for n, x in enumerate(iterates, start=1):
-        diff = x - (fp.p_inf * (1.0 - fp.gamma ** n) / (1.0 - fp.gamma ** n * fp.p_inf))
+        gn = fp.gamma ** n
+        diff = x - (fp.p_inf * (1.0 - gn) / (1.0 - gn * fp.p_inf))
         if abs(diff) <= 1e-15:
             continue
         sign = 1 if diff > 0.0 else -1

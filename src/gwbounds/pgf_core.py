@@ -11,7 +11,7 @@ arguments and delegate to the model. All operations are pure.
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import ConvergenceError, DomainError
@@ -315,20 +315,15 @@ class FiniteThree(_Family):
 #   t''  = lam*t^2*(2 - lam*t) / (x^2*(1 - lam*t)^3)
 # and t''' follows by logarithmic differentiation of t''.
 
-def _gp_t(x: float, lam: float) -> float:
-    if x == 0.0 or lam == 0.0:  # t(x) = x at lambda = 0 (Poisson)
-        return x
-    return -lambert_w0(-x * lam * math.exp(-lam)) / lam
-
-
 def _gp_t_derivs(x: float, lam: float):
     """Return (t, t', t'', t''') at x."""
-    if lam == 0.0:
+    if lam == 0.0:  # t(x) = x (Poisson)
         return x, 1.0, 0.0, 0.0
-    if x == 0.0:
+    if abs(x) < 1e-150:
+        # The x = 0 limits, exact to O(x); x*x below goes subnormal at |x| ~ 1.5e-154.
         e = math.exp(-lam)
-        return 0.0, e, 2.0 * lam * e * e, 9.0 * lam * lam * e ** 3
-    t = _gp_t(x, lam)
+        return x * e, e, 2.0 * lam * e * e, 9.0 * lam * lam * e ** 3
+    t = -lambert_w0(-x * lam * math.exp(-lam)) / lam
     g = 1.0 - lam * t
     t1 = t / (x * g)
     t2 = lam * t * t * (1.0 + g) / (x * x * g ** 3)
@@ -350,7 +345,9 @@ class GeneralizedPoisson(_Family):
             raise DomainError("GeneralizedPoisson requires mean mu/(1-lambda) > 1")
 
     def pgf(self, x: float) -> float:
-        return math.exp(self.mu * (_gp_t(x, self.lam) - 1.0))
+        lam = self.lam
+        t = -lambert_w0(-x * lam * math.exp(-lam)) / lam if lam else x
+        return math.exp(self.mu * (t - 1.0))
 
     def derivative(self, x: float, order: int) -> float:
         mu = self.mu
@@ -456,11 +453,21 @@ def extinction_probability(model: OffspringModel) -> FixedPoint:
 
 def extinction_iterates(model: OffspringModel) -> Iterator[float]:
     """P^(0), P^(1), ... with P^(n) = phi^(n)(0), without end: the one
-    iteration of the pgf that every per-generation quantity reads."""
+    iteration of the pgf that every per-generation quantity reads. Each step
+    calls the family's pgf; an iterate above 1 or NaN raises DomainError and
+    is not yielded. None falls below 0: every phi is nondecreasing with
+    phi(0) > 0 (checked at construction), so every iterate is at least phi(0).
+    The float map is deterministic: an iterate that repeats once repeats forever."""
+    step = model.pgf
     x = 0.0
     while True:
         yield x
-        x = pgf_eval(model, x)
+        nxt = step(x)
+        if nxt == x:
+            yield from repeat(x)
+        if not nxt <= 1.0:
+            raise DomainError(f"phi returned {nxt!r}, outside [0,1], iterating {model!r}")
+        x = nxt
 
 
 def iterate_extinction(model: OffspringModel, n: int) -> float:

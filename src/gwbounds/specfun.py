@@ -7,20 +7,22 @@ All functions are pure and accept/return Python floats.
 from __future__ import annotations
 
 import math
+from math import exp, inf, sqrt
 
 from .errors import ConvergenceError, DomainError
 
 _INV_E = math.exp(-1.0)
 _EULER_GAMMA = 0.5772156649015328606
 
-# Slack allowed below the branch point -1/e before raising a domain error.
-_BRANCH_SLACK = 1e-15
+# lambert_w0 accepts z down to the branch point -1/e less a slack of 1e-15,
+# and up to _W0_SERIES_TOP it is the branch series alone.
+_W0_LOWEST, _W0_SERIES_TOP = -_INV_E - 1e-15, -_INV_E + 1e-6
 
 
 def _branch_series(z: float) -> float:
     # Series in p = sqrt(2(e z + 1)) about the branch point z = -1/e, where
     # W(-1/e) = -1 and Halley's iteration degenerates.
-    p = math.sqrt(max(2.0 * (math.e * z + 1.0), 0.0))
+    p = sqrt(max(2.0 * (math.e * z + 1.0), 0.0))
     return (-1.0
             + p
             - p * p / 3.0
@@ -31,11 +33,11 @@ def _branch_series(z: float) -> float:
 
 def lambert_w0(z: float) -> float:
     """Principal branch W(z) of w*exp(w) = z for z >= -1/e."""
-    if not -_INV_E - _BRANCH_SLACK <= z < math.inf:
+    if not _W0_LOWEST <= z < inf:
         raise DomainError(f"lambert_w0 requires a finite z >= -1/e, got {z!r}")
     if z == 0.0:
         return 0.0
-    if z <= -_INV_E + 1e-6:
+    if z <= _W0_SERIES_TOP:
         # Close to the branch point the truncated series is accurate to
         # ~1e-17 while Halley's denominator degenerates; use the series alone.
         return max(_branch_series(z), -1.0)
@@ -49,19 +51,19 @@ def lambert_w0(z: float) -> float:
         lz = math.log(z)
         w = lz - math.log(lz)
 
-    prev_dw = math.inf
+    prev_dw = inf
     for _ in range(100):
-        ew = math.exp(w)
+        ew = exp(w)
         f = w * ew - z
         wp1 = w + 1.0
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
         dw = f / denom
         w -= dw
+        dw = abs(dw)
         # Converged, or stalled at the rounding floor of w*e^w - z.
-        if abs(dw) <= 1e-14 * (2.0 + abs(w)) or \
-                (abs(dw) < 1e-10 and abs(dw) >= 0.5 * prev_dw):
+        if dw <= 1e-14 * (2.0 + abs(w)) or (dw < 1e-10 and dw >= 0.5 * prev_dw):
             return w
-        prev_dw = abs(dw)
+        prev_dw = dw
     raise ConvergenceError(f"lambert_w0 did not converge for z={z!r}")
 
 

@@ -113,6 +113,50 @@ def test_extinction_iterates_is_the_iteration_of_the_pgf():
         assert iterates[-1] == iterate_extinction(model, 39)
 
 
+def laws_at(s):
+    """One law of each of the six families with mean 1 + s."""
+    return (poisson_from_s(s), binomial_from_s(5, s), negbinomial_from_s(3, s),
+            fl_from_s(0.4, s), gp_from_s(0.5, s),
+            FiniteThree(p0=0.4 - s, p1=0.3 + s, p2=0.2, p3=0.1))
+
+
+ITERATE_CASES = [(s, m) for s in (0.3, 1e-2) for m in laws_at(s)] + [(1e-8, gp_from_s(0.9, 1e-8))]
+
+
+@pytest.mark.parametrize("s, model", ITERATE_CASES, ids=[repr(m) for _, m in ITERATE_CASES])
+def test_extinction_iterates_matches_the_pgf_eval_loop_bit_for_bit(s, model):
+    # 5000 generations against the plain loop through pgf_eval, which checks
+    # each argument. At s = 0.3 the iterates reach a float fixed point within
+    # them, so the iterator's repeat branch is checked too.
+    x, loop = 0.0, []
+    for _ in range(5000):
+        loop.append(x)
+        x = pgf_eval(model, x)
+    assert list(islice(extinction_iterates(model), 5000)) == loop
+    if s == 0.3:
+        assert any(a == b for a, b in zip(loop, loop[1:]))
+
+
+@pytest.mark.parametrize("bad", (1.5, math.nan))
+def test_extinction_iterates_never_yields_a_value_outside_the_unit_interval(bad):
+    model = types.SimpleNamespace(pgf=lambda x: bad)
+    seen = []
+    with pytest.raises(DomainError, match="outside"):
+        for x in extinction_iterates(model):
+            seen.append(x)
+    assert seen == [0.0]
+
+
+@pytest.mark.parametrize("lam", (0.2, 0.5, 0.9))
+@pytest.mark.parametrize("x", (1e-160, -1e-160, 1e-200, -1e-200, 5e-324))
+def test_gp_derivatives_at_tiny_x_are_the_x0_limits(lam, x):
+    # Within 1e-150 of 0 the limits at x = 0 are exact in floating point;
+    # the general formulas divide by x*x, which is subnormal or 0 there.
+    model = gp_from_s(lam, 0.2)
+    for order in (1, 2, 3):
+        assert pgf_derivative(model, x, order) == pgf_derivative(model, 0.0, order)
+
+
 def central_diff(model, x, order):
     f = lambda u: pgf_eval(model, u)
     if order == 1:
