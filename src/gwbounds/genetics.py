@@ -184,8 +184,11 @@ def wf_fixation_a(wf: WFModel) -> float:
     A = 2s + a2*s^2, a2 = -2/3 - 1/(3*N*s), which matches the exact series
     2s - (8/3 + 1/(3Ns))s^2 + ... for large N*s; the first term it misses,
     (4/9)s^3, leaves a relative error of about (2/9)s^2 (the approximation
-    is low).  With a2 = 0 it would be the diffusion approximation with
-    effective_size = pop_size (not read here).  It requires A > 0."""
+    is low) for small s only. Against wf_fixation_exact at N = 1000 it is
+    -0.19% at s = 0.1, but -3% at s = 0.5, -7.6% at s = 1 and -22% at s = 2,
+    where (2/9)s^2 would say 6%, 22% and 89%.  With a2 = 0 it would be the
+    diffusion approximation with effective_size = pop_size (not read here).
+    It requires A > 0."""
     n, s = wf.pop_size, wf.s_sel
     a2 = -2.0 / 3.0 - 1.0 / (3.0 * n * s)
     a_val = 2.0 * s + a2 * s * s

@@ -1,14 +1,17 @@
 """Core pgf machinery: fixed points, derivatives, moments, iteration."""
 
+import csv
 import math
+import os
 import pickle
 import types
 from itertools import islice
 
+import mpmath
 import pytest
 
 import gwbounds
-from gwbounds.errors import DomainError
+from gwbounds.errors import ConvergenceError, DomainError
 from gwbounds.pgf_core import (
     Binomial,
     FiniteThree,
@@ -103,43 +106,128 @@ def test_survival_curve_matches_iteration():
     assert all(curve[i + 1] < curve[i] for i in range(20))
 
 
+def ulps_apart(a, b):
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
 def test_extinction_iterates_is_the_iteration_of_the_pgf():
-    # P^(0) = 0 and P^(n+1) = phi(P^(n)), bit for bit.
+    # P^(0) = 0 and P^(n+1) = phi(P^(n)): bit for bit where the iterator
+    # steps with the pgf itself, within 8 ulp for GP with lam > 0, whose
+    # orbit takes its own Newton solve for t.
     for model in MODELS[::11]:
         iterates = list(islice(extinction_iterates(model), 40))
         assert iterates[0] == 0.0
         for prev, cur in zip(iterates, iterates[1:]):
-            assert cur == pgf_eval(model, prev)
+            if isinstance(model, GeneralizedPoisson) and model.lam:
+                assert ulps_apart(cur, pgf_eval(model, prev)) <= 8.0, model
+            else:
+                assert cur == pgf_eval(model, prev)
         assert iterates[-1] == iterate_extinction(model, 39)
 
 
 def laws_at(s):
-    """One law of each of the six families with mean 1 + s."""
+    """One law of each of the six families with mean 1 + s, GP at lam = 0,
+    where it steps with its pgf as every other family does."""
     return (poisson_from_s(s), binomial_from_s(5, s), negbinomial_from_s(3, s),
-            fl_from_s(0.4, s), gp_from_s(0.5, s),
+            fl_from_s(0.4, s), gp_from_s(0.0, s),
             FiniteThree(p0=0.4 - s, p1=0.3 + s, p2=0.2, p3=0.1))
 
 
-ITERATE_CASES = [(s, m) for s in (0.3, 1e-2) for m in laws_at(s)] + [(1e-8, gp_from_s(0.9, 1e-8))]
+def pgf_eval_loop(model, n):
+    """P^(0), ..., P^(n - 1) by the plain loop through pgf_eval, which checks
+    each argument."""
+    x, loop = 0.0, []
+    for _ in range(n):
+        loop.append(x)
+        x = pgf_eval(model, x)
+    return loop
+
+
+ITERATE_CASES = [(s, m) for s in (0.3, 1e-2) for m in laws_at(s)]
+GP_ORBIT_CASES = [gp_from_s(0.5, 0.3), gp_from_s(0.5, 1e-2), gp_from_s(0.9, 1e-8)]
 
 
 @pytest.mark.parametrize("s, model", ITERATE_CASES, ids=[repr(m) for _, m in ITERATE_CASES])
 def test_extinction_iterates_matches_the_pgf_eval_loop_bit_for_bit(s, model):
-    # 5000 generations against the plain loop through pgf_eval, which checks
-    # each argument. At s = 0.3 the iterates reach a float fixed point within
-    # them, so the iterator's repeat branch is checked too.
-    x, loop = 0.0, []
-    for _ in range(5000):
-        loop.append(x)
-        x = pgf_eval(model, x)
+    # 5000 generations. At s = 0.3 the iterates reach a float fixed point
+    # within them, so the iterator's repeat branch is checked too.
+    loop = pgf_eval_loop(model, 5000)
     assert list(islice(extinction_iterates(model), 5000)) == loop
     if s == 0.3:
         assert any(a == b for a, b in zip(loop, loop[1:]))
 
 
+def test_orbit_step_is_the_pgf_except_for_gp_with_lam_above_zero():
+    for model in laws_at(0.1):
+        assert model.orbit_step() == model.pgf
+    model = gp_from_s(0.5, 0.1)
+    step = model.orbit_step()
+    assert step != model.pgf
+    assert step(0.0) == model.pgf(0.0)
+    # A NaN argument never converges: the step cap raises.
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        step(math.nan)
+
+
+@pytest.mark.parametrize("model", GP_ORBIT_CASES, ids=repr)
+def test_gp_orbit_steps_are_within_8_ulp_of_pgf_eval(model):
+    # 5000 generations; each iterate against the Lambert W pgf of the one before.
+    iterates = list(islice(extinction_iterates(model), 5000))
+    assert iterates[0] == 0.0
+    for prev, cur in zip(iterates, iterates[1:]):
+        assert ulps_apart(cur, pgf_eval(model, prev)) <= 8.0, (prev, cur)
+
+
+def mp_gp_pgf(model):
+    """phi of the GP law with the model's float parameters, at mpmath's
+    working precision: t = -W(-x lam e^-lam)/lam, phi = exp(mu (t - 1))."""
+    lam, mu = mpmath.mpf(model.lam), mpmath.mpf(model.mu)
+    z = -lam * mpmath.exp(-lam)
+    return lambda x: mpmath.exp(mu * (-mpmath.lambertw(z * x).real / lam - 1))
+
+
+def mp_gp_orbit(model, n):
+    """S^(0), ..., S^(n) of the GP law, iterated at 40 digits."""
+    with mpmath.workdps(40):
+        phi = mp_gp_pgf(model)
+        x, out = mpmath.mpf(0), [mpmath.mpf(1)]
+        for _ in range(n):
+            x = phi(x)
+            out.append(1 - x)
+        return out
+
+
+def max_rel_err(values, ref):
+    return max(float(abs(v - r) / r) for v, r in zip(values, ref))
+
+
+@pytest.mark.parametrize("s", (1e-6, 0.1, 5.0))
+@pytest.mark.parametrize("lam", (1e-6, 0.2, 0.5, 0.9, 0.99))
+def test_gp_orbit_at_least_as_close_to_mpmath_as_the_lambert_loop(lam, s):
+    # The largest relative error of S^(0..200) against the orbit at 40 digits.
+    model, n = gp_from_s(lam, s), 200
+    ref = mp_gp_orbit(model, n)
+    orbit = [1.0 - x for x in islice(extinction_iterates(model), n + 1)]
+    lambert = [1.0 - x for x in pgf_eval_loop(model, n + 1)]
+    assert max_rel_err(orbit, ref) <= max_rel_err(lambert, ref)
+
+
+def test_survival_gp_golden_is_within_2e_14_of_mpmath():
+    # Every S^(n) cell of `gwb survival --dist gp --s 0.05 --lambda 0.5
+    # --nmax 200 --digits 17` against the orbit at 40 digits. The file the
+    # Lambert W loop wrote was 3.6e-14 off at worst; this one is 1.5e-14.
+    golden = os.path.join(os.path.dirname(__file__), "golden", "survival_gp.csv")
+    with open(golden, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    ref = mp_gp_orbit(gp_from_s(0.5, 0.05), 200)
+    assert [int(row["n"]) for row in rows] == list(range(201))
+    for row, want in zip(rows, ref):
+        assert abs(float(row["s_n"]) - want) <= 2e-14 * want, row
+
+
 @pytest.mark.parametrize("bad", (1.5, math.nan))
 def test_extinction_iterates_never_yields_a_value_outside_the_unit_interval(bad):
-    model = types.SimpleNamespace(pgf=lambda x: bad)
+    model = types.SimpleNamespace(orbit_step=lambda: lambda x: bad)
     seen = []
     with pytest.raises(DomainError, match="outside"):
         for x in extinction_iterates(model):
@@ -155,6 +243,19 @@ def test_gp_derivatives_at_tiny_x_are_the_x0_limits(lam, x):
     model = gp_from_s(lam, 0.2)
     for order in (1, 2, 3):
         assert pgf_derivative(model, x, order) == pgf_derivative(model, 0.0, order)
+
+
+@pytest.mark.parametrize("lam", (0.2, 0.5, 0.9))
+@pytest.mark.parametrize("x", (0.5, 1e-4, 1e-8, 1e-12, 1e-20))
+def test_gp_third_derivative_against_mpmath(lam, x):
+    # phi''' against a 60-digit numerical derivative of the Lambert W pgf.
+    # Written with 2t'/t - 2/x, which cancels, t''' was 2e4 off relatively
+    # at lam = 0.9, x = 1e-20.
+    model = gp_from_s(lam, 0.1)
+    with mpmath.workdps(60):
+        ref = mpmath.diff(mp_gp_pgf(model), mpmath.mpf(x), 3)
+        err = abs((pgf_derivative(model, x, 3) - ref) / ref)
+    assert err <= 1e-14
 
 
 def central_diff(model, x, order):
