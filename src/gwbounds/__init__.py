@@ -39,8 +39,6 @@ from .pgf_core import (
 from .fl_bounds import (
     BoundDirection,
     bound_direction,
-    fl_iterate_params,
-    fl_survival_by_n,
     matching_fl,
     sn_fl_bound,
     sn_pollak_bound,
@@ -55,13 +53,11 @@ from .sinf_estimates import (
     MuDerivatives,
     SeriesCoeffs,
     SinfBounds,
-    beta_bound,
     dn_upper,
     pn_ratio_series,
     quine_bounds,
     sinf_bounds_all,
     sinf_series,
-    sinf_series_eval,
     t_ser,
 )
 from .genetics import (
@@ -77,7 +73,7 @@ from .genetics import (
     wf_fixation_exact,
     within_variance,
 )
-from .specfun import exp_e1, exp_integral_e1, lambert_w0
+from .specfun import exp_e1, lambert_w0
 
 from types import ModuleType as _ModuleType
 

@@ -24,6 +24,7 @@ from .pgf_core import (
     extinction_probability,
     pgf_derivative,
     pgf_eval,
+    require_count,
 )
 
 UPPER_ON_S = "UpperOnS"
@@ -45,23 +46,6 @@ class BoundDirection(Record):
 # ---------------------------------------------------------------------------
 # Fractional-linear closed forms
 # ---------------------------------------------------------------------------
-
-def fl_iterate_params(fl: FractionalLinear, n: int) -> FractionalLinear:
-    """Parameters (pi_n, rho_n) of the n-fold composition of the pgf."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n!r}")
-    mn = fl.m ** (-n)
-    denom = fl.pi - fl.rho * mn
-    return FractionalLinear(pi=fl.pi * (1.0 - mn) / denom, rho=fl.rho * (1.0 - mn) / denom)
-
-
-def fl_survival_by_n(fl: FractionalLinear, n: int) -> float:
-    """S^(n) = S_inf / (1 - m^(-n) (1 - S_inf)) in closed form."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n!r}")
-    s_inf = 1.0 - fl.p_inf
-    return s_inf / (1.0 - fl.m ** (-n) * (1.0 - s_inf))
-
 
 def matching_fl(fp: FixedPoint) -> FractionalLinear:
     """The unique fractional-linear pgf with the same fixed point and rate:
@@ -132,6 +116,7 @@ def agresti_sn_bound(m: float, n: int) -> float:
     """Lower bound on S^(n) from the Agresti fractional-linear bounding
     function with parameters (pi, rho = pi*P_inf), pi = agresti_pi_poisson(m),
     whose iterates bound P^(n) from above."""
+    require_count("n", n)
     fp = extinction_probability(Poisson(m=m))
     pi = agresti_pi_poisson(m)
     # The bounding function is not a pgf: it fixes P_inf with multiplier gamma

@@ -80,6 +80,13 @@ class Record:
         return type(self), self._values()
 
 
+def require_count(name: str, n, least: int = 0) -> None:
+    """Raise DomainError unless the generation count n is an integer, as
+    Record._require_index takes one, and n >= least."""
+    if not (hasattr(type(n), "__index__") and n >= least):
+        raise DomainError(f"{name} must be an integer >= {least}, got {n!r}")
+
+
 class MuDerivatives(Record):
     """Mixed partial derivatives mu_kl of phi(x; s) at (x, s) = (1, 0) for a
     family parameterized so that the mean is 1 + s."""
@@ -516,15 +523,13 @@ def extinction_iterates(model: OffspringModel) -> Iterator[float]:
 
 def iterate_extinction(model: OffspringModel, n: int) -> float:
     """P^(n) = phi^(n)(0), the probability of extinction by generation n."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n!r}")
+    require_count("n", n)
     return next(islice(extinction_iterates(model), n, None))
 
 
 def survival_curve(model: OffspringModel, n_max: int) -> Sequence[float]:
     """[S^(0), ..., S^(n_max)] with S^(n) = 1 - phi^(n)(0)."""
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max!r}")
+    require_count("n_max", n_max, 1)
     return [1.0 - x for x in islice(extinction_iterates(model), n_max + 1)]
 
 

@@ -19,6 +19,7 @@ from .pgf_core import (
     extinction_probability,
     moments,
     pgf_derivative,
+    require_count,
 )
 
 
@@ -58,17 +59,8 @@ def sinf_series(mu: MuDerivatives) -> SeriesCoeffs:
                         gamma2=gamma2, gamma3=gamma3)
 
 
-def _sinf3(c: SeriesCoeffs, s: float) -> float:
-    return c.theta * s - c.delta2 * s ** 2 + c.delta3 * s ** 3
-
-
 # The series functions below take a model of the s-family whose coefficients
 # they use; a model without a mu table raises DomainError.
-
-def sinf_series_eval(model: OffspringModel, s: float) -> float:
-    """Third-order series value of S_inf: theta*s - delta2*s^2 + delta3*s^3."""
-    return _sinf3(sinf_series(model.mu_table()), s)
-
 
 def gamma_series_eval(model: OffspringModel, s: float) -> float:
     """Third-order series value of gamma: 1 - s + gamma2*s^2 - gamma3*s^3."""
@@ -80,12 +72,8 @@ def gamma_series_eval(model: OffspringModel, s: float) -> float:
 # Classical bounds on S_inf
 # ---------------------------------------------------------------------------
 
-def beta_bound(model: OffspringModel) -> float:
-    """beta = 2(m-1)/phi''(1), a simple lower bound for small s."""
-    return _beta(moments(model))
-
-
 def _beta(mom: Moments) -> float:
+    """beta = 2(m-1)/phi''(1), a simple lower bound for small s."""
     # phi''(1) > 0 for every admissible law (F3: p0 + p1 < 1).
     return 2.0 * (mom.m - 1.0) / mom.b
 
@@ -134,8 +122,8 @@ def _dn_upper(mom: Moments) -> float:
 def t_ser(model: OffspringModel, s: float, eps: float) -> int:
     """Series approximation of the convergence time:
     ceil((1/s - 1/2 + gamma2) * ln(1 + 1/eps) - theta)."""
-    if not s > 0.0:
-        raise DomainError(f"s must be > 0, got {s!r}")
+    if not 0.0 < s < math.inf:
+        raise DomainError(f"s must be finite and > 0, got {s!r}")
     if not 0.0 < eps < math.inf:
         raise DomainError(f"eps must be finite and > 0, got {eps!r}")
     c = sinf_series(model.mu_table())
@@ -144,8 +132,8 @@ def t_ser(model: OffspringModel, s: float, eps: float) -> int:
 
 def t_simple(s: float, eps: float) -> int:
     """Leading-order approximation ceil(ln(1 + 1/eps)/s)."""
-    if not (s > 0.0 and 0.0 < eps < math.inf):
-        raise DomainError(f"require s > 0 and finite eps > 0, got s={s!r}, eps={eps!r}")
+    if not (0.0 < s < math.inf and 0.0 < eps < math.inf):
+        raise DomainError(f"require finite s > 0 and eps > 0, got s={s!r}, eps={eps!r}")
     return math.ceil(math.log1p(1.0 / eps) / s)
 
 
@@ -153,8 +141,7 @@ def pn_ratio_series(model: OffspringModel, s: float, n: int) -> float:
     """First-order approximation of P^(n)/P_inf, accurate when s*n < 1:
     1 - theta/(n + theta) + n*(theta*(n+1) + 2*delta2 - 2*theta*gamma2)
     / (2*(n + theta)^2) * s."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n!r}")
+    require_count("n", n)
     c = sinf_series(model.mu_table())
     th = c.theta
     lead = 1.0 - th / (n + th)
@@ -177,7 +164,8 @@ def sinf_bounds_all(model: OffspringModel, s: float) -> SinfBounds:
     except DomainError:
         series3 = haldane = None
     else:
-        series3, haldane = _sinf3(coeffs, s), coeffs.theta * s
+        series3 = coeffs.theta * s - coeffs.delta2 * s ** 2 + coeffs.delta3 * s ** 3
+        haldane = coeffs.theta * s
     beta = _beta(mom)
     ql, qu = _quine_pair(model, mom, beta)
     try:

@@ -1,5 +1,5 @@
-"""Scalar special functions: principal-branch Lambert W and the exponential
-integral E1, plus the fused product exp(x)*E1(x) needed for large arguments.
+"""Scalar special functions: principal-branch Lambert W and the product
+exp(x)*E1(x) with the exponential integral E1, finite for large arguments.
 
 All functions are pure and accept/return Python floats.
 """
@@ -111,17 +111,9 @@ def e1_cf_tail(x: float) -> float:
     raise ConvergenceError(f"E1 continued fraction did not converge for x={x!r}")
 
 
-def exp_integral_e1(x: float) -> float:
-    """E1(x) = integral_x^inf exp(-t)/t dt for x > 0."""
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"exp_integral_e1 requires a finite x > 0, got {x!r}")
-    if x < 1.0:
-        return _e1_series(x)
-    return math.exp(-x) * exp_e1(x)
-
-
 def exp_e1(x: float) -> float:
-    """The fused product exp(x)*E1(x), finite for arbitrarily large x.
+    """The fused product exp(x)*E1(x), finite for arbitrarily large x, with
+    E1(x) = integral_x^inf exp(-t)/t dt.
 
     exp(x) alone overflows near x ~ 709 while the product is O(1/x); the
     continued-fraction route never forms exp(x) for large x.

@@ -25,7 +25,6 @@ from gwbounds.classify_gp import gp_thresholds
 from gwbounds.errors import ApplicabilityError
 from gwbounds.fl_bounds import (
     bin_coeff_cf,
-    fl_survival_by_n,
     matching_fl,
     nb_coeff_cg,
     sn_fl_bound,
@@ -54,10 +53,8 @@ from gwbounds.pgf_core import (
     fl_from_s,
 )
 from gwbounds.sinf_estimates import (
-    beta_bound,
     dn_upper,
     sinf_bounds_all,
-    sinf_series_eval,
     t_ser,
 )
 
@@ -554,7 +551,7 @@ def test_criterion_8_property_suites():
     # Series convergence order (error ratio ~16 when s halves).
     for ctor in (poisson_from_s, lambda s: gp_from_s(0.3, s)):
         errs = [abs(extinction_probability(ctor(s)).s_inf
-                    - sinf_series_eval(ctor(s), s))
+                    - sinf_bounds_all(ctor(s), s).series3)
                 for s in (0.2, 0.1, 0.05)]
         if not (errs[1] <= errs[0] / 8.0 and errs[2] <= errs[1] / 8.0):
             failures.append(f"series error ratios too large: {errs}")
@@ -572,10 +569,11 @@ def test_criterion_8_property_suites():
 
     # Fractional-linear closed form vs literal iteration.
     fl = FractionalLinear(pi=0.6, rho=0.3)
+    fp_fl = extinction_probability(fl)
     x = 0.0
     for n in range(1, 101):
         x = pgf_eval(fl, x)
-        if abs(fl_survival_by_n(fl, n) - (1.0 - x)) > 1e-12:
+        if abs(sn_fl_bound(fl, n, fp_fl) - (1.0 - x)) > 1e-12:
             failures.append(f"FL closed form deviates at n={n}")
             break
 

@@ -280,16 +280,17 @@ def test_classify_f3_cli_switch_n_is_the_first_sign_change(law, label, capsys):
 def test_iterate_ordering_follows_region():
     # In LowerBoundOnP, the FL iterates sit below P^(n) for every n; in
     # UpperBoundOnP, above.
-    from gwbounds.fl_bounds import fl_survival_by_n
+    from gwbounds.fl_bounds import sn_fl_bound
     for (p0, p2, p3), region in (((0.15, 0.15, 0.075), LOWER_BOUND_ON_P),
                                  ((0.10, 0.10, 0.05), UPPER_BOUND_ON_P)):
         assert classify(p0, p2, p3).region == region
         model = f3_model(p0, p2, p3)
         fl = matching_fl_of(model)
+        fp_fl = extinction_probability(fl)
         x = 0.0
         for n in range(1, 60):
             x = pgf_eval(model, x)
-            p_fl = 1.0 - fl_survival_by_n(fl, n)
+            p_fl = 1.0 - sn_fl_bound(fl, n, fp_fl)
             if region == LOWER_BOUND_ON_P:
                 assert p_fl <= x + 1e-13, n
             else:

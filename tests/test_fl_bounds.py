@@ -17,8 +17,6 @@ from gwbounds.fl_bounds import (
     agresti_sn_bound,
     bin_coeff_cf,
     bound_direction,
-    fl_iterate_params,
-    fl_survival_by_n,
     matching_fl,
     nb_coeff_cg,
     pollak_dbar,
@@ -74,17 +72,13 @@ def composition_oracle(fl: FractionalLinear, n: int) -> float:
 
 
 def test_fl_iterates_match_composition_oracle():
+    # For a fractional-linear law sn_fl_bound is S^(n) itself, and 1 - S^(n)
+    # is rho_n of the n-fold composition (pi_n, rho_n).
     for pi, rho in ((0.5, 0.2), (0.9, 0.1), (0.3, 0.05), (0.7, 0.65)):
         fl = FractionalLinear(pi=pi, rho=rho)
-        # Composed parameters: pi_n -> 1 like gamma^n, so stay where 1 - pi_n
-        # is representable; the survival closed form has no such limit.
-        for n in (1, 2, 5, 10, 20):
-            if fl.gamma**n < 1e-14:
-                continue
-            fl_n = fl_iterate_params(fl, n)
-            assert fl_n.rho == pytest.approx(composition_oracle(fl, n), abs=1e-12)
-        for n in (1, 2, 5, 20, 100, 200):
-            s_n = fl_survival_by_n(fl, n)
+        fp = extinction_probability(fl)
+        for n in (1, 2, 5, 10, 20, 100, 200):
+            s_n = sn_fl_bound(fl, n, fp)
             assert s_n == pytest.approx(1.0 - composition_oracle(fl, n), abs=1e-12)
 
 
@@ -96,7 +90,7 @@ def test_fl_survival_closed_form_vs_iteration():
         gamma_n = fl.gamma**n
         closed = fp.s_inf / (1.0 - gamma_n * (1.0 - fp.s_inf))
         assert closed == pytest.approx(direct, abs=1e-12)
-        assert fl_survival_by_n(fl, n) == pytest.approx(direct, abs=1e-12)
+        assert sn_fl_bound(fl, n, fp) == pytest.approx(direct, abs=1e-12)
 
 
 def test_matching_fl_reproduces_fixed_point():
@@ -255,6 +249,13 @@ def test_agresti_directions_sandwich_survival():
             s_n = 1.0 - iterate_extinction(model, n)
             assert agresti_sn_bound(m, n) <= s_n + 1e-12
             assert sn_pollak_bound(model, n, fp) >= s_n - 1e-12
+
+
+@pytest.mark.parametrize("n", [-3, 2.5, math.nan])
+def test_agresti_sn_bound_requires_a_generation_count(n):
+    # At n = -3 it returned -0.341, which is not a probability.
+    with pytest.raises(DomainError, match="must be an integer"):
+        agresti_sn_bound(1.5, n)
 
 
 # ---------------------------------------------------------------------------

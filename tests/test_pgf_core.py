@@ -421,6 +421,16 @@ def test_domain_errors():
         pgf_eval(Poisson(m=2.0), 1.5)
 
 
+@pytest.mark.parametrize("n", [2.5, 1.0, math.nan, math.inf, -1])
+def test_generation_counts_must_be_integers(n):
+    # A float count reached islice, which raised an untyped ValueError.
+    model = Poisson(m=1.5)
+    with pytest.raises(DomainError, match="must be an integer"):
+        iterate_extinction(model, n)
+    with pytest.raises(DomainError, match="must be an integer"):
+        survival_curve(model, n)
+
+
 def test_model_fields_are_the_parameters():
     fields_of = {cls.__name__: list(cls._fields)
                  for cls in (Poisson, Binomial, NegBinomial, FractionalLinear,

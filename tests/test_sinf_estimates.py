@@ -20,14 +20,12 @@ from gwbounds.pgf_core import (
 )
 from gwbounds.sinf_estimates import (
     MuDerivatives,
-    beta_bound,
     dn_upper,
     gamma_series_eval,
     pn_ratio_series,
     quine_bounds,
     sinf_bounds_all,
     sinf_series,
-    sinf_series_eval,
     t_ser,
     t_simple,
 )
@@ -222,7 +220,7 @@ def test_fl_series_is_exact(pi):
     for s in (0.05, 0.2):
         if pi * (1.0 + s) > s:
             fp = extinction_probability(fl_from_s(pi, s))
-            assert sinf_series_eval(model, s) == pytest.approx(fp.s_inf, rel=1e-12)
+            assert sinf_bounds_all(model, s).series3 == pytest.approx(fp.s_inf, rel=1e-12)
 
 
 def test_universal_linear_gamma_coefficient():
@@ -252,7 +250,7 @@ def test_sinf_series_fourth_order(name, ctor):
     for s in (0.2, 0.1, 0.05, 0.025):
         model = ctor(s)
         exact = extinction_probability(model).s_inf
-        errors.append(abs(exact - sinf_series_eval(model, s)))
+        errors.append(abs(exact - sinf_bounds_all(model, s).series3))
     for e_big, e_small in zip(errors, errors[1:]):
         assert e_small <= e_big / 8.0, errors
 
@@ -268,6 +266,12 @@ def test_gamma_series_fourth_order(name, ctor):
         assert e_small <= e_big / 8.0, errors
 
 
+def series3_of(model, s):
+    """The third-order series value theta*s - delta2*s^2 + delta3*s^3."""
+    c = sinf_series(model.mu_table())
+    return c.theta * s - c.delta2 * s ** 2 + c.delta3 * s ** 3
+
+
 def test_series_eval_orders():
     model = poisson_from_s(0.1)
     s = 0.1
@@ -275,7 +279,7 @@ def test_series_eval_orders():
     # The first- and second-order truncations of the Poisson series.
     assert c.theta * s == pytest.approx(2.0 * s)
     assert c.theta * s - c.delta2 * s * s == pytest.approx(2.0 * s - (8.0 / 3.0) * s * s)
-    assert sinf_series_eval(model, s) == c.theta * s - c.delta2 * s ** 2 + c.delta3 * s ** 3
+    assert sinf_bounds_all(model, s).series3 == c.theta * s - c.delta2 * s ** 2 + c.delta3 * s ** 3
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +296,7 @@ def test_bound_ordering_grid():
     # beta <= quine_lower <= S_inf <= dn_upper and S_inf <= quine_upper.
     for model in BOUND_MODELS:
         exact = extinction_probability(model).s_inf
-        beta = beta_bound(model)
+        beta = sinf_bounds_all(model, moments(model).m - 1.0).beta
         ql, qu = quine_bounds(model)
         dn = dn_upper(model)
         assert beta <= ql + 1e-13, model
@@ -304,7 +308,7 @@ def test_bound_ordering_grid():
 def test_beta_poisson_closed_form():
     # beta = 2s/(1+s)^2 for the Poisson family.
     for s in (0.05, 0.2, 0.5):
-        assert beta_bound(poisson_from_s(s)) == pytest.approx(
+        assert sinf_bounds_all(poisson_from_s(s), s).beta == pytest.approx(
             2.0 * s / (1.0 + s) ** 2, rel=1e-13)
 
 
@@ -340,11 +344,12 @@ def test_sinf_bounds_all_consistent_with_ops():
     model = poisson_from_s(0.2)
     sb = sinf_bounds_all(model, 0.2)
     ql, qu = quine_bounds(model)
-    assert sb.beta == pytest.approx(beta_bound(model), rel=1e-14)
+    mom = moments(model)
+    assert sb.beta == pytest.approx(2.0 * (mom.m - 1.0) / mom.b, rel=1e-14)
     assert sb.quine_lower == pytest.approx(ql, rel=1e-14)
     assert sb.quine_upper == pytest.approx(qu, rel=1e-14)
     assert sb.dn_upper == pytest.approx(dn_upper(model), rel=1e-14)
-    assert sb.series3 == pytest.approx(sinf_series_eval(model, 0.2), rel=1e-14)
+    assert sb.series3 == pytest.approx(series3_of(model, 0.2), rel=1e-14)
     assert sb.haldane == pytest.approx(2.0 * 0.2, rel=1e-14)
     assert sb.exact == pytest.approx(extinction_probability(model).s_inf, rel=1e-14)
 
@@ -372,7 +377,7 @@ def test_sinf_bounds_all_binomial_n2_reports_dn_not_applicable(s):
     assert sb.beta == pytest.approx(sb.exact, rel=1e-12)
     assert sb.quine_lower == sb.quine_upper == sb.beta
     assert sb.haldane == pytest.approx(4.0 * s, rel=1e-14)  # theta = 2n/(n-1)
-    assert sb.series3 == pytest.approx(sinf_series_eval(model, s), rel=1e-15)
+    assert sb.series3 == pytest.approx(series3_of(model, s), rel=1e-15)
 
 
 def test_sinf_bounds_all_fl_anchor():
@@ -401,6 +406,8 @@ def test_t_simple_leading_order():
     assert t_simple(0.3, 0.01) == 16
     with pytest.raises(DomainError):
         t_simple(0.0, 0.1)
+    with pytest.raises(DomainError):  # it returned 0
+        t_simple(math.inf, 0.1)
 
 
 def test_t_ser_domain():
@@ -408,6 +415,8 @@ def test_t_ser_domain():
         t_ser(poisson_from_s(0.1), -0.1, 0.01)
     with pytest.raises(DomainError):
         t_ser(poisson_from_s(0.1), 0.1, 0.0)
+    with pytest.raises(DomainError):  # it returned -1
+        t_ser(poisson_from_s(0.1), math.inf, 0.01)
 
 
 def test_pn_ratio_series_small_sn():
@@ -431,3 +440,9 @@ def test_pn_ratio_series_limits():
     model = poisson_from_s(0.1)
     assert pn_ratio_series(model, 0.01, 0) == pytest.approx(0.0, abs=1e-15)
     assert pn_ratio_series(model, 0.0, 10_000) == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, math.nan])
+def test_pn_ratio_series_requires_a_generation_count(n):
+    with pytest.raises(DomainError, match="must be an integer"):
+        pn_ratio_series(poisson_from_s(0.1), 0.01, n)
