@@ -38,6 +38,7 @@ from .pgf_core import (
     negbinomial_from_s,
     pgf_eval,
     poisson_from_s,
+    require_count,
     survival_curve,
 )
 from .fl_bounds import (
@@ -501,8 +502,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         # classify has no --digits: it writes JSON.
-        if getattr(args, "digits", 0) < 0:
-            raise DomainError(f"--digits must be >= 0, got {args.digits}")
+        require_count("--digits", getattr(args, "digits", 0))
         result = args.func(args)
         if isinstance(result, dict):
             text = json.dumps(result, sort_keys=True) + "\n"

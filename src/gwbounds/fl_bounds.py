@@ -25,6 +25,7 @@ from .pgf_core import (
     pgf_derivative,
     pgf_eval,
     require_count,
+    require_positive,
 )
 
 UPPER_ON_S = "UpperOnS"
@@ -74,16 +75,19 @@ def f2_at_p_inf(model: OffspringModel, fp: FixedPoint, fl: FractionalLinear) -> 
 def sn_fl_bound(model: OffspringModel, n: int, fp: FixedPoint) -> float:
     """S_inf / (1 - gamma^n (1 - S_inf)); an upper bound on S^(n) when the
     matching fractional-linear pgf lies below phi on [0, P_inf]."""
+    require_count("n", n)
     return fp.s_inf / (1.0 - fp.gamma ** n * (1.0 - fp.s_inf))
 
 
 def sn_simple_bound(model: OffspringModel, n: int, fp: FixedPoint) -> float:
     """Concavity bound S_inf + P_inf*gamma^n; looser than sn_fl_bound."""
+    require_count("n", n)
     return fp.s_inf + fp.p_inf * fp.gamma ** n
 
 
 def pollak_dbar(model: OffspringModel, n: int, fp: FixedPoint) -> float:
     """Pollak's upper bound dbar^(n) for (P_inf - P^(n))/gamma^n."""
+    require_count("n", n)
     b2 = pgf_derivative(model, fp.p_inf, 2)
     g = fp.gamma
     return (2.0 * (1.0 - g) * fp.p_inf
@@ -137,8 +141,7 @@ def agresti_sn_bound(m: float, n: int) -> float:
 
 def t_eps_exact(model: OffspringModel, eps: float) -> int:
     """Smallest n with S^(n) <= (1 + eps) * S_inf, by iteration."""
-    if not 0.0 < eps < math.inf:
-        raise DomainError(f"eps must be finite and > 0, got {eps!r}")
+    require_positive("eps", eps)
     fp = extinction_probability(model)
     target = (1.0 + eps) * fp.s_inf
     for n, x in enumerate(islice(extinction_iterates(model), T_EPS_CAP + 1)):
@@ -150,8 +153,7 @@ def t_eps_exact(model: OffspringModel, eps: float) -> int:
 def t_eps_fl(fp: FixedPoint, eps: float) -> float:
     """Real-valued T solving S^(T) = (1+eps) S_inf for the matching
     fractional-linear model; clamped to 0 when no positive solution exists."""
-    if not 0.0 < eps < math.inf:
-        raise DomainError(f"eps must be finite and > 0, got {eps!r}")
+    require_positive("eps", eps)
     arg = (1.0 + 1.0 / eps) * fp.p_inf
     if arg <= 1.0:
         return 0.0
@@ -224,16 +226,18 @@ def bound_direction(model: OffspringModel) -> BoundDirection:
 # ---------------------------------------------------------------------------
 
 def bin_coeff_cf(n: int, j: int, k: int) -> float:
-    """c_f(n, j, k) = C(n, j+2)(k+1) - n*C(k+1, j+2), nonnegative on its range."""
-    if not (0 <= j <= n - 2 and 0 <= k <= n - 2):
-        raise DomainError(f"require 0 <= j,k <= n-2, got n={n}, j={j}, k={k}")
+    """c_f(n, j, k) = C(n, j+2)(k+1) - n*C(k+1, j+2), nonnegative on its range
+    0 <= j, k <= n - 2."""
+    require_count("j", j)
+    require_count("k", k)
+    require_count("n", n, max(j, k) + 2)
     return math.comb(n, j + 2) * (k + 1) - n * math.comb(k + 1, j + 2)
 
 
 def nb_coeff_cg(r: int, j: int, zeta: float) -> float:
     """c_g(r, j, zeta), positive for 0 <= j <= r-1 and zeta in (0,1)."""
-    if not (0 <= j <= r - 1):
-        raise DomainError(f"require 0 <= j <= r-1, got r={r}, j={j}")
+    require_count("j", j)
+    require_count("r", r, j + 1)
     if not 0.0 < zeta < 1.0:
         raise DomainError(f"require zeta in (0,1), got {zeta!r}")
     total = sum(zeta ** k * (k + 1) * (2 * r * (1 + j) - (2 + j) * k - 2)

@@ -16,6 +16,8 @@ from .pgf_core import (
     extinction_iterates,
     extinction_probability,
     moments,
+    require_count,
+    require_positive,
 )
 from .sinf_estimates import sinf_series
 from .specfun import e1_cf_tail, exp_e1
@@ -53,14 +55,8 @@ class TraitModel(Record):
             raise DomainError(f"alpha must be > 0, got {self.alpha!r}")
         if not self.s_sel > 0.0:
             raise DomainError(f"s_sel must be > 0, got {self.s_sel!r}")
-        self._require_index("pop_size")
-        if self.pop_size < 2:
-            raise DomainError(f"pop_size must be >= 2, got {self.pop_size!r}")
+        require_count("pop_size", self.pop_size, 2)
         self._require_finite()
-
-    @property
-    def fitness(self) -> float:
-        return math.exp(self.s_sel * self.alpha)
 
 
 class WFModel(Record):
@@ -71,9 +67,7 @@ class WFModel(Record):
     effective_size: float
 
     def _validate(self):
-        self._require_index("pop_size")
-        if self.pop_size < 2:
-            raise DomainError(f"pop_size must be >= 2, got {self.pop_size!r}")
+        require_count("pop_size", self.pop_size, 2)
         if not self.s_sel > 0.0:
             raise DomainError(f"s_sel must be > 0, got {self.s_sel!r}")
         if not self.effective_size > 0.0:
@@ -92,8 +86,7 @@ class VGInf(Record):
 def mutant_density(a: float, x: float) -> float:
     """Density g_a(x) = a/(1-x)^2 * exp(-a*x/(1-x)) of the mutant frequency,
     conditioned on presence; x in [0, 1)."""
-    if not a > 0.0:
-        raise DomainError(f"a must be > 0, got {a!r}")
+    require_positive("a", a)
     if not 0.0 <= x < 1.0:
         raise DomainError(f"x must be in [0, 1), got {x!r}")
     return a / (1.0 - x) ** 2 * math.exp(-a * x / (1.0 - x))
@@ -105,8 +98,7 @@ def within_variance(a: float) -> float:
     For a >= 1, e^a E1(a) = 1/(a+1-T) with T the continued-fraction tail,
     and the difference is a*T/(a+1-T) with nothing cancelled; the form above
     loses all of w ~ 1/a to rounding by a ~ 1e8."""
-    if not a > 0.0:
-        raise DomainError(f"a must be > 0, got {a!r}")
+    require_positive("a", a)
     if a < 1.0:
         return a * (1.0 + a) * exp_e1(a) - a
     t = e1_cf_tail(a)
@@ -120,8 +112,7 @@ def vg_tau(tm: TraitModel, model: OffspringModel, tau: float) -> float:
     The integrand is constant on the cells [0, 1/2), [1/2, 3/2), ... of the
     nearest-integer map. The sum stops where m^n overflows or a_n underflows
     to 0: the cells beyond add less than 1e-300."""
-    if not 0.0 < tau < math.inf:
-        raise DomainError(f"tau must be finite and > 0, got {tau!r}")
+    require_positive("tau", tau)
     mom = moments(model)
     n_cells = math.ceil(tau + 0.5)
     total = 0.0

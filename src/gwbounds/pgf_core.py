@@ -46,11 +46,6 @@ class Record:
     def _validate(self) -> None:
         """Raise DomainError where the field values leave the domain."""
 
-    def _require_index(self, name: str) -> None:
-        if not hasattr(type(getattr(self, name)), "__index__"):  # as operator.index
-            raise DomainError(f"{type(self).__name__} requires an integer {name}, "
-                              f"got {getattr(self, name)!r}")
-
     def _require_finite(self) -> None:
         for name in self._fields:
             value = getattr(self, name)
@@ -81,10 +76,16 @@ class Record:
 
 
 def require_count(name: str, n, least: int = 0) -> None:
-    """Raise DomainError unless the generation count n is an integer, as
-    Record._require_index takes one, and n >= least."""
+    """Raise DomainError unless n is an integer (a type with __index__, as
+    operator.index takes) and n >= least."""
     if not (hasattr(type(n), "__index__") and n >= least):
         raise DomainError(f"{name} must be an integer >= {least}, got {n!r}")
+
+
+def require_positive(name: str, x: float) -> None:
+    """Raise DomainError unless x is finite and > 0."""
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} must be finite and > 0, got {x!r}")
 
 
 class MuDerivatives(Record):
@@ -181,9 +182,7 @@ class Binomial(_Family):
     p: float
 
     def _check(self):
-        self._require_index("n")
-        if self.n < 2:
-            raise DomainError(f"Binomial requires n >= 2, got {self.n!r}")
+        require_count("n", self.n, 2)
         if not 0.0 < self.p < 1.0:
             raise DomainError(f"Binomial requires p in (0,1), got {self.p!r}")
         if not self.n * self.p > 1.0:
@@ -210,9 +209,7 @@ class NegBinomial(_Family):
     p: float
 
     def _check(self):
-        self._require_index("r")
-        if self.r < 1:
-            raise DomainError(f"NegBinomial requires r >= 1, got {self.r!r}")
+        require_count("r", self.r, 1)
         if not 0.0 < self.p < 1.0:
             raise DomainError(f"NegBinomial requires p in (0,1), got {self.p!r}")
         if not self.r * (1.0 - self.p) / self.p > 1.0:
@@ -247,18 +244,6 @@ class FractionalLinear(_Family):
         if not self.rho < self.pi:
             raise DomainError("FractionalLinear requires rho < pi (supercritical)")
 
-    @property
-    def m(self) -> float:
-        return (1.0 - self.rho) / (1.0 - self.pi)
-
-    @property
-    def gamma(self) -> float:
-        return 1.0 / self.m
-
-    @property
-    def p_inf(self) -> float:
-        return self.rho / self.pi
-
     def pgf(self, x: float) -> float:
         return (self.rho + x * (1.0 - self.pi - self.rho)) / (1.0 - x * self.pi)
 
@@ -268,7 +253,7 @@ class FractionalLinear(_Family):
         return b * math.factorial(order) * pi ** order / (1.0 - pi * x) ** (order + 1)
 
     def closed_p_inf(self) -> float:
-        return self.p_inf
+        return self.rho / self.pi
 
     def mu_table(self) -> MuDerivatives:
         pi = self.pi

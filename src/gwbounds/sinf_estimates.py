@@ -20,6 +20,7 @@ from .pgf_core import (
     moments,
     pgf_derivative,
     require_count,
+    require_positive,
 )
 
 
@@ -64,6 +65,7 @@ def sinf_series(mu: MuDerivatives) -> SeriesCoeffs:
 
 def gamma_series_eval(model: OffspringModel, s: float) -> float:
     """Third-order series value of gamma: 1 - s + gamma2*s^2 - gamma3*s^3."""
+    require_positive("s", s)
     c = sinf_series(model.mu_table())
     return 1.0 - s + c.gamma2 * s ** 2 - c.gamma3 * s ** 3
 
@@ -121,19 +123,18 @@ def _dn_upper(mom: Moments) -> float:
 
 def t_ser(model: OffspringModel, s: float, eps: float) -> int:
     """Series approximation of the convergence time:
-    ceil((1/s - 1/2 + gamma2) * ln(1 + 1/eps) - theta)."""
-    if not 0.0 < s < math.inf:
-        raise DomainError(f"s must be finite and > 0, got {s!r}")
-    if not 0.0 < eps < math.inf:
-        raise DomainError(f"eps must be finite and > 0, got {eps!r}")
+    ceil((1/s - 1/2 + gamma2) * ln(1 + 1/eps) - theta), and T(eps) = 0
+    wherever that series value is <= 0 (large s), as t_eps_fl clamps."""
+    require_positive("s", s)
+    require_positive("eps", eps)
     c = sinf_series(model.mu_table())
-    return math.ceil((1.0 / s - 0.5 + c.gamma2) * math.log1p(1.0 / eps) - c.theta)
+    return max(0, math.ceil((1.0 / s - 0.5 + c.gamma2) * math.log1p(1.0 / eps) - c.theta))
 
 
 def t_simple(s: float, eps: float) -> int:
     """Leading-order approximation ceil(ln(1 + 1/eps)/s)."""
-    if not (0.0 < s < math.inf and 0.0 < eps < math.inf):
-        raise DomainError(f"require finite s > 0 and eps > 0, got s={s!r}, eps={eps!r}")
+    require_positive("s", s)
+    require_positive("eps", eps)
     return math.ceil(math.log1p(1.0 / eps) / s)
 
 
@@ -141,6 +142,7 @@ def pn_ratio_series(model: OffspringModel, s: float, n: int) -> float:
     """First-order approximation of P^(n)/P_inf, accurate when s*n < 1:
     1 - theta/(n + theta) + n*(theta*(n+1) + 2*delta2 - 2*theta*gamma2)
     / (2*(n + theta)^2) * s."""
+    require_positive("s", s)
     require_count("n", n)
     c = sinf_series(model.mu_table())
     th = c.theta
@@ -158,6 +160,7 @@ def sinf_bounds_all(model: OffspringModel, s: float) -> SinfBounds:
     dn_upper is None when phi'''(1) <= 0 or its applicability condition
     fails; series3 and haldane are None when the model has no s-family
     (three-offspring models), as they need its mu table."""
+    require_positive("s", s)
     mom = moments(model)
     try:
         coeffs = sinf_series(model.mu_table())

@@ -37,6 +37,7 @@ from gwbounds.pgf_core import (
     fl_from_s,
     gp_from_s,
     iterate_extinction,
+    moments,
     negbinomial_from_s,
     pgf_eval,
     poisson_from_s,
@@ -48,12 +49,12 @@ from gwbounds.pgf_core import (
 # ---------------------------------------------------------------------------
 
 def test_fl_params_properties():
+    # P_inf = rho/pi and gamma = 1/m = (1 - pi)/(1 - rho).
     fl = FractionalLinear(pi=0.5, rho=0.2)
-    assert fl.p_inf == pytest.approx(0.4)
-    assert fl.m * fl.gamma == pytest.approx(1.0, abs=1e-15)
     fp = extinction_probability(fl)
-    assert fp.p_inf == pytest.approx(fl.p_inf, abs=1e-14)
-    assert fp.gamma == pytest.approx(fl.gamma, rel=1e-13)
+    assert fp.p_inf == pytest.approx(0.4, abs=1e-14)
+    assert moments(fl).m * fp.gamma == pytest.approx(1.0, abs=1e-15)
+    assert fp.gamma == pytest.approx(0.5 / 0.8, rel=1e-13)
 
 
 def test_fl_params_validation():
@@ -87,7 +88,7 @@ def test_fl_survival_closed_form_vs_iteration():
     fp = extinction_probability(fl)
     for n in range(1, 201):
         direct = 1.0 - composition_oracle(fl, n)
-        gamma_n = fl.gamma**n
+        gamma_n = fp.gamma**n
         closed = fp.s_inf / (1.0 - gamma_n * (1.0 - fp.s_inf))
         assert closed == pytest.approx(direct, abs=1e-12)
         assert sn_fl_bound(fl, n, fp) == pytest.approx(direct, abs=1e-12)
@@ -96,9 +97,9 @@ def test_fl_survival_closed_form_vs_iteration():
 def test_matching_fl_reproduces_fixed_point():
     for model in (Poisson(m=1.5), binomial_from_s(5, 0.2), gp_from_s(0.3, 0.2)):
         fp = extinction_probability(model)
-        fl = matching_fl(fp)
-        assert fl.p_inf == pytest.approx(fp.p_inf, rel=1e-12)
-        assert fl.gamma == pytest.approx(fp.gamma, rel=1e-12)
+        fp_fl = extinction_probability(matching_fl(fp))
+        assert fp_fl.p_inf == pytest.approx(fp.p_inf, rel=1e-12)
+        assert fp_fl.gamma == pytest.approx(fp.gamma, rel=1e-12)
 
 
 def test_matching_fl_poisson_anchor():
@@ -253,9 +254,15 @@ def test_agresti_directions_sandwich_survival():
 
 @pytest.mark.parametrize("n", [-3, 2.5, math.nan])
 def test_agresti_sn_bound_requires_a_generation_count(n):
-    # At n = -3 it returned -0.341, which is not a probability.
-    with pytest.raises(DomainError, match="must be an integer"):
-        agresti_sn_bound(1.5, n)
+    # At n = -3 it returned -0.341, which is not a probability, and the three
+    # (model, n, fp) bounds -0.830, 2.285 and -0.498.
+    model = Poisson(m=1.5)
+    fp = extinction_probability(model)
+    for bound in (lambda: agresti_sn_bound(1.5, n), lambda: sn_fl_bound(model, n, fp),
+                  lambda: sn_simple_bound(model, n, fp), lambda: pollak_dbar(model, n, fp),
+                  lambda: sn_pollak_bound(model, n, fp)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            bound()
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +351,23 @@ def test_binomial_cf_nonnegative():
 def test_binomial_cf_matches_formula():
     assert bin_coeff_cf(5, 0, 0) == math.comb(5, 2) * 1 - 5 * math.comb(1, 2)
     assert bin_coeff_cf(5, 1, 2) == math.comb(5, 3) * 3 - 5 * math.comb(3, 3)
+
+
+@pytest.mark.parametrize("coeff, message", [
+    (lambda: bin_coeff_cf(2.5, 0, 0), "n must be an integer >= 2, got 2.5"),
+    (lambda: bin_coeff_cf(5, 1.5, 0), "j must be an integer >= 0, got 1.5"),
+    (lambda: bin_coeff_cf(5, 0, math.nan), "k must be an integer >= 0, got nan"),
+    (lambda: bin_coeff_cf(5, 4, 0), "n must be an integer >= 6, got 5"),
+    (lambda: nb_coeff_cg(3, 1.5, 0.5), "j must be an integer >= 0, got 1.5"),
+    (lambda: nb_coeff_cg(2.5, 0, 0.5), "r must be an integer >= 1, got 2.5"),
+    (lambda: nb_coeff_cg(3, 3, 0.5), "r must be an integer >= 4, got 3"),
+], ids=["cf_n", "cf_j", "cf_k", "cf_range", "cg_j", "cg_r", "cg_range"])
+def test_appendix_coefficients_require_integer_indices(coeff, message):
+    # Non-integer indices returned a number (nb_coeff_cg(3, 1.5, 0.5) = 4.5)
+    # or raised an untyped TypeError from math.comb or range.
+    with pytest.raises(DomainError) as info:
+        coeff()
+    assert str(info.value) == message
 
 
 def test_negbinomial_cg_positive():

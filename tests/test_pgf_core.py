@@ -442,7 +442,7 @@ def test_model_fields_are_the_parameters():
     fl = FractionalLinear(pi=0.5, rho=0.2)
     assert repr(fl) == "FractionalLinear(pi=0.5, rho=0.2)"
     assert pickle.loads(pickle.dumps(fl)) == fl
-    assert (fl.m, fl.p_inf) == (1.6, 0.4)
+    assert (moments(fl).m, extinction_probability(fl).p_inf) == (1.6, 0.4)
 
 
 def test_package_all_lists_no_modules():

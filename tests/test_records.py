@@ -173,10 +173,10 @@ def test_non_finite_parameters_are_domain_errors(record, message):
 
 
 @pytest.mark.parametrize("record, message", [
-    (lambda: Binomial(n=5.5, p=0.3), "Binomial requires an integer n, got 5.5"),
-    (lambda: NegBinomial(r=2.5, p=0.3), "NegBinomial requires an integer r, got 2.5"),
-    (lambda: WFModel(100.0, 0.1, 100.0), "WFModel requires an integer pop_size, got 100.0"),
-    (lambda: TraitModel(1, 1, 0.1, 100.5), "TraitModel requires an integer pop_size, got 100.5"),
+    (lambda: Binomial(n=5.5, p=0.3), "n must be an integer >= 2, got 5.5"),
+    (lambda: NegBinomial(r=2.5, p=0.3), "r must be an integer >= 1, got 2.5"),
+    (lambda: WFModel(100.0, 0.1, 100.0), "pop_size must be an integer >= 2, got 100.0"),
+    (lambda: TraitModel(1, 1, 0.1, 100.5), "pop_size must be an integer >= 2, got 100.5"),
 ], ids=["binomial", "negbinomial", "wf", "trait"])
 def test_non_integer_sizes_are_domain_errors(record, message):
     with pytest.raises(DomainError) as info:
@@ -188,7 +188,7 @@ def test_non_integer_sizes_are_domain_errors(record, message):
     (lambda: MuDerivatives(1.0, 2.0, 2.0, -1.0, 3.0, 1.0), "mu30 must be >= 0, got -1.0"),
     (lambda: Binomial(n=5, p=1.5), "Binomial requires p in (0,1), got 1.5"),
     (lambda: Binomial(n=2, p=0.3), "Binomial requires mean n*p > 1, got 0.6"),
-    (lambda: NegBinomial(r=0, p=0.3), "NegBinomial requires r >= 1, got 0"),
+    (lambda: NegBinomial(r=0, p=0.3), "r must be an integer >= 1, got 0"),
     (lambda: NegBinomial(r=5, p=1.0), "NegBinomial requires p in (0,1), got 1.0"),
     (lambda: NegBinomial(r=1, p=0.6), "NegBinomial requires mean r(1-p)/p > 1"),
     (lambda: FractionalLinear(pi=0.5, rho=0.0),
@@ -198,8 +198,8 @@ def test_non_integer_sizes_are_domain_errors(record, message):
     (lambda: GeneralizedPoisson(mu=0.0, lam=0.5),
      "GeneralizedPoisson requires mu > 0, got 0.0"),
     (lambda: TraitModel(1.0, 1.0, 0.0, 100), "s_sel must be > 0, got 0.0"),
-    (lambda: TraitModel(1.0, 1.0, 0.1, 1), "pop_size must be >= 2, got 1"),
-    (lambda: WFModel(1, 0.1, 1.0), "pop_size must be >= 2, got 1"),
+    (lambda: TraitModel(1.0, 1.0, 0.1, 1), "pop_size must be an integer >= 2, got 1"),
+    (lambda: WFModel(1, 0.1, 1.0), "pop_size must be an integer >= 2, got 1"),
     (lambda: WFModel(100, 0.0, 100.0), "s_sel must be > 0, got 0.0"),
     (lambda: WFModel(100, 0.1, 0.0), "effective_size must be > 0, got 0.0"),
 ], ids=["mu30", "binomial_p", "binomial_mean", "negbinomial_r", "negbinomial_p",

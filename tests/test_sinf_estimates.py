@@ -419,6 +419,25 @@ def test_t_ser_domain():
         t_ser(poisson_from_s(0.1), math.inf, 0.01)
 
 
+def test_t_ser_is_zero_where_the_series_value_is_not_positive():
+    # Both returned -1: (1/s - 1/2 + gamma2) ln(1 + 1/eps) - theta < 0 at large s.
+    from gwbounds.fl_bounds import t_eps_exact
+    assert t_ser(poisson_from_s(3.0), 3.0, 0.5) == 0 == t_eps_exact(poisson_from_s(3.0), 0.5)
+    assert t_ser(poisson_from_s(0.1), 1e308, 0.01) == 0
+
+
+@pytest.mark.parametrize("s", [0.0, math.nan, math.inf])
+def test_functions_of_s_require_a_finite_positive_s(s):
+    # They returned numbers: at s = 0 gamma 1 and S_inf series 0, at nan
+    # nan, at inf nan or inf.
+    model = poisson_from_s(0.1)
+    for call in (lambda: gamma_series_eval(model, s), lambda: pn_ratio_series(model, s, 5),
+                 lambda: sinf_bounds_all(model, s)):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == f"s must be finite and > 0, got {s!r}"
+
+
 def test_pn_ratio_series_small_sn():
     # Large-n approximation of P^(n)/P_inf: the error shrinks with n while
     # s*n stays small (at s = 0.01 it falls from ~0.03 at n=1 to ~1e-4 at 50).
@@ -439,7 +458,7 @@ def test_pn_ratio_series_limits():
     # n = 0 gives 0; large n approaches 1 at leading order.
     model = poisson_from_s(0.1)
     assert pn_ratio_series(model, 0.01, 0) == pytest.approx(0.0, abs=1e-15)
-    assert pn_ratio_series(model, 0.0, 10_000) == pytest.approx(1.0, abs=1e-3)
+    assert pn_ratio_series(model, 1e-12, 10_000) == pytest.approx(1.0, abs=1e-3)
 
 
 @pytest.mark.parametrize("n", [-1, 2.5, math.nan])
