@@ -64,8 +64,9 @@ def f_at_0(model: OffspringModel, fp: FixedPoint, fl: FractionalLinear) -> float
 
 
 def f2_at_p_inf(model: OffspringModel, fp: FixedPoint, fl: FractionalLinear) -> float:
-    """f''(P_inf) = phi''(P_inf) - phi_FL''(P_inf)."""
-    return pgf_derivative(model, fp.p_inf, 2) - pgf_derivative(fl, fp.p_inf, 2)
+    """f''(P_inf) = phi''(P_inf) - phi_FL''(P_inf), with phi''(P_inf) read from
+    fp.curvature."""
+    return fp.curvature - pgf_derivative(fl, fp.p_inf, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +87,13 @@ def sn_simple_bound(model: OffspringModel, n: int, fp: FixedPoint) -> float:
 
 
 def pollak_dbar(model: OffspringModel, n: int, fp: FixedPoint) -> float:
-    """Pollak's upper bound dbar^(n) for (P_inf - P^(n))/gamma^n."""
+    """Pollak's upper bound dbar^(n) for (P_inf - P^(n))/gamma^n. fp must be
+    extinction_probability(model): the bound reads phi''(P_inf) from
+    fp.curvature, and model stays in the signature for the API."""
     require_count("n", n)
-    b2 = pgf_derivative(model, fp.p_inf, 2)
     g = fp.gamma
     return (2.0 * (1.0 - g) * fp.p_inf
-            / (2.0 * (1.0 - g) + b2 * fp.p_inf * (1.0 - g ** n) / g))
+            / (2.0 * (1.0 - g) + fp.curvature * fp.p_inf * (1.0 - g ** n) / g))
 
 
 def sn_pollak_bound(model: OffspringModel, n: int, fp: FixedPoint) -> float:
@@ -171,19 +173,28 @@ def t_eps_app(fp: FixedPoint, eps: float) -> int:
 
 def switch_generation(model: OffspringModel) -> Optional[int]:
     """First generation n <= SWITCH_N_MAX at which P^(n) - P^(n)_FL changes
-    sign, or None."""
+    sign, or None.
+
+    The scan ends early, with None, once nothing can change: after generation
+    n's sign is taken, where P^(n) = P^(n-1) (so every later iterate repeats
+    it) and 1 - gamma^n rounds to 1.0 (then so does 1 - gamma^n P_inf, as
+    P_inf <= 1, and P^(n)_FL reads P_inf from then on), every later
+    generation has generation n's diff."""
     fp = extinction_probability(model)
-    prev_sign = 0
+    p_inf, gamma = fp.p_inf, fp.gamma
+    prev_sign, prev_x = 0, 0.0
     iterates = islice(extinction_iterates(model), 1, SWITCH_N_MAX + 1)
     for n, x in enumerate(iterates, start=1):
-        gn = fp.gamma ** n
-        diff = x - (fp.p_inf * (1.0 - gn) / (1.0 - gn * fp.p_inf))
-        if abs(diff) <= 1e-15:
-            continue
-        sign = 1 if diff > 0.0 else -1
-        if prev_sign and sign != prev_sign:
-            return n
-        prev_sign = sign
+        gn = gamma ** n
+        diff = x - (p_inf * (1.0 - gn) / (1.0 - gn * p_inf))
+        if abs(diff) > 1e-15:
+            sign = 1 if diff > 0.0 else -1
+            if prev_sign and sign != prev_sign:
+                return n
+            prev_sign = sign
+        if x == prev_x and 1.0 - gn == 1.0:
+            return None
+        prev_x = x
     return None
 
 

@@ -115,7 +115,8 @@ class Moments(Record):
 class FixedPoint(Record):
     p_inf: float
     s_inf: float
-    gamma: float
+    gamma: float      # phi'(P_inf)
+    curvature: float  # phi''(P_inf)
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +476,32 @@ def _root_solve_p_inf(model: OffspringModel) -> float:
     return min(max(x, 0.0), 1.0)
 
 
+# The last law solved for and its FixedPoint, read and replaced as one pair, so
+# threads sharing it at worst solve again. Both are immutable, so a hit returns
+# what a new solve would. A slot, not functools.lru_cache: it holds one law, and
+# bench/spans.py traces plain functions only.
+_last_solved: tuple = (None, None)
+
+
 def extinction_probability(model: OffspringModel) -> FixedPoint:
-    """The fixed point P_inf of phi in (0,1) together with gamma = phi'(P_inf)."""
+    """The fixed point P_inf of phi in (0,1) together with gamma = phi'(P_inf)
+    and curvature = phi''(P_inf).
+
+    The last law's FixedPoint is kept and returned for an equal law (same
+    class, same parameters), so the readers of one law (a report, a gwb
+    subcommand) share one solve. A solve that raises keeps nothing and
+    raises again on the next call."""
+    global _last_solved
+    last_model, last_fp = _last_solved
+    if model == last_model:
+        return last_fp
     p_inf = model.closed_p_inf()
     if p_inf is None:
         p_inf = _root_solve_p_inf(model)
-    gamma = pgf_derivative(model, p_inf, 1)
-    return FixedPoint(p_inf=p_inf, s_inf=1.0 - p_inf, gamma=gamma)
+    fp = FixedPoint(p_inf=p_inf, s_inf=1.0 - p_inf, gamma=pgf_derivative(model, p_inf, 1),
+                    curvature=pgf_derivative(model, p_inf, 2))
+    _last_solved = (model, fp)
+    return fp
 
 
 def extinction_iterates(model: OffspringModel) -> Iterator[float]:

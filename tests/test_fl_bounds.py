@@ -2,6 +2,8 @@
 the positivity of the appendix comparison coefficients."""
 
 import math
+import random
+from itertools import islice
 
 import pytest
 from mpmath import mp
@@ -9,6 +11,7 @@ from mpmath import mp
 from gwbounds.errors import ConvergenceError, DomainError
 from gwbounds.fl_bounds import (
     LOWER_ON_S,
+    SWITCH_N_MAX,
     T_EPS_CAP,
     SWITCHES,
     UPPER_ON_S,
@@ -17,6 +20,7 @@ from gwbounds.fl_bounds import (
     agresti_sn_bound,
     bin_coeff_cf,
     bound_direction,
+    f2_at_p_inf,
     matching_fl,
     nb_coeff_cg,
     pollak_dbar,
@@ -30,15 +34,18 @@ from gwbounds.fl_bounds import (
 )
 from gwbounds.pgf_core import (
     Binomial,
+    FiniteThree,
     FractionalLinear,
     Poisson,
     binomial_from_s,
+    extinction_iterates,
     extinction_probability,
     fl_from_s,
     gp_from_s,
     iterate_extinction,
     moments,
     negbinomial_from_s,
+    pgf_derivative,
     pgf_eval,
     poisson_from_s,
 )
@@ -162,6 +169,31 @@ def test_pollak_dbar_positive_decreasing():
         d = pollak_dbar(model, n, fp)
         assert 0.0 < d < prev
         prev = d
+
+
+def pollak_dbar_reference(model, n, fp):
+    """pollak_dbar as it was before FixedPoint carried phi''(P_inf)."""
+    b2 = pgf_derivative(model, fp.p_inf, 2)
+    g = fp.gamma
+    return (2.0 * (1.0 - g) * fp.p_inf
+            / (2.0 * (1.0 - g) + b2 * fp.p_inf * (1.0 - g ** n) / g))
+
+
+@pytest.mark.parametrize("s", [1e-3, 0.01, 0.1, 0.4])
+def test_pollak_and_f2_read_the_curvature_bit_for_bit(s):
+    # One law of each family at mean 1 + s.
+    laws = [poisson_from_s(s), binomial_from_s(5, s), negbinomial_from_s(5, s),
+            fl_from_s(0.5, s), FiniteThree(p0=0.5 - s, p1=0.1 + s, p2=0.3, p3=0.1),
+            gp_from_s(0.5, s)]
+    for model in laws:
+        fp = extinction_probability(model)
+        fl = matching_fl(fp)
+        f2 = pgf_derivative(model, fp.p_inf, 2) - pgf_derivative(fl, fp.p_inf, 2)
+        assert f2_at_p_inf(model, fp, fl) == f2, model
+        for n in (0, 1, 10, 50):
+            dbar = pollak_dbar_reference(model, n, fp)
+            assert pollak_dbar(model, n, fp) == dbar, (model, n)
+            assert sn_pollak_bound(model, n, fp) == fp.s_inf + dbar * fp.gamma ** n, (model, n)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +366,42 @@ def test_switch_generation_gp():
     # Fig. 4 family: lambda = 0.276, s = 0.1, sign change between n=3 and 4.
     n_star = switch_generation(gp_from_s(0.276, 0.1))
     assert n_star in (3, 4)
+
+
+def switch_generation_full_scan(model):
+    """switch_generation as it was before it stopped early: every generation
+    up to SWITCH_N_MAX."""
+    fp = extinction_probability(model)
+    prev_sign = 0
+    iterates = islice(extinction_iterates(model), 1, SWITCH_N_MAX + 1)
+    for n, x in enumerate(iterates, start=1):
+        gn = fp.gamma ** n
+        diff = x - (fp.p_inf * (1.0 - gn) / (1.0 - gn * fp.p_inf))
+        if abs(diff) <= 1e-15:
+            continue
+        sign = 1 if diff > 0.0 else -1
+        if prev_sign and sign != prev_sign:
+            return n
+        prev_sign = sign
+    return None
+
+
+def test_switch_generation_stops_early_with_the_full_scan_result():
+    # 1000 admissible F3 laws, uniform on the region, and the GP grid.
+    rng = random.Random(23)
+    laws = []
+    while len(laws) < 1000:
+        p0, p2, p3 = rng.random(), rng.random(), rng.random()
+        if p0 + p2 + p3 <= 1.0 and p0 > 1e-6 and p0 < p2 + 2.0 * p3:
+            laws.append(FiniteThree(p0=p0, p1=1.0 - p0 - p2 - p3, p2=p2, p3=p3))
+    laws += [gp_from_s(k / 20, s) for k in range(1, 20)
+             for s in (1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5)]
+    switched = 0
+    for model in laws:
+        expected = switch_generation_full_scan(model)
+        assert switch_generation(model) == expected, model
+        switched += expected is not None
+    assert switched > 20
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import mpmath
 import pytest
 
 import gwbounds
+from gwbounds import pgf_core
 from gwbounds.errors import ConvergenceError, DomainError
 from gwbounds.pgf_core import (
     Binomial,
@@ -73,6 +74,79 @@ def test_fixed_point_residuals():
         assert abs(residual) <= 1e-13, (model, residual)
         assert fp.s_inf == pytest.approx(1.0 - fp.p_inf)
         assert 0.0 < fp.gamma < 1.0
+
+
+# One law of each family.
+FAMILY_LAWS = [Poisson(m=1.5), Binomial(n=5, p=0.3), NegBinomial(r=5, p=0.3),
+               FractionalLinear(pi=0.5, rho=0.2), FiniteThree(p0=0.2, p1=0.5, p2=0.2, p3=0.1),
+               GeneralizedPoisson(mu=1.2, lam=0.2)]
+
+
+@pytest.mark.parametrize("model", FAMILY_LAWS, ids=lambda m: type(m).__name__)
+def test_equal_laws_share_one_fixed_point(model):
+    twin = pickle.loads(pickle.dumps(model))
+    assert twin == model and twin is not model
+    assert extinction_probability(twin) is extinction_probability(model)
+
+
+def test_alternating_laws_each_get_their_own_fixed_point():
+    a, b = gp_from_s(0.3, 0.1), gp_from_s(0.3, 0.2)
+    fp_a, fp_b = extinction_probability(a), extinction_probability(b)
+    assert fp_a.p_inf == pgf_core._root_solve_p_inf(a)
+    assert fp_b.p_inf == pgf_core._root_solve_p_inf(b)
+    assert fp_a != fp_b
+    for _ in range(3):
+        assert extinction_probability(a) == fp_a
+        assert extinction_probability(b) == fp_b
+
+
+def test_a_failed_solve_keeps_nothing_and_raises_again():
+    # Binomial n = 5 at s = 1e-9: the bracket top 1 - 1e-9 lies beyond P_inf.
+    good, bad = Poisson(m=1.5), binomial_from_s(5, 1e-9)
+    fp = extinction_probability(good)
+    for _ in range(3):
+        with pytest.raises(ConvergenceError, match="not bracketed") as info:
+            extinction_probability(bad)
+        assert info.traceback[-1].name == "_root_solve_p_inf"
+    assert extinction_probability(good) is fp
+
+
+def test_a_report_solves_each_law_once(monkeypatch):
+    # The per-law report of the benchmark's sweep workload, on three laws
+    # whose P_inf takes a root solve.
+    solved = []
+    root_solve = pgf_core._root_solve_p_inf
+
+    def counted(model):
+        solved.append(model)
+        return root_solve(model)
+
+    monkeypatch.setattr(pgf_core, "_root_solve_p_inf", counted)
+    monkeypatch.setattr(pgf_core, "_last_solved", (None, None))
+    laws = [(binomial_from_s(7, 0.1), 0.1), (negbinomial_from_s(3, 0.03), 0.03),
+            (gp_from_s(0.3, 0.2), 0.2)]
+    for model, s in laws:
+        fp = gwbounds.extinction_probability(model)
+        gwbounds.survival_curve(model, 50)
+        for n in range(51):
+            gwbounds.sn_fl_bound(model, n, fp)
+            gwbounds.sn_simple_bound(model, n, fp)
+            gwbounds.sn_pollak_bound(model, n, fp)
+        gwbounds.sinf_bounds_all(model, s)
+        gwbounds.t_eps_exact(model, 0.01)
+        gwbounds.t_eps_app(fp, 0.01)
+        gwbounds.t_ser(model, s, 0.01)
+        gwbounds.bound_direction(model)
+        tm = gwbounds.TraitModel(theta_mut=1.0, alpha=1.0, s_sel=math.log1p(s), pop_size=1000)
+        gwbounds.vg_inf(tm, model)
+        gwbounds.vg_tau(tm, model, 10.0)
+    assert solved == [model for model, _ in laws]
+
+
+def test_curvature_is_phi2_at_p_inf():
+    for model in MODELS:
+        fp = extinction_probability(model)
+        assert fp.curvature == pgf_derivative(model, fp.p_inf, 2), model
 
 
 def test_iteration_approaches_fixed_point_geometrically():
