@@ -20,7 +20,7 @@ import sys
 import tempfile
 from typing import List, Optional, Sequence
 
-from .errors import ApplicabilityError, DomainError, GWError
+from .errors import ApplicabilityError, DomainError, GWError, require_count
 from .pgf_core import (
     Binomial,
     FiniteThree,
@@ -38,7 +38,6 @@ from .pgf_core import (
     negbinomial_from_s,
     pgf_eval,
     poisson_from_s,
-    require_count,
     survival_curve,
 )
 from .fl_bounds import (

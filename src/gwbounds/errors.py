@@ -1,7 +1,10 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the two argument checks
+that raise DomainError.
 
 The CLI maps these onto exit codes: DomainError -> 2, ApplicabilityError -> 3.
 """
+
+import math
 
 
 class GWError(Exception):
@@ -28,3 +31,16 @@ class ApplicabilityError(GWError):
 
 class ConvergenceError(GWError):
     """An iterative procedure failed to converge within its iteration cap."""
+
+
+def require_count(name: str, n, least: int = 0) -> None:
+    """Raise DomainError unless n is an integer (a type with __index__, as
+    operator.index takes) and n >= least."""
+    if not (hasattr(type(n), "__index__") and n >= least):
+        raise DomainError(f"{name} must be an integer >= {least}, got {n!r}")
+
+
+def require_positive(name: str, x: float) -> None:
+    """Raise DomainError unless x is finite and > 0."""
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} must be finite and > 0, got {x!r}")

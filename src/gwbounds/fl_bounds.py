@@ -11,7 +11,7 @@ from itertools import islice
 from typing import Optional
 
 from .classify_f3 import LOWER_BOUND_ON_P, UPPER_BOUND_ON_P, classify_f3
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, require_count, require_positive
 from .pgf_core import (
     FiniteThree,
     FixedPoint,
@@ -24,8 +24,6 @@ from .pgf_core import (
     extinction_probability,
     pgf_derivative,
     pgf_eval,
-    require_count,
-    require_positive,
 )
 
 UPPER_ON_S = "UpperOnS"

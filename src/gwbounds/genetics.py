@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, require_count, require_positive
 from .pgf_core import (
     OffspringModel,
     Record,
     extinction_iterates,
     extinction_probability,
     moments,
-    require_count,
-    require_positive,
 )
 from .sinf_estimates import sinf_series
 from .specfun import e1_cf_tail, exp_e1

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from itertools import islice, repeat
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, require_count
 from .specfun import lambert_w0
 
 
@@ -75,19 +75,6 @@ class Record:
         return type(self), self._values()
 
 
-def require_count(name: str, n, least: int = 0) -> None:
-    """Raise DomainError unless n is an integer (a type with __index__, as
-    operator.index takes) and n >= least."""
-    if not (hasattr(type(n), "__index__") and n >= least):
-        raise DomainError(f"{name} must be an integer >= {least}, got {n!r}")
-
-
-def require_positive(name: str, x: float) -> None:
-    """Raise DomainError unless x is finite and > 0."""
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"{name} must be finite and > 0, got {x!r}")
-
-
 class MuDerivatives(Record):
     """Mixed partial derivatives mu_kl of phi(x; s) at (x, s) = (1, 0) for a
     family parameterized so that the mean is 1 + s."""
@@ -123,10 +110,45 @@ class FixedPoint(Record):
 # Model types
 # ---------------------------------------------------------------------------
 
+# A family's pgf and orbit, with phi inline: a call per step costs more than phi.
+_OUTSIDE = "phi returned {!r}, outside [0,1], iterating {!r}"
+_PHI_TEMPLATE = """\
+def pgf(self, x):
+{load}    return {phi}
+
+def orbit(self):
+{load}    x = 0.0
+    while True:
+        yield x
+        nxt = {phi}
+        if nxt == x:
+            yield from repeat(x)
+        if not nxt <= 1.0:
+            raise DomainError(_OUTSIDE.format(nxt, self))
+        x = nxt
+"""
+
+
 class _Family(Record):
     """Defaults shared by the families. Each family is a Record whose fields
-    are its parameters only; it defines _check() for its own domain, pgf(x)
-    for x in [0, 1] and derivative(x, order) for order in {1, 2, 3} and x <= 1."""
+    are its parameters only; it defines _check() for its own domain and
+    derivative(x, order) for order in {1, 2, 3} and x <= 1. It states phi once,
+    as _phi, an expression in x over its fields and the constants that _consts
+    sets (statements split by ';'), and its pgf(x) for x in [0, 1] and orbit()
+    (see extinction_iterates) are compiled from it. GP writes both itself."""
+
+    _consts = ""
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if "_phi" not in vars(cls):
+            return
+        load = "".join(f"    {n} = self.{n}\n" for n in cls._fields) + f"    {cls._consts}\n"
+        namespace = dict(exp=math.exp, repeat=repeat, DomainError=DomainError, _OUTSIDE=_OUTSIDE)
+        exec(_PHI_TEMPLATE.format(load=load, phi=cls._phi), namespace)
+        for name in ("pgf", "orbit"):
+            namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, namespace[name])
 
     def closed_p_inf(self) -> Optional[float]:
         """P_inf in closed form, or None when it takes a root solve."""
@@ -135,11 +157,6 @@ class _Family(Record):
     def mu_table(self) -> MuDerivatives:
         """Mu table of the s-family through this model (mean 1 + s, s varying)."""
         raise DomainError(f"no mu table for {self!r}")
-
-    def orbit_step(self) -> Callable[[float], float]:
-        """A fresh x -> phi(x) for one orbit 0, phi(0), phi(phi(0)), ...: the
-        pgf itself, unless the family can reuse the last step's work."""
-        return self.pgf
 
     def _validate(self) -> None:
         # Last, phi(0) > 0 in floating point: where it underflows to 0, so do
@@ -164,8 +181,7 @@ class Poisson(_Family):
         if not self.m > 1.0:
             raise DomainError(f"Poisson requires mean m > 1, got {self.m!r}")
 
-    def pgf(self, x: float) -> float:
-        return math.exp(-self.m * (1.0 - x))
+    _phi, _consts = "exp(nm * (1.0 - x))", "nm = -m"
 
     def derivative(self, x: float, order: int) -> float:
         return self.m ** order * math.exp(-self.m * (1.0 - x))
@@ -189,8 +205,7 @@ class Binomial(_Family):
         if not self.n * self.p > 1.0:
             raise DomainError(f"Binomial requires mean n*p > 1, got {self.n * self.p!r}")
 
-    def pgf(self, x: float) -> float:
-        return (1.0 - self.p + self.p * x) ** self.n
+    _phi, _consts = "(q + p * x) ** n", "q = 1.0 - p"
 
     def derivative(self, x: float, order: int) -> float:
         n, p = self.n, self.p
@@ -216,8 +231,7 @@ class NegBinomial(_Family):
         if not self.r * (1.0 - self.p) / self.p > 1.0:
             raise DomainError("NegBinomial requires mean r(1-p)/p > 1")
 
-    def pgf(self, x: float) -> float:
-        return self.p ** self.r / (1.0 - (1.0 - self.p) * x) ** self.r
+    _phi, _consts = "pr / (1.0 - q * x) ** r", "q = 1.0 - p; pr = p ** r"
 
     def derivative(self, x: float, order: int) -> float:
         r, p = self.r, self.p
@@ -245,8 +259,7 @@ class FractionalLinear(_Family):
         if not self.rho < self.pi:
             raise DomainError("FractionalLinear requires rho < pi (supercritical)")
 
-    def pgf(self, x: float) -> float:
-        return (self.rho + x * (1.0 - self.pi - self.rho)) / (1.0 - x * self.pi)
+    _phi, _consts = "(rho + x * c) / (1.0 - x * pi)", "c = 1.0 - pi - rho"
 
     def derivative(self, x: float, order: int) -> float:
         pi, rho = self.pi, self.rho
@@ -292,8 +305,7 @@ class FiniteThree(_Family):
         if not mean > 1.0:
             raise DomainError(f"FiniteThree requires mean > 1, got {mean!r}")
 
-    def pgf(self, x: float) -> float:
-        return self.p0 + self.p1 * x + self.p2 * x * x + self.p3 * x ** 3
+    _phi = "p0 + p1 * x + p2 * x * x + p3 * x ** 3"
 
     def derivative(self, x: float, order: int) -> float:
         if order == 1:
@@ -353,22 +365,21 @@ class GeneralizedPoisson(_Family):
         t = -lambert_w0(-x * lam * math.exp(-lam)) / lam if lam else x
         return math.exp(self.mu * (t - 1.0))
 
-    def orbit_step(self) -> Callable[[float], float]:
-        # Along an orbit x rises, and with it t(x)/x = exp(lam*(t - 1)), so x
-        # times the last step's ratio (e^-lam, its limit at x = 0, at first)
-        # starts Newton on h(t) = t - x*exp(lam*(t - 1)) at or just below the
-        # root. h is increasing and concave on [0, 1]: from its first iterate
-        # on, Newton rises monotonically to the root, and after a step of at
-        # most 1e-9*t the error left is about lam^2/(2(1 - lam*t)) * 1e-18*t.
+    def orbit(self) -> Iterator[float]:
+        # _PHI_TEMPLATE's orbit with t by Newton. Along an orbit x rises, and
+        # with it t(x)/x = exp(lam*(t - 1)), so x times the last generation's
+        # ratio (e^-lam, its limit at x = 0, at first) starts Newton on
+        # h(t) = t - x*exp(lam*(t - 1)) at or just below the root. h is
+        # increasing and concave on [0, 1]: from its first iterate on, Newton
+        # rises monotonically to the root, and after a step of at most 1e-9*t
+        # the error left is about lam^2/(2(1 - lam*t)) * 1e-18*t. At lam = 0,
+        # ratio = 1 and t = x: phi is the Poisson pgf exp(mu*(x - 1)).
         lam, mu, exp = self.lam, self.mu, math.exp
-        if not lam:
-            return self.pgf
-        ratio = exp(-lam)
-
-        def step(x: float) -> float:
-            nonlocal ratio
+        ratio, x = exp(-lam), 0.0
+        while True:
+            yield x
             t, steps = x * ratio, 1
-            while True:  # a while loop costs less per call than a for over range()
+            while lam:
                 e = x * exp(lam * (t - 1.0))
                 dt = (t - e) / (1.0 - lam * e)
                 t -= dt
@@ -379,9 +390,12 @@ class GeneralizedPoisson(_Family):
                 steps += 1
             if x:
                 ratio = t / x
-            return exp(mu * (t - 1.0))
-
-        return step
+            nxt = exp(mu * (t - 1.0))
+            if nxt == x:
+                yield from repeat(x)
+            if not nxt <= 1.0:
+                raise DomainError(_OUTSIDE.format(nxt, self))
+            x = nxt
 
     def derivative(self, x: float, order: int) -> float:
         mu = self.mu
@@ -505,25 +519,13 @@ def extinction_probability(model: OffspringModel) -> FixedPoint:
 
 
 def extinction_iterates(model: OffspringModel) -> Iterator[float]:
-    """P^(0), P^(1), ... with P^(n) = phi^(n)(0), without end: the one
-    iteration of the pgf that every per-generation quantity reads. Each step
-    calls the model's orbit_step(): the family's pgf, or for GP with
-    lam > 0 a Newton solve for t warm-started from the step before, within
-    a few ulp of the pgf. An iterate above 1 or NaN raises DomainError and
-    is not yielded. None falls below 0: every phi is nondecreasing with
-    phi(0) > 0 (checked at construction), so every iterate is at least phi(0).
-    An iterate that repeats once is a float fixed point of the step, and it is
-    yielded from then on without stepping again."""
-    step = model.orbit_step()
-    x = 0.0
-    while True:
-        yield x
-        nxt = step(x)
-        if nxt == x:
-            yield from repeat(x)
-        if not nxt <= 1.0:
-            raise DomainError(f"phi returned {nxt!r}, outside [0,1], iterating {model!r}")
-        x = nxt
+    """P^(0), P^(1), ... with P^(n) = phi^(n)(0), without end: the model's
+    orbit(), the one iteration of the pgf that every per-generation quantity
+    reads. It steps by phi inline (GP with lam > 0: Newton for t, warm-started
+    and within a few ulp of the pgf). An iterate above 1 or NaN raises
+    DomainError unyielded; none is below phi(0) > 0, as phi is nondecreasing.
+    A float fixed point, once reached, is yielded without stepping again."""
+    return model.orbit()
 
 
 def iterate_extinction(model: OffspringModel, n: int) -> float:

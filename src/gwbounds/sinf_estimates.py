@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Tuple
 
-from .errors import ApplicabilityError, DomainError
+from .errors import ApplicabilityError, DomainError, require_count, require_positive
 from .pgf_core import (
     Moments,
     MuDerivatives,
@@ -19,8 +19,6 @@ from .pgf_core import (
     extinction_probability,
     moments,
     pgf_derivative,
-    require_count,
-    require_positive,
 )
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from math import exp, inf, sqrt
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, require_positive
 
 _INV_E = math.exp(-1.0)
 _EULER_GAMMA = 0.5772156649015328606
@@ -118,8 +118,7 @@ def exp_e1(x: float) -> float:
     exp(x) alone overflows near x ~ 709 while the product is O(1/x); the
     continued-fraction route never forms exp(x) for large x.
     """
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"exp_e1 requires a finite x > 0, got {x!r}")
+    require_positive("x", x)
     if x < 1.0:
         return math.exp(x) * _e1_series(x)
     return 1.0 / (x + 1.0 - e1_cf_tail(x))

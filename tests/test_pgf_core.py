@@ -4,6 +4,7 @@ import csv
 import math
 import os
 import pickle
+import sys
 import types
 from itertools import islice
 
@@ -217,30 +218,81 @@ def pgf_eval_loop(model, n):
     return loop
 
 
-ITERATE_CASES = [(s, m) for s in (0.3, 1e-2) for m in laws_at(s)]
+ITERATE_CASES = [(s, m) for s in (0.3, 1e-2, 1e-6, 1e-12) for m in laws_at(s)]
 GP_ORBIT_CASES = [gp_from_s(0.5, 0.3), gp_from_s(0.5, 1e-2), gp_from_s(0.9, 1e-8)]
 
 
 @pytest.mark.parametrize("s, model", ITERATE_CASES, ids=[repr(m) for _, m in ITERATE_CASES])
 def test_extinction_iterates_matches_the_pgf_eval_loop_bit_for_bit(s, model):
-    # 5000 generations. At s = 0.3 the iterates reach a float fixed point
+    # 10^4 generations. At s = 0.3 the iterates reach a float fixed point
     # within them, so the iterator's repeat branch is checked too.
-    loop = pgf_eval_loop(model, 5000)
-    assert list(islice(extinction_iterates(model), 5000)) == loop
+    loop = pgf_eval_loop(model, 10_000)
+    assert list(islice(extinction_iterates(model), 10_000)) == loop
     if s == 0.3:
         assert any(a == b for a, b in zip(loop, loop[1:]))
 
 
-def test_orbit_step_is_the_pgf_except_for_gp_with_lam_above_zero():
-    for model in laws_at(0.1):
-        assert model.orbit_step() == model.pgf
-    model = gp_from_s(0.5, 0.1)
-    step = model.orbit_step()
-    assert step != model.pgf
-    assert step(0.0) == model.pgf(0.0)
-    # A NaN argument never converges: the step cap raises.
+# Each family's pgf written out as a plain method: the reference for the pgf
+# compiled from its phi.
+FORMER_PGF = {
+    Poisson: lambda d, x: math.exp(-d.m * (1.0 - x)),
+    Binomial: lambda d, x: (1.0 - d.p + d.p * x) ** d.n,
+    NegBinomial: lambda d, x: d.p ** d.r / (1.0 - (1.0 - d.p) * x) ** d.r,
+    FractionalLinear: lambda d, x: (d.rho + x * (1.0 - d.pi - d.rho)) / (1.0 - x * d.pi),
+    FiniteThree: lambda d, x: d.p0 + d.p1 * x + d.p2 * x * x + d.p3 * x ** 3,
+}
+
+
+@pytest.mark.parametrize("family", FORMER_PGF, ids=lambda cls: cls.__name__)
+def test_compiled_pgf_is_the_former_closed_form_bit_for_bit(family):
+    # Every law of the family in the grid and at s = 0.3, 1e-6, 1e-12, on
+    # 1001 grid points of [0, 1], their neighbours one ulp up, and the first
+    # 50 iterates of its orbit.
+    laws = [m for s in (0.3, 1e-6, 1e-12) for m in laws_at(s)] + MODELS
+    former = FORMER_PGF[family]
+    for model in (m for m in laws if type(m) is family):
+        grid = [i / 1000 for i in range(1001)]
+        grid += [math.nextafter(x, 1.0) for x in grid]
+        grid += list(islice(extinction_iterates(model), 50))
+        assert [model.pgf(x) for x in grid] == [former(model, x) for x in grid], model
+
+
+def test_gp_orbit_raises_convergence_error_at_its_newton_cap(monkeypatch):
+    # From phi(0) on, each generation of this orbit takes at least 2 Newton
+    # steps from its warm start. At x = 0 the first step is 0 and ends the
+    # solve, so with one step allowed phi(0) is the last value yielded.
+    model = gp_from_s(0.5, 1e-6)
+    assert list(islice(extinction_iterates(model), 5))[1] == pgf_eval(model, 0.0)
+    monkeypatch.setattr(pgf_core, "_GP_NEWTON_CAP", 1)
+    seen = []
     with pytest.raises(ConvergenceError, match="did not converge"):
-        step(math.nan)
+        for x in islice(extinction_iterates(model), 10):
+            seen.append(x)
+    assert seen == [0.0, pgf_eval(model, 0.0)]
+
+
+ORBIT_CALL_CASES = [*laws_at(1e-6), *laws_at(0.3), gp_from_s(0.5, 1e-6)]
+
+
+@pytest.mark.parametrize("model", ORBIT_CALL_CASES, ids=repr)
+def test_orbit_calls_no_python_function_a_generation(model):
+    # Under sys.setprofile, a Python frame that starts or resumes is a "call"
+    # event (a C function such as math.exp is a "c_call"). In 1000
+    # generations only the orbit generator itself may be one. At s = 0.3 the
+    # orbit reaches its float fixed point, so its repeat branch runs too.
+    orbit, frames = extinction_iterates(model), set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            frames.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for _ in islice(orbit, 1000):
+            pass
+    finally:
+        sys.setprofile(None)
+    assert frames == {type(model).orbit.__code__}
 
 
 @pytest.mark.parametrize("model", GP_ORBIT_CASES, ids=repr)
@@ -299,12 +351,34 @@ def test_survival_gp_golden_is_within_2e_14_of_mpmath():
         assert abs(float(row["s_n"]) - want) <= 2e-14 * want, row
 
 
+class Stray(pgf_core._Family):
+    """phi(0) = 0.5 and phi(x) = after for x > 0: not a law, but a family whose
+    orbit leaves [0, 1] (or turns NaN) after phi(0)."""
+    after: float
+    _phi = "0.5 if x == 0.0 else after"
+
+    def _validate(self):
+        pass
+
+
 @pytest.mark.parametrize("bad", (1.5, math.nan))
 def test_extinction_iterates_never_yields_a_value_outside_the_unit_interval(bad):
-    model = types.SimpleNamespace(orbit_step=lambda: lambda x: bad)
     seen = []
     with pytest.raises(DomainError, match="outside"):
-        for x in extinction_iterates(model):
+        for x in islice(extinction_iterates(Stray(after=bad)), 10):
+            seen.append(x)
+    assert seen == [0.0, 0.5]
+
+
+def test_gp_orbit_guards_the_unit_interval_as_the_compiled_orbits_do():
+    # GP writes its orbit itself. mu < 0 is no law (built here without its
+    # check): phi(0) = exp(-mu) = e lies above 1.
+    model = object.__new__(GeneralizedPoisson)
+    object.__setattr__(model, "mu", -1.0)
+    object.__setattr__(model, "lam", 0.5)
+    seen = []
+    with pytest.raises(DomainError, match="outside"):
+        for x in islice(extinction_iterates(model), 10):
             seen.append(x)
     assert seen == [0.0]
 
