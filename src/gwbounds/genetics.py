@@ -210,30 +210,31 @@ class binom:
         states below 0 or above n. By Hoeffding's inequality a row has at
         most WINDOW_TAIL of its mass outside the window.
 
-        A row starts at 1 at its mode and multiplies outward by
-        pmf(k+1)/pmf(k) = (n-k)/(k+1) * psi/(1-psi), a factor at most 1 above
-        the mode, or by its inverse, at most 1 below it; so nothing
-        overflows. The row is then divided by the window's sum. An entry
-        carries a few roundings per step from the mode: entries above 1e-300
-        of six rows with psi from 1e-3 to 1 - 1e-3 were within 3e-14
-        relative of a 30-digit mpmath pmf at n = 1000 and 6e-14 at n = 5000,
-        and each row sums to 1 within a few ulp."""
+        A row starts at 1 at its mode and multiplies outward, above it by
+        pmf(k+1)/pmf(k) = (n-k)/(k+1) * psi/(1-psi) and below it by the
+        inverse, each factor at most 1, so nothing overflows; both sides read
+        t ratios of one (n-k)/(k+1) table, as rows of a sliding_window_view.
+        The row is then divided by the window's sum. An entry carries a few
+        roundings per step from the mode: entries above 1e-300 of six rows
+        with psi from 1e-3 to 1 - 1e-3 were within 3e-14 relative of a
+        30-digit mpmath pmf at n = 1000 and 6e-14 at n = 5000, and each row
+        sums to 1 within a few ulp."""
         np = _numpy()
         t = min(math.ceil(math.sqrt(n / 2 * math.log(2 / WINDOW_TAIL))) + 1, n)
         mode = np.minimum(np.floor((n + 1) * psi).astype(np.intp), n)
         k = np.arange(n)
-        pad = np.zeros(t)
-        # pmf(k+1)/pmf(k) per unit odds at k, 0 from k = n on
-        up = np.concatenate([(n - k) / (k + 1.0), pad])
-        # pmf(k)/pmf(k+1) per unit inverse odds at k + t, 0 below k = 0
-        down = np.concatenate([pad, (k + 1.0) / (n - k)])
-        steps = np.arange(t)
+        # pmf(k+1)/pmf(k) per unit odds at k, 0 from k = n on; at n - k it is
+        # pmf(k-1)/pmf(k) per unit inverse odds, 0 from k = 0 down
+        ratios = np.concatenate([(n - k) / (k + 1.0), np.zeros(t)])
+        steps = np.lib.stride_tricks.sliding_window_view(ratios, t)
         rows = np.empty((len(psi), 2 * t + 1))
         rows[:, t] = 1.0
-        np.cumprod(up[mode[:, None] + steps] * (psi / (1.0 - psi))[:, None],
-                   axis=1, out=rows[:, t + 1:])
-        np.cumprod(down[mode[:, None] + (t - 1) - steps] * ((1.0 - psi) / psi)[:, None],
-                   axis=1, out=rows[:, t - 1::-1])
+        for side, first, odds in ((rows[:, t + 1:], mode, psi / (1.0 - psi)),
+                                  (rows[:, t - 1::-1], n - mode, (1.0 - psi) / psi)):
+            window = steps[first]  # each row's t ratios outward from its mode
+            window *= odds[:, None]
+            np.cumprod(window, axis=1, out=side)
+            del window  # one N x t temporary at a time
         rows /= rows.sum(axis=1, keepdims=True)
         return mode - t, rows
 
@@ -250,6 +251,7 @@ def wf_fixation_exact(wf: WFModel) -> float:
     most WINDOW_TAIL of its mass; that moves q by at most WINDOW_TAIL times
     the expected absorption time (about 2N at most). I - P is then banded
     with half-bandwidth b, and in blocks of b states it is block-tridiagonal.
+    Each block's rows of I - P are laid out by slice copies, not a scatter.
     Elimination runs from the last block up, so q[0] comes from the first
     block's solve, with no back-substitution: O(N b^2) time, O(N b) memory.
     I - P is a nonsingular M-matrix and so is each Schur complement, so no
@@ -269,21 +271,24 @@ def wf_fixation_exact(wf: WFModel) -> float:
     width = rows.shape[1]
     offset = start - np.arange(1, n)  # first window state less the row's state
     b = int(max(-offset.min(), offset.max() + width - 1))
-    cols = np.arange(width)
+    col = n - start  # each row's window column of state N, >= width if outside
+    to_n = np.where(col < width, rows[np.arange(n - 1), np.minimum(col, width - 1)], 0.0)
     below = None  # the block below's Schur complement solved against [L | rhs]
     for r0 in reversed(range(0, n - 1, b)):
         size = min(b, n - 1 - r0)
-        lines = np.arange(size)
-        states = start[r0:r0 + size, None] + cols
-        window = rows[r0:r0 + size]
-        # Rows r0+1 .. r0+size of I - P over the states r0+1-b .. r0+size+b:
-        # the block before (L), this block and the block after.
-        strip = np.zeros((size, size + 2 * b))
-        strip[lines[:, None], states - (r0 + 1 - b)] = np.where(
-            (states > 0) & (states < n), -window, 0.0)
-        strip[lines, lines + b] += 1.0
+        # strip: rows r0+1 .. r0+size of I - P over states r0+1-b .. r0+size+b
+        # (blocks L, this, U). band holds strip row l shifted left by l, so a
+        # row's window starts at column offset + b: one copy per offset run.
+        # Entries at states <= 0 or >= N fall in columns that are never read.
+        band = np.zeros((size, size + 2 * b + 1))
+        runs = [0, *(np.flatnonzero(np.diff(offset[r0:r0 + size])) + 1).tolist(), size]
+        for a, e in zip(runs, runs[1:]):
+            o = int(offset[r0 + a]) + b
+            np.negative(rows[r0 + a:r0 + e], out=band[a:e, o:o + width])
+        band[:, b] += 1.0
+        strip = band.ravel()[:size * (size + 2 * b)].reshape(size, size + 2 * b)
         diag = strip[:, b:b + size]
-        rhs = np.where(states == n, window, 0.0).sum(axis=1)
+        rhs = to_n[r0:r0 + size]  # P[:, N] over the block
         if below is not None:
             update = strip[:, b + size:b + size + len(below)] @ below
             diag -= update[:, :-1]

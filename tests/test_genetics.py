@@ -3,6 +3,8 @@ trait variance through time, and Wright-Fisher fixation probabilities."""
 
 import functools
 import math
+import tracemalloc
+import types
 
 import mpmath
 import numpy as np
@@ -393,6 +395,133 @@ def test_wf_exact_rejects_a_sampling_probability_that_rounds_to_one():
     with pytest.raises(DomainError, match=r"s_sel = 1000000000000000\.0 is too large"):
         wf_fixation_exact(WFModel(100, 1e15, 100.0))
     assert wf_fixation_exact(WFModel(100, 1e14, 100.0)) == pytest.approx(1.0, abs=1e-12)
+
+
+# The references for wf_fixation_exact and binom.pmf, which must match them
+# bit for bit: the same blocks and solves, with the pmf's ratios gathered
+# through N x t integer index arrays, and every window entry scattered into
+# its block's strip through a fancy index, states outside 1 .. N-1 masked to 0.
+
+def former_binom_pmf(n, psi):
+    t = min(math.ceil(math.sqrt(n / 2 * math.log(2 / genetics.WINDOW_TAIL))) + 1, n)
+    mode = np.minimum(np.floor((n + 1) * psi).astype(np.intp), n)
+    k = np.arange(n)
+    pad = np.zeros(t)
+    up = np.concatenate([(n - k) / (k + 1.0), pad])
+    down = np.concatenate([pad, (k + 1.0) / (n - k)])
+    steps = np.arange(t)
+    rows = np.empty((len(psi), 2 * t + 1))
+    rows[:, t] = 1.0
+    np.cumprod(up[mode[:, None] + steps] * (psi / (1.0 - psi))[:, None],
+               axis=1, out=rows[:, t + 1:])
+    np.cumprod(down[mode[:, None] + (t - 1) - steps] * ((1.0 - psi) / psi)[:, None],
+               axis=1, out=rows[:, t - 1::-1])
+    rows /= rows.sum(axis=1, keepdims=True)
+    return mode - t, rows
+
+
+def former_blocks(n, s):
+    """(start, rows, b) of the solve at (n, s), or the error it raises before
+    any block."""
+    if n > WF_EXACT_MAX_N:
+        raise DomainError(
+            f"pop_size must be <= {WF_EXACT_MAX_N} for the exact solve, got {n!r}")
+    x = np.arange(1, n) / n
+    psi = x * (1.0 + s) / (1.0 + s * x)
+    if not psi.max() < 1.0:
+        raise DomainError(f"s_sel = {s!r} is too large for the exact solve at "
+                          f"pop_size = {n!r}: a sampling probability psi rounds to 1")
+    start, rows = former_binom_pmf(n, psi)
+    offset = start - np.arange(1, n)
+    return start, rows, int(max(-offset.min(), offset.max() + rows.shape[1] - 1))
+
+
+def former_wf_fixation_exact(wf):
+    n = wf.pop_size
+    start, rows, b = former_blocks(n, wf.s_sel)
+    cols = np.arange(rows.shape[1])
+    below = None
+    for r0 in reversed(range(0, n - 1, b)):
+        size = min(b, n - 1 - r0)
+        lines = np.arange(size)
+        states = start[r0:r0 + size, None] + cols
+        window = rows[r0:r0 + size]
+        strip = np.zeros((size, size + 2 * b))
+        strip[lines[:, None], states - (r0 + 1 - b)] = np.where(
+            (states > 0) & (states < n), -window, 0.0)
+        strip[lines, lines + b] += 1.0
+        diag = strip[:, b:b + size]
+        rhs = np.where(states == n, window, 0.0).sum(axis=1)
+        if below is not None:
+            update = strip[:, b + size:b + size + len(below)] @ below
+            diag -= update[:, :-1]
+            rhs -= update[:, -1]
+        if r0 == 0:
+            return float(np.linalg.solve(diag, rhs)[0])
+        below = np.linalg.solve(diag, np.column_stack([strip[:, :b], rhs]))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+# One block at N = 2, 3 and at s = 5, 1e6 on N = 100, with windows past N;
+# a last block of one state at N = 152, s = 0.01; 2 to 8 blocks at N = 500
+# to 2000; at s = 1e14 psi rounds to 1 from N = 500 on.
+FORMER_CASES = [(2, 0.1), (3, 0.1), (152, 0.01), (100, 1e-9), (1000, 1e-9),
+                (100, 5.0), (1000, 5.0), (100, 1e6), (1000, 1e6), (100, 1e14),
+                (1000, 1e14), (500, 0.01), (500, 0.1), (2000, 0.01), (2000, 0.1),
+                (WF_EXACT_MAX_N + 1, 0.1)]
+
+
+@pytest.mark.parametrize("n, s", FORMER_CASES)
+def test_wf_exact_is_the_scatter_assembly_bit_for_bit(n, s):
+    wf = WFModel(pop_size=n, s_sel=s, effective_size=float(n))
+    assert outcome(wf_fixation_exact, wf) == outcome(former_wf_fixation_exact, wf)
+
+
+def test_former_cases_cover_one_block_and_a_one_state_last_block():
+    def block_sizes(n, s):
+        b = former_blocks(n, s)[2]
+        return [min(b, n - 1 - r0) for r0 in range(0, n - 1, b)]
+    assert block_sizes(2, 0.1) == [1] and block_sizes(3, 0.1) == [2]
+    assert len(block_sizes(100, 5.0)) == len(block_sizes(100, 1e6)) == 1
+    sizes = block_sizes(152, 0.01)
+    assert len(sizes) >= 2 and sizes[-1] == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 60, 1000, 5000])
+def test_binom_rows_are_the_index_gathers_bit_for_bit(n):
+    psi = np.concatenate([[1e-12, 1e-3, 0.5, 1.0 - 1e-3, 1.0 - 1e-12],
+                          np.random.default_rng(n).random(200)])
+    start, rows = genetics.binom.pmf(n, psi)
+    want_start, want_rows = former_binom_pmf(n, psi)
+    assert np.array_equal(start, want_start)
+    assert rows.tobytes() == want_rows.tobytes()
+
+
+def test_wf_exact_peak_allocation_stays_near_its_rows(monkeypatch):
+    # The pmf rows, N x (2t + 1), are the largest array of the solve; a second
+    # one of that size would take the traced peak past 2.5 times their bytes
+    # (about 1.8 times now, 2.2 with the scatter assembly and the pmf's
+    # index-array gathers).
+    wf = WFModel(pop_size=2000, s_sel=0.1, effective_size=2000.0)
+    wf_fixation_exact(wf)  # numpy loaded outside the trace
+    returned = []
+    pmf = genetics.binom.pmf
+    monkeypatch.setattr(genetics, "binom", types.SimpleNamespace(
+        pmf=lambda n, psi: returned.append(pmf(n, psi)) or returned[-1]))
+    tracemalloc.start()
+    try:
+        wf_fixation_exact(wf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * returned[0][1].nbytes
 
 
 def test_wf_fixation_a_anchors():

@@ -8,6 +8,7 @@ library; no function imports a gwbounds module, and the package's classifier
 attributes are their modules."""
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -117,13 +118,14 @@ class _Proxy:
 def solve_through_proxies(monkeypatch, wf):
     """wf_fixation_exact(wf) plain, then with genetics.binom.pmf and
     genetics.np.linalg.solve proxied: (plain result, proxied result, the
-    proxied calls in order)."""
-    calls = []
+    proxied calls in order, what the proxied pmf returned)."""
+    calls, returned = [], {}
 
     def counted(name, fn):
         def call(*args, **kwargs):
             calls.append(name)
-            return fn(*args, **kwargs)
+            returned[name] = fn(*args, **kwargs)
+            return returned[name]
         return call
 
     plain = genetics.wf_fixation_exact(wf)
@@ -132,22 +134,29 @@ def solve_through_proxies(monkeypatch, wf):
         genetics.binom, pmf=counted("pmf", genetics.binom.pmf)))
     monkeypatch.setattr(genetics, "np", _Proxy(np, linalg=_Proxy(
         np.linalg, solve=counted("solve", np.linalg.solve))))
-    return plain, genetics.wf_fixation_exact(wf), calls
+    return plain, genetics.wf_fixation_exact(wf), calls, returned["pmf"]
 
 
 def test_proxies_set_on_the_module_are_what_the_solve_calls(monkeypatch):
     # N = 30: one block holds every state.
-    plain, proxied, calls = solve_through_proxies(monkeypatch, genetics.WFModel(30, 0.1, 30.0))
+    plain, proxied, calls, _ = solve_through_proxies(monkeypatch, genetics.WFModel(30, 0.1, 30.0))
     assert proxied == plain
     assert calls == ["pmf", "solve"]
 
 
 def test_proxied_solve_goes_block_by_block(monkeypatch):
-    # N = 500: several blocks, each eliminated by one solve.
-    plain, proxied, calls = solve_through_proxies(monkeypatch, genetics.WFModel(500, 0.1, 500.0))
+    # N = 500: ceil((N - 1)/b) blocks of b states, each eliminated by one
+    # solve, where b is the half-bandwidth of the pmf's windows: the farthest
+    # any window reaches from its row's state.
+    n = 500
+    plain, proxied, calls, (start, rows) = solve_through_proxies(
+        monkeypatch, genetics.WFModel(n, 0.1, float(n)))
     assert proxied == plain
-    assert calls[0] == "pmf" and calls.count("pmf") == 1
-    assert calls.count("solve") >= 2
+    offset = [first - state for state, first in enumerate(start.tolist(), 1)]
+    b = max(-min(offset), max(offset) + rows.shape[1] - 1)
+    blocks = math.ceil((n - 1) / b)
+    assert blocks >= 2
+    assert calls == ["pmf"] + ["solve"] * blocks
 
 
 def parse_module(name):
