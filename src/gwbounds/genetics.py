@@ -188,8 +188,9 @@ def wf_fixation_a(wf: WFModel) -> float:
 
 
 # Largest population the exact absorption solve accepts. The banded solve
-# holds O(N b) numbers and takes O(N b^2) time for a half-bandwidth b of
-# about t + sN/4 (t as in binom.pmf): b is about 430 at N = 5000, s = 0.01.
+# takes O(N b^2) time and O(b^2) working memory plus a few length-N vectors,
+# for a half-bandwidth b of about t + sN/4 (t as in binom.window): b is about
+# 430 at N = 5000, s = 0.01.
 WF_EXACT_MAX_N = 5000
 
 # Largest mass a transition row may drop outside its window (binom.pmf).
@@ -202,13 +203,24 @@ class binom:
     replace it (a timing proxy, say)."""
 
     @staticmethod
+    def window(n, psi):
+        """(start, t): each row of binom.pmf(n, psi) covers states start[i] ..
+        start[i] + 2t, the t states either side of its mode
+        min(floor((n+1)psi[i]), n), with t = ceil(sqrt(n/2 ln(2/WINDOW_TAIL)))
+        + 1 but at most n. By Hoeffding's inequality Binomial(n, psi[i]) has at
+        most WINDOW_TAIL of its mass outside that window. Builds no rows."""
+        np = _numpy()
+        t = min(math.ceil(math.sqrt(n / 2 * math.log(2 / WINDOW_TAIL))) + 1, n)
+        mode = np.minimum(np.floor((n + 1) * psi).astype(np.intp), n)
+        return mode - t, t
+
+    @staticmethod
     def pmf(n, psi):
         """(start, rows) with rows[i, j] = P(Binomial(n, psi[i]) = start[i] + j),
-        j = 0..2t, for 0 < psi[i] < 1: each row on the window of t states
-        either side of its mode min(floor((n+1)psi), n), with
-        t = ceil(sqrt(n/2 ln(2/WINDOW_TAIL))) + 1 but at most n, and 0 at
-        states below 0 or above n. By Hoeffding's inequality a row has at
-        most WINDOW_TAIL of its mass outside the window.
+        j = 0..2t, for 0 < psi[i] < 1, on the windows of binom.window(n, psi),
+        and 0 at states below 0 or above n. A row drops at most WINDOW_TAIL
+        of its mass, and is computed from its own psi alone, so the rows of a
+        slice of psi are that slice of the rows, bit for bit.
 
         A row starts at 1 at its mode and multiplies outward, above it by
         pmf(k+1)/pmf(k) = (n-k)/(k+1) * psi/(1-psi) and below it by the
@@ -220,8 +232,8 @@ class binom:
         30-digit mpmath pmf at n = 1000 and 6e-14 at n = 5000, and each row
         sums to 1 within a few ulp."""
         np = _numpy()
-        t = min(math.ceil(math.sqrt(n / 2 * math.log(2 / WINDOW_TAIL))) + 1, n)
-        mode = np.minimum(np.floor((n + 1) * psi).astype(np.intp), n)
+        start, t = binom.window(n, psi)
+        mode = start + t
         k = np.arange(n)
         # pmf(k+1)/pmf(k) per unit odds at k, 0 from k = n on; at n - k it is
         # pmf(k-1)/pmf(k) per unit inverse odds, 0 from k = 0 down
@@ -234,9 +246,9 @@ class binom:
             window = steps[first]  # each row's t ratios outward from its mode
             window *= odds[:, None]
             np.cumprod(window, axis=1, out=side)
-            del window  # one N x t temporary at a time
+            del window  # one len(psi) x t temporary at a time
         rows /= rows.sum(axis=1, keepdims=True)
-        return mode - t, rows
+        return start, rows
 
 
 def wf_fixation_exact(wf: WFModel) -> float:
@@ -250,10 +262,13 @@ def wf_fixation_exact(wf: WFModel) -> float:
     binom.pmf builds each row of P on a window around its mode, dropping at
     most WINDOW_TAIL of its mass; that moves q by at most WINDOW_TAIL times
     the expected absorption time (about 2N at most). I - P is then banded
-    with half-bandwidth b, and in blocks of b states it is block-tridiagonal.
-    Each block's rows of I - P are laid out by slice copies, not a scatter.
-    Elimination runs from the last block up, so q[0] comes from the first
-    block's solve, with no back-substitution: O(N b^2) time, O(N b) memory.
+    with half-bandwidth b, which binom.window gives before any row is built,
+    and in blocks of b states it is block-tridiagonal. Elimination runs from
+    the last block up, so q[0] comes from the first block's solve, with no
+    back-substitution. Each block builds the rows of P of its own states
+    only, just before it is eliminated, and lays them out by slice copies in
+    one band buffer that every block reuses: O(N b^2) time, O(b^2) working
+    memory plus a few length-N vectors.
     I - P is a nonsingular M-matrix and so is each Schur complement, so no
     pivoting across blocks is needed. Where one block holds every state
     (small N, large s) this is a dense solve."""
@@ -267,32 +282,39 @@ def wf_fixation_exact(wf: WFModel) -> float:
     if not psi.max() < 1.0:  # binom.pmf divides by 1 - psi
         raise DomainError(f"s_sel = {s!r} is too large for the exact solve at "
                           f"pop_size = {n!r}: a sampling probability psi rounds to 1")
-    start, rows = binom.pmf(n, psi)
-    width = rows.shape[1]
+    start, t = binom.window(n, psi)
+    width = 2 * t + 1
     offset = start - np.arange(1, n)  # first window state less the row's state
     b = int(max(-offset.min(), offset.max() + width - 1))
     col = n - start  # each row's window column of state N, >= width if outside
-    to_n = np.where(col < width, rows[np.arange(n - 1), np.minimum(col, width - 1)], 0.0)
+    # one buffer for every block's band, so its pages fault in once per solve
+    buf = np.empty(b * (3 * b + 1))
     below = None  # the block below's Schur complement solved against [L | rhs]
     for r0 in reversed(range(0, n - 1, b)):
         size = min(b, n - 1 - r0)
+        rows = binom.pmf(n, psi[r0:r0 + size])[1]  # this block's rows of P only
+        c = col[r0:r0 + size]
+        rhs = np.where(c < width, rows[np.arange(size), np.minimum(c, width - 1)], 0.0)  # P[:, N]
         # strip: rows r0+1 .. r0+size of I - P over states r0+1-b .. r0+size+b
         # (blocks L, this, U). band holds strip row l shifted left by l, so a
         # row's window starts at column offset + b: one copy per offset run.
         # Entries at states <= 0 or >= N fall in columns that are never read.
-        band = np.zeros((size, size + 2 * b + 1))
+        band = buf[:size * (size + 2 * b + 1)].reshape(size, size + 2 * b + 1)
+        band.fill(0.0)
         runs = [0, *(np.flatnonzero(np.diff(offset[r0:r0 + size])) + 1).tolist(), size]
         for a, e in zip(runs, runs[1:]):
             o = int(offset[r0 + a]) + b
-            np.negative(rows[r0 + a:r0 + e], out=band[a:e, o:o + width])
+            np.negative(rows[a:e], out=band[a:e, o:o + width])
+        del rows
         band[:, b] += 1.0
         strip = band.ravel()[:size * (size + 2 * b)].reshape(size, size + 2 * b)
         diag = strip[:, b:b + size]
-        rhs = to_n[r0:r0 + size]  # P[:, N] over the block
         if below is not None:
             update = strip[:, b + size:b + size + len(below)] @ below
+            below = None
             diag -= update[:, :-1]
             rhs -= update[:, -1]
+            del update
         if r0 == 0:
             return float(np.linalg.solve(diag, rhs)[0])
         below = np.linalg.solve(diag, np.column_stack([strip[:, :b], rhs]))

@@ -470,12 +470,17 @@ def outcome(fn, *args):
 
 
 # One block at N = 2, 3 and at s = 5, 1e6 on N = 100, with windows past N;
-# a last block of one state at N = 152, s = 0.01; 2 to 8 blocks at N = 500
-# to 2000; at s = 1e14 psi rounds to 1 from N = 500 on.
+# a last block of one state at N = 152, s = 0.01; 2 to 12 blocks at N = 50
+# to 5000; at s = 1e14 psi rounds to 1 from N = 500 on. Then the rest of the
+# bench's grid, N in {50, 500, 1000, 1500, 2000} x s in {0.01, 0.02, 0.05,
+# 0.1}, and CI's `gwb genetics --N 5000 --s 0.01` solve.
 FORMER_CASES = [(2, 0.1), (3, 0.1), (152, 0.01), (100, 1e-9), (1000, 1e-9),
                 (100, 5.0), (1000, 5.0), (100, 1e6), (1000, 1e6), (100, 1e14),
                 (1000, 1e14), (500, 0.01), (500, 0.1), (2000, 0.01), (2000, 0.1),
                 (WF_EXACT_MAX_N + 1, 0.1)]
+FORMER_CASES += [(n, s) for n in (50, 500, 1000, 1500, 2000)
+                 for s in (0.01, 0.02, 0.05, 0.1) if (n, s) not in FORMER_CASES]
+FORMER_CASES += [(WF_EXACT_MAX_N, 0.01)]
 
 
 @pytest.mark.parametrize("n, s", FORMER_CASES)
@@ -504,24 +509,31 @@ def test_binom_rows_are_the_index_gathers_bit_for_bit(n):
     assert rows.tobytes() == want_rows.tobytes()
 
 
-def test_wf_exact_peak_allocation_stays_near_its_rows(monkeypatch):
-    # The pmf rows, N x (2t + 1), are the largest array of the solve; a second
-    # one of that size would take the traced peak past 2.5 times their bytes
-    # (about 1.8 times now, 2.2 with the scatter assembly and the pmf's
-    # index-array gathers).
-    wf = WFModel(pop_size=2000, s_sel=0.1, effective_size=2000.0)
+@pytest.mark.parametrize("n, s", [(2000, 0.1), (5000, 0.01)])
+def test_wf_exact_peak_allocation_stays_near_one_block(monkeypatch, n, s):
+    # Each block builds the pmf rows of its own b states only, into one band
+    # buffer of b(3b + 1) numbers that every block reuses, so the traced peak
+    # stays near that buffer whatever N is: about 2.2 to 2.4 times its bytes
+    # now, 6.3 and 11 when the rows of all N - 1 states were built at once.
+    wf = WFModel(pop_size=n, s_sel=s, effective_size=float(n))
     wf_fixation_exact(wf)  # numpy loaded outside the trace
-    returned = []
+    x = np.arange(1, n) / n
+    start, t = genetics.binom.window(n, x * (1.0 + s) / (1.0 + s * x))
+    offset = start - np.arange(1, n)
+    b = int(max(-offset.min(), offset.max() + 2 * t))
+    row_counts = []
     pmf = genetics.binom.pmf
     monkeypatch.setattr(genetics, "binom", types.SimpleNamespace(
-        pmf=lambda n, psi: returned.append(pmf(n, psi)) or returned[-1]))
+        window=genetics.binom.window,
+        pmf=lambda n, psi: row_counts.append(len(psi)) or pmf(n, psi)))
     tracemalloc.start()
     try:
         wf_fixation_exact(wf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * returned[0][1].nbytes
+    assert max(row_counts) <= b and sum(row_counts) == n - 1
+    assert peak <= 3 * b * (3 * b + 1) * 8
 
 
 def test_wf_fixation_a_anchors():

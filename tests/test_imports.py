@@ -118,14 +118,16 @@ class _Proxy:
 def solve_through_proxies(monkeypatch, wf):
     """wf_fixation_exact(wf) plain, then with genetics.binom.pmf and
     genetics.np.linalg.solve proxied: (plain result, proxied result, the
-    proxied calls in order, what the proxied pmf returned)."""
-    calls, returned = [], {}
+    proxied calls in order, what each proxied pmf call returned)."""
+    calls, returned = [], []
 
     def counted(name, fn):
         def call(*args, **kwargs):
             calls.append(name)
-            returned[name] = fn(*args, **kwargs)
-            return returned[name]
+            result = fn(*args, **kwargs)
+            if name == "pmf":
+                returned.append(result)
+            return result
         return call
 
     plain = genetics.wf_fixation_exact(wf)
@@ -134,7 +136,7 @@ def solve_through_proxies(monkeypatch, wf):
         genetics.binom, pmf=counted("pmf", genetics.binom.pmf)))
     monkeypatch.setattr(genetics, "np", _Proxy(np, linalg=_Proxy(
         np.linalg, solve=counted("solve", np.linalg.solve))))
-    return plain, genetics.wf_fixation_exact(wf), calls, returned["pmf"]
+    return plain, genetics.wf_fixation_exact(wf), calls, returned
 
 
 def test_proxies_set_on_the_module_are_what_the_solve_calls(monkeypatch):
@@ -145,18 +147,23 @@ def test_proxies_set_on_the_module_are_what_the_solve_calls(monkeypatch):
 
 
 def test_proxied_solve_goes_block_by_block(monkeypatch):
-    # N = 500: ceil((N - 1)/b) blocks of b states, each eliminated by one
-    # solve, where b is the half-bandwidth of the pmf's windows: the farthest
-    # any window reaches from its row's state.
-    n = 500
-    plain, proxied, calls, (start, rows) = solve_through_proxies(
-        monkeypatch, genetics.WFModel(n, 0.1, float(n)))
+    # N = 500: ceil((N - 1)/b) blocks of b states, where b is the
+    # half-bandwidth of the pmf's windows over all states: the farthest any
+    # window reaches from its row's state. Each block, from the last up, gets
+    # the pmf rows of its own states only, and one solve eliminates it.
+    n, s = 500, 0.1
+    plain, proxied, calls, returned = solve_through_proxies(
+        monkeypatch, genetics.WFModel(n, s, float(n)))
     assert proxied == plain
+    x = genetics.np.arange(1, n) / n
+    start, t = genetics.binom.window(n, x * (1.0 + s) / (1.0 + s * x))
     offset = [first - state for state, first in enumerate(start.tolist(), 1)]
-    b = max(-min(offset), max(offset) + rows.shape[1] - 1)
+    b = max(-min(offset), max(offset) + 2 * t)
     blocks = math.ceil((n - 1) / b)
     assert blocks >= 2
-    assert calls == ["pmf"] + ["solve"] * blocks
+    assert calls == ["pmf", "solve"] * blocks
+    assert [first.tolist() for first, _ in reversed(returned)] == [
+        start[r0:r0 + b].tolist() for r0 in range(0, n - 1, b)]
 
 
 def parse_module(name):
