@@ -20,6 +20,8 @@ from .pgf_core import (
     OffspringModel,
     Poisson,
     Record,
+    _leave_orbit,
+    _take_orbit,
     extinction_iterates,
     extinction_probability,
     pgf_derivative,
@@ -140,14 +142,23 @@ def agresti_sn_bound(m: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 def t_eps_exact(model: OffspringModel, eps: float) -> int:
-    """Smallest n with S^(n) <= (1 + eps) * S_inf, by iteration."""
+    """Smallest n with S^(n) <= (1 + eps) * S_inf, by iteration.
+
+    It resumes the last law's orbit, as iterate_extinction does, where the
+    last reader of an equal law stopped short of the target, and leaves it at
+    T. An orbit never falls, so no earlier iterate meets the target either."""
     require_positive("eps", eps)
     fp = extinction_probability(model)
     target = (1.0 + eps) * fp.s_inf
-    for n, x in enumerate(islice(extinction_iterates(model), T_EPS_CAP + 1)):
-        if 1.0 - x <= target:
-            return n
-    raise ConvergenceError(f"t_eps_exact exceeded the iteration cap ({T_EPS_CAP})")
+    n, x, orbit = _take_orbit(model, lambda n, x: 1.0 - x > target)
+    if 1.0 - x > target:
+        for n, x in enumerate(islice(orbit, max(T_EPS_CAP - n, 0)), n + 1):
+            if 1.0 - x <= target:
+                break
+    _leave_orbit(model, n, x, orbit)
+    if 1.0 - x > target:
+        raise ConvergenceError(f"t_eps_exact exceeded the iteration cap ({T_EPS_CAP})")
+    return n
 
 
 def t_eps_fl(fp: FixedPoint, eps: float) -> float:

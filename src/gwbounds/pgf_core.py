@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from itertools import islice, repeat
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import ConvergenceError, DomainError, require_count
 from .specfun import lambert_w0
@@ -121,7 +121,7 @@ def orbit(self):
     while True:
         yield x
         nxt = {phi}
-        if nxt == x:
+        if nxt <= x:
             yield from repeat(x)
         if not nxt <= 1.0:
             raise DomainError(_OUTSIDE.format(nxt, self))
@@ -391,7 +391,7 @@ class GeneralizedPoisson(_Family):
             if x:
                 ratio = t / x
             nxt = exp(mu * (t - 1.0))
-            if nxt == x:
+            if nxt <= x:
                 yield from repeat(x)
             if not nxt <= 1.0:
                 raise DomainError(_OUTSIDE.format(nxt, self))
@@ -524,14 +524,49 @@ def extinction_iterates(model: OffspringModel) -> Iterator[float]:
     reads. It steps by phi inline (GP with lam > 0: Newton for t, warm-started
     and within a few ulp of the pgf). An iterate above 1 or NaN raises
     DomainError unyielded; none is below phi(0) > 0, as phi is nondecreasing.
-    A float fixed point, once reached, is yielded without stepping again."""
+    The iterates never fall, though rounding can put phi one ulp below its
+    argument: once an iterate does not rise, it is yielded from then on."""
     return model.orbit()
 
 
+# The orbit of the last law iterated, as at most one entry (model, n, P^(n),
+# orbit) whose orbit yields P^(n+1) next. A reader pops the entry and leaves
+# its own where it stopped, so no two threads step one generator: sharing the
+# slot, they at worst walk again from P^(0). An orbit that raises is not left,
+# so the next call walks afresh and raises again. A slot, as _last_solved is.
+_last_orbit: list = []
+
+
+def _take_orbit(model: OffspringModel, resumable: Callable[[int, float], bool]) -> tuple:
+    """(n, P^(n), orbit), the orbit about to yield P^(n+1): the slot's entry
+    where its law equals model and resumable(n, P^(n)) holds, else a fresh
+    orbit at n = 0."""
+    try:
+        last_model, n, x, orbit = _last_orbit.pop()
+    except IndexError:
+        last_model = None
+    if model == last_model and resumable(n, x):
+        return n, x, orbit
+    orbit = extinction_iterates(model)
+    return 0, next(orbit), orbit
+
+
+def _leave_orbit(model: OffspringModel, n: int, x: float, orbit: Iterator[float]) -> None:
+    _last_orbit[:] = [(model, n, x, orbit)]
+
+
 def iterate_extinction(model: OffspringModel, n: int) -> float:
-    """P^(n) = phi^(n)(0), the probability of extinction by generation n."""
+    """P^(n) = phi^(n)(0), the probability of extinction by generation n.
+
+    It resumes the last law's orbit, as t_eps_exact does: for an equal law
+    and n at or past where the last reader stopped, it steps on from there,
+    so a scan over increasing n walks max n generations, not their sum."""
     require_count("n", n)
-    return next(islice(extinction_iterates(model), n, None))
+    k, x, orbit = _take_orbit(model, lambda k, x: k <= n)
+    if n > k:
+        x = next(islice(orbit, n - k - 1, None))
+    _leave_orbit(model, n, x, orbit)
+    return x
 
 
 def survival_curve(model: OffspringModel, n_max: int) -> Sequence[float]:

@@ -8,6 +8,7 @@ from itertools import islice
 import pytest
 from mpmath import mp
 
+from gwbounds import pgf_core
 from gwbounds.errors import ConvergenceError, DomainError
 from gwbounds.fl_bounds import (
     LOWER_ON_S,
@@ -315,8 +316,80 @@ def test_t_eps_exact_definition():
 
 def test_t_eps_exact_raises_past_the_iteration_cap():
     # T(0.01) is about 4.6/s generations: at s = 1e-6 it lies past T_EPS_CAP.
-    with pytest.raises(ConvergenceError, match=rf"iteration cap \({T_EPS_CAP}\)"):
-        t_eps_exact(poisson_from_s(1e-6), 0.01)
+    # It raises on every call, also where the last reader stopped past the cap.
+    model = poisson_from_s(1e-6)
+    for before in (None, None, T_EPS_CAP + 5, None):
+        if before is not None:
+            iterate_extinction(model, before)
+        with pytest.raises(ConvergenceError, match=rf"iteration cap \({T_EPS_CAP}\)"):
+            t_eps_exact(model, 0.01)
+
+
+def t_eps_walk(model, eps):
+    """T(eps) by a scan of the orbit from P^(0), or None past T_EPS_CAP: the
+    reference for the resumed t_eps_exact."""
+    target = (1.0 + eps) * extinction_probability(model).s_inf
+    iterates = enumerate(islice(model.orbit(), T_EPS_CAP + 1))
+    return next((n for n, x in iterates if 1.0 - x <= target), None)
+
+
+def t_eps_or_none(model, eps):
+    try:
+        return t_eps_exact(model, eps)
+    except ConvergenceError:
+        return None
+
+
+def resume_laws(s):
+    """One law of each family with mean 1 + s, GP at lam = 0 and 0.5."""
+    return (poisson_from_s(s), binomial_from_s(5, s), negbinomial_from_s(3, s),
+            fl_from_s(0.4, s), gp_from_s(0.0, s), gp_from_s(0.5, s),
+            FiniteThree(p0=0.4 - s, p1=0.3 + s, p2=0.2, p3=0.1))
+
+
+T_RESUME_CASES = [m for s in (1e-6, 1e-2, 0.3) for m in resume_laws(s)]
+
+
+@pytest.mark.parametrize("model", T_RESUME_CASES, ids=repr)
+def test_t_eps_exact_resumed_is_the_walk_from_0(model, monkeypatch):
+    # After iterate_extinction below, at and above T, and after another law,
+    # T is the scan's from P^(0) and t_eps_exact's with the slot cleared.
+    # Past the cap, T_EPS_CAP stands for T.
+    other = Poisson(m=1.5)
+    for eps in (0.5, 0.01, 1e-6):
+        want = t_eps_walk(model, eps)
+        monkeypatch.setattr(pgf_core, "_last_orbit", [])
+        assert t_eps_or_none(model, eps) == want
+        t = T_EPS_CAP if want is None else want
+        for before in ((model, 0), (model, t // 2), (model, max(t - 1, 0)), (model, t),
+                       (model, t + 1), (model, t + 100), (other, t)):
+            iterate_extinction(*before)
+            assert t_eps_or_none(model, eps) == want, before
+            assert t_eps_or_none(model, eps) == want, before
+
+
+def test_the_near_critical_report_walks_the_orbit_once(monkeypatch):
+    # The benchmark's near_critical operation: P^(n) at n = 1, 10, ..., 10^4,
+    # then T(0.01). Walked from P^(0) by each reader, it took T + 11117
+    # iterates at s = 1e-4 (T = 46148).
+    class CountingPoisson(Poisson):
+        yielded = [0]
+
+        def orbit(self):
+            for x in Poisson.orbit(self):
+                CountingPoisson.yielded[0] += 1
+                yield x
+
+    monkeypatch.setattr(pgf_core, "_last_orbit", [])
+    for s, t, most in ((1e-4, 46148, 46149), (1e-3, 4612, 10_001 + 4613)):
+        CountingPoisson.yielded[0] = 0
+        model = CountingPoisson(m=1.0 + s)
+        values = [iterate_extinction(model, n) for n in (1, 10, 100, 1000, 10_000)]
+        assert t_eps_exact(model, 0.01) == t
+        assert CountingPoisson.yielded[0] <= most
+        law = poisson_from_s(s)
+        assert values == [next(islice(law.orbit(), n, None)) for n in (1, 10, 100, 1000, 10_000)]
+        assert t_eps_walk(law, 0.01) == t
 
 
 def test_t_eps_fl_bounds_exact_for_proven_families():

@@ -4,7 +4,9 @@ import csv
 import math
 import os
 import pickle
+import random
 import sys
+import threading
 import types
 from itertools import islice
 
@@ -381,6 +383,107 @@ def test_gp_orbit_guards_the_unit_interval_as_the_compiled_orbits_do():
         for x in islice(extinction_iterates(model), 10):
             seen.append(x)
     assert seen == [0.0]
+
+
+# Laws whose phi, at the rounding floor, lies one ulp below its argument: the
+# orbit would step down at generation n and repeat the lower value.
+STEP_DOWN_CASES = [
+    (FractionalLinear(pi=0.9790882908033464, rho=0.9780166490876349), 466, 0.9989054697866748),
+    (GeneralizedPoisson(mu=0.19500000000000003, lam=0.85), 149, 0.9835865322423037),
+]
+
+
+@pytest.mark.parametrize("model, n, top", STEP_DOWN_CASES, ids=("fl", "gp"))
+def test_orbit_never_falls_and_repeats_the_higher_iterate(model, n, top):
+    # The orbit's resume (iterate_extinction, t_eps_exact) rests on this.
+    iterates = list(islice(extinction_iterates(model), 100_000))
+    assert all(a <= b for a, b in zip(iterates, iterates[1:]))
+    assert iterates[n - 1] == top
+    assert set(iterates[n - 1:]) == {top}
+
+
+def resume_laws(s):
+    """laws_at(s) and a GP law with lam > 0, whose orbit carries its Newton
+    warm start from one generation to the next."""
+    return (*laws_at(s), gp_from_s(0.5, s))
+
+
+RESUME_CASES = [m for s in (1e-6, 1e-2, 0.3) for m in resume_laws(s)]
+BENCH_NS = (1, 10, 100, 1000, 10_000)
+
+
+@pytest.mark.parametrize("model", RESUME_CASES, ids=repr)
+def test_iterate_extinction_resumed_is_the_walk_from_0_bit_for_bit(model, monkeypatch):
+    # Ascending n (the benchmark's scan), descending, repeated, an equal law
+    # given as another object, and two laws interleaved: every P^(n) against
+    # the fresh orbit's.
+    monkeypatch.setattr(pgf_core, "_last_orbit", [])
+    ref = list(islice(model.orbit(), 10_001))
+    other = Poisson(m=1.5)
+    other_ref = list(islice(other.orbit(), 10_001))
+    twin = pickle.loads(pickle.dumps(model))
+    assert twin == model and twin is not model
+    ascending = (0, *BENCH_NS)
+    patterns = [
+        [(model, n) for n in ascending],
+        [(model, n) for n in reversed(ascending)],
+        [(model, n) for n in (7, 7, 3, 3, 500, 500, 0, 0)],
+        [(model, 40), (twin, 60), (model, 60), (twin, 20), (model, 2000)],
+        [(m, n) for n in ascending for m in (model, other)],
+        [(m, n) for n in (5, 9000, 9001, 30) for m in (other, model, model)],
+    ]
+    for calls in patterns:
+        for law, n in calls:
+            want = ref[n] if law == model else other_ref[n]
+            assert iterate_extinction(law, n) == want, (law, n)
+
+
+def test_iterate_extinction_raises_on_every_call_when_the_orbit_leaves_the_interval():
+    # The entry left at generation 1 steps into phi = 1.5; the orbit that
+    # raised is not kept, so the next call walks afresh and raises again.
+    stray = Stray(after=1.5)
+    assert iterate_extinction(stray, 1) == 0.5
+    for _ in range(2):
+        with pytest.raises(DomainError, match="outside"):
+            iterate_extinction(stray, 5)
+    law = poisson_from_s(0.1)
+    assert iterate_extinction(law, 50) == next(islice(law.orbit(), 50, None))
+
+
+def test_threads_never_share_an_orbit(monkeypatch):
+    # Two threads, each 2000 calls on one law, then 2000 alternating between
+    # two, at random n with a short switch interval: each value is the fresh
+    # orbit's, no generator is stepped by two threads at once (ValueError:
+    # generator already executing), and the slot holds at most one entry.
+    monkeypatch.setattr(pgf_core, "_last_orbit", [])
+    laws = (gp_from_s(0.5, 1e-3), poisson_from_s(1e-3))
+    refs = {law: list(islice(law.orbit(), 801)) for law in laws}
+    errors, slot_sizes = [], set()
+
+    def worker(seed):
+        rng = random.Random(seed)
+        try:
+            for i in range(4000):
+                law = laws[0] if i < 2000 else laws[i % 2]
+                n = rng.randrange(801)
+                assert iterate_extinction(law, n) == refs[law][n], (law, n)
+                slot_sizes.add(len(pgf_core._last_orbit))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in (1, 2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert slot_sizes <= {0, 1}
 
 
 @pytest.mark.parametrize("lam", (0.2, 0.5, 0.9))
