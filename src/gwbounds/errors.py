@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all modules, and the two argument checks
-that raise DomainError.
+"""Exception hierarchy shared by all modules, and the argument checks that
+raise DomainError.
 
 The CLI maps these onto exit codes: DomainError -> 2, ApplicabilityError -> 3.
 """
@@ -44,3 +44,10 @@ def require_positive(name: str, x: float) -> None:
     """Raise DomainError unless x is finite and > 0."""
     if not 0.0 < x < math.inf:
         raise DomainError(f"{name} must be finite and > 0, got {x!r}")
+
+
+def require_invertible(name: str, x: float) -> None:
+    """Raise DomainError unless x is finite and > 0 and 1/x is finite too."""
+    require_positive(name, x)
+    if 1.0 / x == math.inf:
+        raise DomainError(f"1/{name} overflows, got {name}={x!r}")

@@ -11,7 +11,8 @@ from itertools import islice
 from typing import Optional
 
 from .classify_f3 import LOWER_BOUND_ON_P, UPPER_BOUND_ON_P, classify_f3
-from .errors import ConvergenceError, DomainError, require_count, require_positive
+from .errors import (ConvergenceError, DomainError, require_count, require_invertible,
+                     require_positive)
 from .pgf_core import (
     FiniteThree,
     FixedPoint,
@@ -146,11 +147,28 @@ def t_eps_exact(model: OffspringModel, eps: float) -> int:
 
     It resumes the last law's orbit, as iterate_extinction does, where the
     last reader of an equal law stopped short of the target, and leaves it at
-    T. An orbit never falls, so no earlier iterate meets the target either."""
+    T. It steps untested to just short of ceil(t_eps_fl), which tracks T or
+    falls short of it, and tests each generation from there. An orbit never
+    falls, so no earlier iterate meets the target where the landing one does
+    not; where it does, the estimate overshot, and a fresh orbit is tested
+    from P^(0). Without a finite estimate nothing is skipped."""
     require_positive("eps", eps)
     fp = extinction_probability(model)
     target = (1.0 + eps) * fp.s_inf
     n, x, orbit = _take_orbit(model, lambda n, x: 1.0 - x > target)
+    try:
+        estimate = t_eps_fl(fp, eps)
+    except DomainError:
+        estimate = math.nan
+    gap = min(math.ceil(estimate), T_EPS_CAP) - n if estimate < math.inf else 0
+    skip = gap - max(8, gap >> 6)
+    if skip > 0:
+        landed = next(islice(orbit, skip - 1, None))
+        if 1.0 - landed > target:
+            n, x = n + skip, landed
+        else:
+            orbit = extinction_iterates(model)
+            n, x = 0, next(orbit)
     if 1.0 - x > target:
         for n, x in enumerate(islice(orbit, max(T_EPS_CAP - n, 0)), n + 1):
             if 1.0 - x <= target:
@@ -163,11 +181,14 @@ def t_eps_exact(model: OffspringModel, eps: float) -> int:
 
 def t_eps_fl(fp: FixedPoint, eps: float) -> float:
     """Real-valued T solving S^(T) = (1+eps) S_inf for the matching
-    fractional-linear model; clamped to 0 when no positive solution exists."""
-    require_positive("eps", eps)
+    fractional-linear model; clamped to 0 when no positive solution exists.
+    DomainError where 1/eps overflows, or where gamma rounds to 1 and T > 0."""
+    require_invertible("eps", eps)
     arg = (1.0 + 1.0 / eps) * fp.p_inf
     if arg <= 1.0:
         return 0.0
+    if not fp.gamma < 1.0:
+        raise DomainError(f"T(eps) needs gamma < 1, got gamma={fp.gamma!r}")
     return math.log(arg) / (-math.log(fp.gamma))
 
 

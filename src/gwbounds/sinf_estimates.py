@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from typing import Optional, Tuple
 
-from .errors import ApplicabilityError, DomainError, require_count, require_positive
+from .errors import (ApplicabilityError, DomainError, require_count, require_invertible,
+                     require_positive)
 from .pgf_core import (
     Moments,
     MuDerivatives,
@@ -124,7 +125,7 @@ def t_ser(model: OffspringModel, s: float, eps: float) -> int:
     ceil((1/s - 1/2 + gamma2) * ln(1 + 1/eps) - theta), and T(eps) = 0
     wherever that series value is <= 0 (large s), as t_eps_fl clamps."""
     require_positive("s", s)
-    require_positive("eps", eps)
+    require_invertible("eps", eps)
     c = sinf_series(model.mu_table())
     return max(0, math.ceil((1.0 / s - 0.5 + c.gamma2) * math.log1p(1.0 / eps) - c.theta))
 
@@ -132,7 +133,7 @@ def t_ser(model: OffspringModel, s: float, eps: float) -> int:
 def t_simple(s: float, eps: float) -> int:
     """Leading-order approximation ceil(ln(1 + 1/eps)/s)."""
     require_positive("s", s)
-    require_positive("eps", eps)
+    require_invertible("eps", eps)
     return math.ceil(math.log1p(1.0 / eps) / s)
 
 

@@ -653,6 +653,13 @@ def test_sinf_strict_prints_what_the_plain_run_prints(capsys):
     assert strict == plain
 
 
+def test_teps_eps_whose_reciprocal_overflows_exits_2(capsys):
+    # It ended in a traceback (OverflowError) and exit 1.
+    code, out, err = run_cli(capsys, "teps", *POISSON_15, "--eps", "1e-320")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "domain", "message": "1/eps overflows, got eps=1e-320"}
+
+
 def test_teps_past_the_iteration_cap_exits_1(capsys):
     code, out, err = run_cli(capsys, "teps", "--dist", "poisson", "--s", "1e-6")
     assert (code, out) == (1, "")

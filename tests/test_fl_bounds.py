@@ -8,7 +8,7 @@ from itertools import islice
 import pytest
 from mpmath import mp
 
-from gwbounds import pgf_core
+from gwbounds import fl_bounds, pgf_core
 from gwbounds.errors import ConvergenceError, DomainError
 from gwbounds.fl_bounds import (
     LOWER_ON_S,
@@ -37,6 +37,7 @@ from gwbounds.pgf_core import (
     Binomial,
     FiniteThree,
     FractionalLinear,
+    GeneralizedPoisson,
     Poisson,
     binomial_from_s,
     extinction_iterates,
@@ -314,10 +315,13 @@ def test_t_eps_exact_definition():
             assert 1.0 - iterate_extinction(model, t - 1) > threshold
 
 
-def test_t_eps_exact_raises_past_the_iteration_cap():
+@pytest.mark.parametrize("s", [1e-6, 1e-8])
+def test_t_eps_exact_raises_past_the_iteration_cap(s):
     # T(0.01) is about 4.6/s generations: at s = 1e-6 it lies past T_EPS_CAP.
+    # At s = 1e-8 gamma rounds to 1, so no FL estimate exists either.
     # It raises on every call, also where the last reader stopped past the cap.
-    model = poisson_from_s(1e-6)
+    model = poisson_from_s(s)
+    assert (extinction_probability(model).gamma == 1.0) == (s == 1e-8)
     for before in (None, None, T_EPS_CAP + 5, None):
         if before is not None:
             iterate_extinction(model, before)
@@ -347,7 +351,14 @@ def resume_laws(s):
             FiniteThree(p0=0.4 - s, p1=0.3 + s, p2=0.2, p3=0.1))
 
 
-T_RESUME_CASES = [m for s in (1e-6, 1e-2, 0.3) for m in resume_laws(s)]
+# One F3 law with mean 1.001 in each classify_f3 region (LowerBoundOnP, case
+# 1; UpperBoundOnP, case 5; Switches, case 3i), and GP at lam = 0.99, where
+# t_eps_fl falls up to 3232 generations short of T (s = 1e-4, eps = 1e-4).
+T_RESUME_CASES = [m for s in (1e-6, 1e-2, 0.3) for m in resume_laws(s)] + [
+    FiniteThree(p0=0.569, p1=0.111, p2=0.07, p3=0.25),
+    FiniteThree(p0=0.069, p1=0.871, p2=0.05, p3=0.01),
+    FiniteThree(p0=0.259, p1=0.581, p2=0.06, p3=0.1),
+    gp_from_s(0.99, 1e-2), gp_from_s(0.99, 1e-4)]
 
 
 @pytest.mark.parametrize("model", T_RESUME_CASES, ids=repr)
@@ -356,7 +367,7 @@ def test_t_eps_exact_resumed_is_the_walk_from_0(model, monkeypatch):
     # T is the scan's from P^(0) and t_eps_exact's with the slot cleared.
     # Past the cap, T_EPS_CAP stands for T.
     other = Poisson(m=1.5)
-    for eps in (0.5, 0.01, 1e-6):
+    for eps in (0.5, 0.01, 1e-4, 1e-6, 1e-9):
         want = t_eps_walk(model, eps)
         monkeypatch.setattr(pgf_core, "_last_orbit", [])
         assert t_eps_or_none(model, eps) == want
@@ -368,28 +379,88 @@ def test_t_eps_exact_resumed_is_the_walk_from_0(model, monkeypatch):
             assert t_eps_or_none(model, eps) == want, before
 
 
-def test_the_near_critical_report_walks_the_orbit_once(monkeypatch):
+# (law, eps): T = 459 and 4621 within the cap; past it, and with gamma = 1.
+ESTIMATE_CASES = [(poisson_from_s(1e-2), 0.01), (gp_from_s(0.5, 1e-3), 0.01),
+                  (FiniteThree(p0=0.259, p1=0.581, p2=0.06, p3=0.1), 1e-6),
+                  (poisson_from_s(1e-6), 0.01), (poisson_from_s(1e-8), 0.01)]
+
+
+@pytest.mark.parametrize("estimate", ["10T", "T/10", "inf", "nan", "DomainError"])
+def test_t_eps_exact_is_the_walk_from_0_whatever_its_estimate(estimate, monkeypatch):
+    # t_eps_exact steps untested to just short of t_eps_fl's estimate. One
+    # past T sends it back to P^(0); one short of T, or none, leaves more
+    # generations to test. T and ConvergenceError stay the scan's, on a fresh
+    # orbit and on a resumed one. Only the estimate past T walks a new orbit.
+    walks = []
+    monkeypatch.setattr(fl_bounds, "extinction_iterates",
+                        lambda model: walks.append(model) or model.orbit())
+    for model, eps in ESTIMATE_CASES:
+        want = t_eps_walk(model, eps)
+        t = T_EPS_CAP if want is None else want
+
+        def t_eps_fl(fp, eps):
+            if estimate == "DomainError":
+                raise DomainError("no estimate")
+            return {"10T": 10.0 * t, "T/10": t / 10, "inf": math.inf, "nan": math.nan}[estimate]
+
+        monkeypatch.setattr(fl_bounds, "t_eps_fl", t_eps_fl)
+        monkeypatch.setattr(pgf_core, "_last_orbit", [])
+        assert t_eps_or_none(model, eps) == want
+        for before in (0, t // 2, t - 1, t + 1):
+            iterate_extinction(model, before)
+            assert t_eps_or_none(model, eps) == want, before
+    fell_back = [m for m, eps in ESTIMATE_CASES[:3] for _ in range(5)]
+    assert walks == (fell_back if estimate == "10T" else [])
+
+
+@pytest.mark.parametrize("family, law_at, ts", [
+    (Poisson, poisson_from_s, (46148, 4612)),
+    (GeneralizedPoisson, lambda s: gp_from_s(0.5, s), (46158, 4621)),
+], ids=["poisson", "gp-0.5"])
+def test_the_near_critical_report_walks_the_orbit_once(family, law_at, ts, monkeypatch):
     # The benchmark's near_critical operation: P^(n) at n = 1, 10, ..., 10^4,
     # then T(0.01). Walked from P^(0) by each reader, it took T + 11117
-    # iterates at s = 1e-4 (T = 46148).
-    class CountingPoisson(Poisson):
+    # iterates at s = 1e-4 (T = 46148 for Poisson).
+    class Counting(family):
         yielded = [0]
 
         def orbit(self):
-            for x in Poisson.orbit(self):
-                CountingPoisson.yielded[0] += 1
+            for x in family.orbit(self):
+                Counting.yielded[0] += 1
                 yield x
 
     monkeypatch.setattr(pgf_core, "_last_orbit", [])
-    for s, t, most in ((1e-4, 46148, 46149), (1e-3, 4612, 10_001 + 4613)):
-        CountingPoisson.yielded[0] = 0
-        model = CountingPoisson(m=1.0 + s)
+    for s, t, most in ((1e-4, ts[0], ts[0] + 1), (1e-3, ts[1], 10_001 + ts[1] + 1)):
+        Counting.yielded[0] = 0
+        law = law_at(s)
+        model = Counting(*(getattr(law, name) for name in law._fields))
         values = [iterate_extinction(model, n) for n in (1, 10, 100, 1000, 10_000)]
         assert t_eps_exact(model, 0.01) == t
-        assert CountingPoisson.yielded[0] <= most
-        law = poisson_from_s(s)
+        assert Counting.yielded[0] <= most
         assert values == [next(islice(law.orbit(), n, None)) for n in (1, 10, 100, 1000, 10_000)]
         assert t_eps_walk(law, 0.01) == t
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e-10, 1e-12])
+def test_t_eps_estimates_raise_where_gamma_rounds_to_1(s):
+    # Both raised ZeroDivisionError from log(T) / -log(gamma).
+    fp = extinction_probability(poisson_from_s(s))
+    assert fp.gamma == 1.0
+    for estimate in (t_eps_fl, t_eps_app):
+        with pytest.raises(DomainError, match="T\\(eps\\) needs gamma < 1, got gamma=1.0"):
+            estimate(fp, 0.01)
+    # Where (1 + 1/eps) P_inf <= 1, T = 0 whatever gamma is.
+    assert t_eps_fl(fp, 1e30) == 0.0
+
+
+@pytest.mark.parametrize("eps", [1e-320, 5e-324, 5e-309])
+def test_t_eps_estimates_raise_where_1_over_eps_overflows(eps):
+    # t_eps_fl returned inf, and t_eps_app raised OverflowError from ceil(inf).
+    fp = extinction_probability(Poisson(m=1.5))
+    for estimate in (t_eps_fl, t_eps_app):
+        with pytest.raises(DomainError, match=rf"1/eps overflows, got eps={eps!r}"):
+            estimate(fp, eps)
+    assert t_eps_fl(fp, 1e-308) == math.log(1e308 * fp.p_inf) / -math.log(fp.gamma)
 
 
 def test_t_eps_fl_bounds_exact_for_proven_families():

@@ -419,6 +419,15 @@ def test_t_ser_domain():
         t_ser(poisson_from_s(0.1), math.inf, 0.01)
 
 
+@pytest.mark.parametrize("eps", [1e-320, 5e-324, 5e-309])
+def test_series_times_raise_where_1_over_eps_overflows(eps):
+    # Both raised OverflowError from ceil(inf).
+    for call in (lambda: t_ser(poisson_from_s(0.5), 0.5, eps), lambda: t_simple(0.5, eps)):
+        with pytest.raises(DomainError, match=rf"1/eps overflows, got eps={eps!r}"):
+            call()
+    assert t_simple(0.5, 1e-308) == math.ceil(math.log1p(1e308) / 0.5)
+
+
 def test_t_ser_is_zero_where_the_series_value_is_not_positive():
     # Both returned -1: (1/s - 1/2 + gamma2) ln(1 + 1/eps) - theta < 0 at large s.
     from gwbounds.fl_bounds import t_eps_exact
