@@ -187,11 +187,17 @@ def wf_fixation_a(wf: WFModel) -> float:
     return -math.expm1(-a_val) / -math.expm1(-a_val * n)
 
 
-# Largest population the exact absorption solve accepts. The banded solve
-# takes O(N b^2) time and O(b^2) working memory plus a few length-N vectors,
-# for a half-bandwidth b of about t + sN/4 (t as in binom.window): b is about
-# 430 at N = 5000, s = 0.01.
+# Largest population the exact absorption solve accepts. The panel solve
+# takes about 2 N b^2 flops and O(b^2) working memory (a buffer of about
+# (b + 3k)(2b + 3k) numbers, k = _PANEL) plus a few length-N vectors, for a
+# half-bandwidth b of about t + sN/4 (t as in binom.window): b is about 430
+# at N = 5000, s = 0.01, where the solve takes about 0.11 s and a traced
+# peak of 7.3 MB.
 WF_EXACT_MAX_N = 5000
+
+# Unknowns per elimination panel of wf_fixation_exact; 48 to 96 timed about
+# the same.
+_PANEL = 64
 
 # Largest mass a transition row may drop outside its window (binom.pmf).
 WINDOW_TAIL = 1e-30
@@ -225,20 +231,25 @@ class binom:
         A row starts at 1 at its mode and multiplies outward, above it by
         pmf(k+1)/pmf(k) = (n-k)/(k+1) * psi/(1-psi) and below it by the
         inverse, each factor at most 1, so nothing overflows; both sides read
-        t ratios of one (n-k)/(k+1) table, as rows of a sliding_window_view.
-        The row is then divided by the window's sum. An entry carries a few
-        roundings per step from the mode: entries above 1e-300 of six rows
-        with psi from 1e-3 to 1 - 1e-3 were within 3e-14 relative of a
-        30-digit mpmath pmf at n = 1000 and 6e-14 at n = 5000, and each row
-        sums to 1 within a few ulp."""
+        t ratios of one (n-k)/(k+1) table, as rows of a sliding_window_view,
+        which the next call at the same n reuses. The row is then divided by
+        the window's sum. An entry carries a few roundings per step from the
+        mode: entries above 1e-300 of six rows with psi from 1e-3 to
+        1 - 1e-3 were within 3e-14 relative of a 30-digit mpmath pmf at
+        n = 1000 and 6e-14 at n = 5000, and each row sums to 1 within a few
+        ulp."""
+        global _last_steps
         np = _numpy()
         start, t = binom.window(n, psi)
         mode = start + t
-        k = np.arange(n)
-        # pmf(k+1)/pmf(k) per unit odds at k, 0 from k = n on; at n - k it is
-        # pmf(k-1)/pmf(k) per unit inverse odds, 0 from k = 0 down
-        ratios = np.concatenate([(n - k) / (k + 1.0), np.zeros(t)])
-        steps = np.lib.stride_tricks.sliding_window_view(ratios, t)
+        last_n, steps = _last_steps
+        if last_n != n:
+            k = np.arange(n)
+            # pmf(k+1)/pmf(k) per unit odds at k, 0 from k = n on; at n - k it
+            # is pmf(k-1)/pmf(k) per unit inverse odds, 0 from k = 0 down
+            ratios = np.concatenate([(n - k) / (k + 1.0), np.zeros(t)])
+            steps = np.lib.stride_tricks.sliding_window_view(ratios, t)
+            _last_steps = (n, steps)
         rows = np.empty((len(psi), 2 * t + 1))
         rows[:, t] = 1.0
         for side, first, odds in ((rows[:, t + 1:], mode, psi / (1.0 - psi)),
@@ -249,6 +260,12 @@ class binom:
             del window  # one len(psi) x t temporary at a time
         rows /= rows.sum(axis=1, keepdims=True)
         return start, rows
+
+
+# The last n that binom.pmf built rows for and its read-only ratio windows,
+# read and replaced as one pair: a solve calls pmf once per panel, all at one
+# n, and rebuilding the table and its view took about 30 us a call.
+_last_steps: tuple = (None, None)
 
 
 def wf_fixation_exact(wf: WFModel) -> float:
@@ -262,16 +279,19 @@ def wf_fixation_exact(wf: WFModel) -> float:
     binom.pmf builds each row of P on a window around its mode, dropping at
     most WINDOW_TAIL of its mass; that moves q by at most WINDOW_TAIL times
     the expected absorption time (about 2N at most). I - P is then banded
-    with half-bandwidth b, which binom.window gives before any row is built,
-    and in blocks of b states it is block-tridiagonal. Elimination runs from
-    the last block up, so q[0] comes from the first block's solve, with no
-    back-substitution. Each block builds the rows of P of its own states
-    only, just before it is eliminated, and lays them out by slice copies in
-    one band buffer that every block reuses: O(N b^2) time, O(b^2) working
-    memory plus a few length-N vectors.
+    with half-bandwidth b, which binom.window gives before any row is built.
+    Elimination runs from the last state up in panels of k = _PANEL
+    unknowns: with D the panel's k x k diagonal block, only the b rows above
+    it change, by the Schur update U D^-1 [L | rhs] (U their part in the
+    panel's columns, L the panel rows' part in the b columns to its left),
+    about 2 N b^2 flops in all. The panel holding state 1 is solved for
+    q[0], with no back-substitution. Rows enter k at a time, built just
+    before the first panel that updates them, into a window over the b + k
+    live unknowns that moves up a buffer of b + 3k rows and is copied back
+    down at its top: O(b^2) working memory plus a few length-N vectors.
     I - P is a nonsingular M-matrix and so is each Schur complement, so no
-    pivoting across blocks is needed. Where one block holds every state
-    (small N, large s) this is a dense solve."""
+    pivoting across panels is needed. Where one panel holds every state
+    (N - 1 <= _PANEL) this is a dense solve."""
     n, s = wf.pop_size, wf.s_sel
     if n > WF_EXACT_MAX_N:
         raise DomainError(
@@ -287,34 +307,47 @@ def wf_fixation_exact(wf: WFModel) -> float:
     offset = start - np.arange(1, n)  # first window state less the row's state
     b = int(max(-offset.min(), offset.max() + width - 1))
     col = n - start  # each row's window column of state N, >= width if outside
-    # one buffer for every block's band, so its pages fault in once per solve
-    buf = np.empty(b * (3 * b + 1))
-    below = None  # the block below's Schur complement solved against [L | rhs]
-    for r0 in reversed(range(0, n - 1, b)):
-        size = min(b, n - 1 - r0)
-        rows = binom.pmf(n, psi[r0:r0 + size])[1]  # this block's rows of P only
-        c = col[r0:r0 + size]
-        rhs = np.where(c < width, rows[np.arange(size), np.minimum(c, width - 1)], 0.0)  # P[:, N]
-        # strip: rows r0+1 .. r0+size of I - P over states r0+1-b .. r0+size+b
-        # (blocks L, this, U). band holds strip row l shifted left by l, so a
-        # row's window starts at column offset + b: one copy per offset run.
-        # Entries at states <= 0 or >= N fall in columns that are never read.
-        band = buf[:size * (size + 2 * b + 1)].reshape(size, size + 2 * b + 1)
-        band.fill(0.0)
-        runs = [0, *(np.flatnonzero(np.diff(offset[r0:r0 + size])) + 1).tolist(), size]
-        for a, e in zip(runs, runs[1:]):
-            o = int(offset[r0 + a]) + b
-            np.negative(rows[a:e], out=band[a:e, o:o + width])
-        del rows
-        band[:, b] += 1.0
-        strip = band.ravel()[:size * (size + 2 * b)].reshape(size, size + 2 * b)
-        diag = strip[:, b:b + size]
-        if below is not None:
-            update = strip[:, b + size:b + size + len(below)] @ below
-            below = None
-            diag -= update[:, :-1]
-            rhs -= update[:, -1]
-            del update
-        if r0 == 0:
-            return float(np.linalg.solve(diag, rhs)[0])
-        below = np.linalg.solve(diag, np.column_stack([strip[:, :b], rhs]))
+    m, k = n - 1, _PANEL  # unknown u is q at state u + 1
+    # Buffer row i holds unknown base + i and column j unknown base + j - b,
+    # so row i's band starts at column i, and a row is 0 left of it whoever
+    # holds it; a view with row stride w + 1 (it fits for h >= b) lays each
+    # run of rows with one offset in one copy.
+    h = max(b, min(m, b + 3 * k))
+    w = h + b
+    buf = np.empty(h * (w + 1))
+    a, rhs = buf[:h * w].reshape(h, w), np.empty(h)
+    base, top = m - h, m  # rows top .. m-1 have entered
+    for p1 in range(m, 0, -k):  # the panel is unknowns p0 .. p1-1
+        p0 = max(p1 - k, 0)
+        lo = max(p0 - b, 0)  # its Schur update reaches rows lo .. p0-1
+        while top > lo:  # enter rows e .. top-1
+            e = max(top - k, lo)
+            if e < base:  # no room above: move rows top .. p1-1 to the bottom
+                d, r, live = h - (p1 - base), top - base, p1 - top
+                for i in reversed(range(0, live, d)):  # each slice below its source
+                    j = min(i + d, live)
+                    a[r + d + i:r + d + j, r + d:r + d + live + b] = a[r + i:r + j, r:r + live + b]
+                rhs[r + d:h] = rhs[r:r + live]
+                base -= d
+            rows = binom.pmf(n, psi[e:top])[1]  # these states' rows of P only
+            c = col[e:top]
+            i0, i1 = e - base, top - base
+            rhs[i0:i1] = np.where(c < width, rows[np.arange(top - e), np.minimum(c, width - 1)], 0.0)
+            # A band running past its row's end (states >= N) spills into the
+            # next row, left of any column a panel reads, or the buffer's tail.
+            a[i0:i1] = 0.0
+            band = buf[i0 * (w + 1):i1 * (w + 1)].reshape(top - e, w + 1)
+            runs = [0, *(np.flatnonzero(np.diff(offset[e:top])) + 1).tolist(), top - e]
+            for i, j in zip(runs, runs[1:]):
+                o = int(offset[e + i]) + b
+                np.negative(rows[i:j], out=band[i:j, o:o + width])
+            del rows
+            band[:, b] += 1.0
+            top = e
+        il, i0, i1 = lo - base, p0 - base, p1 - base  # rows, and columns less b
+        diag = a[i0:i1, i0 + b:i1 + b]
+        if p0 == 0:
+            return float(np.linalg.solve(diag, rhs[i0:i1])[0])
+        y = a[il:i0, i0 + b:i1 + b] @ np.linalg.inv(diag)  # U D^-1
+        a[il:i0, il + b:i0 + b] -= y @ a[i0:i1, il + b:i0 + b]
+        rhs[il:i0] -= y @ rhs[i0:i1]

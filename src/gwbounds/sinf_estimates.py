@@ -120,6 +120,13 @@ def _dn_upper(mom: Moments) -> float:
 # Series-based approximations for convergence times and P^(n)
 # ---------------------------------------------------------------------------
 
+def _require_finite_time(formula: str, value: float, s: float, eps: float) -> None:
+    """Raise DomainError where a convergence time overflows to inf, though s
+    and 1/eps are finite (small s)."""
+    if not math.isfinite(value):
+        raise DomainError(f"{formula} overflows at s={s!r}, eps={eps!r}")
+
+
 def t_ser(model: OffspringModel, s: float, eps: float) -> int:
     """Series approximation of the convergence time:
     ceil((1/s - 1/2 + gamma2) * ln(1 + 1/eps) - theta), and T(eps) = 0
@@ -127,14 +134,18 @@ def t_ser(model: OffspringModel, s: float, eps: float) -> int:
     require_positive("s", s)
     require_invertible("eps", eps)
     c = sinf_series(model.mu_table())
-    return max(0, math.ceil((1.0 / s - 0.5 + c.gamma2) * math.log1p(1.0 / eps) - c.theta))
+    value = (1.0 / s - 0.5 + c.gamma2) * math.log1p(1.0 / eps) - c.theta
+    _require_finite_time("(1/s - 1/2 + gamma2) ln(1 + 1/eps) - theta", value, s, eps)
+    return max(0, math.ceil(value))
 
 
 def t_simple(s: float, eps: float) -> int:
     """Leading-order approximation ceil(ln(1 + 1/eps)/s)."""
     require_positive("s", s)
     require_invertible("eps", eps)
-    return math.ceil(math.log1p(1.0 / eps) / s)
+    value = math.log1p(1.0 / eps) / s
+    _require_finite_time("ln(1 + 1/eps)/s", value, s, eps)
+    return math.ceil(value)
 
 
 def pn_ratio_series(model: OffspringModel, s: float, n: int) -> float:

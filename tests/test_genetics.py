@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import lu_factor, lu_solve
 from scipy.special import exp1 as scipy_exp1
 from scipy.stats import binom
 
@@ -397,10 +398,68 @@ def test_wf_exact_rejects_a_sampling_probability_that_rounds_to_one():
     assert wf_fixation_exact(WFModel(100, 1e14, 100.0)) == pytest.approx(1.0, abs=1e-12)
 
 
-# The references for wf_fixation_exact and binom.pmf, which must match them
-# bit for bit: the same blocks and solves, with the pmf's ratios gathered
-# through N x t integer index arrays, and every window entry scattered into
-# its block's strip through a fancy index, states outside 1 .. N-1 masked to 0.
+def wf_exact_refined(n, s):
+    """The system that wf_fixation_exact solves, I - P from the same binom.pmf
+    rows and rounded as it rounds them, built densely and solved by LU, then
+    refined three times with residuals in long double: the float system's own
+    solution, to about an ulp."""
+    x = np.arange(1, n) / n
+    psi = x * (1.0 + s) / (1.0 + s * x)
+    start, rows = genetics.binom.pmf(n, psi)
+    states = start[:, None] + np.arange(rows.shape[1])
+    line, state = np.nonzero((states > 0) & (states < n))
+    a = np.eye(n - 1)
+    a[line, states[line, state] - 1] -= rows[line, state]
+    rhs = np.where(states == n, rows, 0.0).sum(axis=1)  # P[:, N]
+    lu = lu_factor(a)
+    q = lu_solve(lu, rhs)
+    for _ in range(3):
+        q_ld = q.astype(np.longdouble)
+        residual = [rhs[i:i + 256] - a[i:i + 256].astype(np.longdouble) @ q_ld
+                    for i in range(0, n - 1, 256)]
+        q = q + lu_solve(lu, np.concatenate(residual).astype(float))
+    return float(q[0])
+
+
+# The bench's N x s grid; one panel at N = 50 and 65, a last panel of one
+# state at N = 66 and 1026 (N - 1 = 1 mod 64), and a move of the live rows
+# down the buffer at every N >= 500. At N = 2000, s = 1e-9 the former block
+# solve is 4e-14 off.
+REFINED_CASES = [(n, s) for n in (50, 500, 1000, 1500, 2000) for s in (0.01, 0.02, 0.05, 0.1)]
+REFINED_CASES += [(65, 0.1), (66, 0.1), (1026, 0.05), (2000, 1e-9)]
+
+
+@pytest.mark.parametrize("n, s", REFINED_CASES)
+def test_wf_exact_against_the_refined_solve(n, s):
+    wf = WFModel(pop_size=n, s_sel=s, effective_size=float(n))
+    assert wf_fixation_exact(wf) == pytest.approx(wf_exact_refined(n, s), rel=2e-14)
+
+
+def panel_layout(n, s):
+    """(b, panel sizes from the last state up) of the solve at (n, s)."""
+    x = np.arange(1, n) / n
+    start, t = genetics.binom.window(n, x * (1.0 + s) / (1.0 + s * x))
+    offset = start - np.arange(1, n)
+    k = genetics._PANEL
+    return (int(max(-offset.min(), offset.max() + 2 * t)),
+            [min(k, p1) for p1 in range(n - 1, 0, -k)])
+
+
+def test_refined_cases_cover_one_panel_a_one_state_panel_and_a_buffer_move():
+    layouts = {case: panel_layout(*case) for case in REFINED_CASES}
+    assert layouts[(50, 0.1)][1] == [49] and layouts[(65, 0.1)][1] == [64]
+    assert layouts[(66, 0.1)][1] == [64, 1] and layouts[(1026, 0.05)][1][-1] == 1
+    # the buffer holds b + 3 panels of rows; more unknowns move the live rows
+    b, panels = layouts[(500, 0.1)]
+    assert sum(panels) > b + 3 * genetics._PANEL
+
+
+# The references for wf_fixation_exact and binom.pmf: binom.pmf must match
+# its reference bit for bit, with the pmf's ratios gathered through N x t
+# integer index arrays. The former solve eliminated blocks of b states, with
+# every window entry scattered into its block's strip through a fancy index,
+# states outside 1 .. N-1 masked to 0; the panel solve eliminates in another
+# order, so it matches within rounding, and raises the same errors.
 
 def former_binom_pmf(n, psi):
     t = min(math.ceil(math.sqrt(n / 2 * math.log(2 / genetics.WINDOW_TAIL))) + 1, n)
@@ -484,9 +543,13 @@ FORMER_CASES += [(WF_EXACT_MAX_N, 0.01)]
 
 
 @pytest.mark.parametrize("n, s", FORMER_CASES)
-def test_wf_exact_is_the_scatter_assembly_bit_for_bit(n, s):
+def test_wf_exact_agrees_with_the_former_block_solve(n, s):
     wf = WFModel(pop_size=n, s_sel=s, effective_size=float(n))
-    assert outcome(wf_fixation_exact, wf) == outcome(former_wf_fixation_exact, wf)
+    got, want = outcome(wf_fixation_exact, wf), outcome(former_wf_fixation_exact, wf)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=2e-14)
 
 
 def test_former_cases_cover_one_block_and_a_one_state_last_block():
@@ -511,10 +574,11 @@ def test_binom_rows_are_the_index_gathers_bit_for_bit(n):
 
 @pytest.mark.parametrize("n, s", [(2000, 0.1), (5000, 0.01)])
 def test_wf_exact_peak_allocation_stays_near_one_block(monkeypatch, n, s):
-    # Each block builds the pmf rows of its own b states only, into one band
-    # buffer of b(3b + 1) numbers that every block reuses, so the traced peak
-    # stays near that buffer whatever N is: about 2.2 to 2.4 times its bytes
-    # now, 6.3 and 11 when the rows of all N - 1 states were built at once.
+    # Rows enter at most one panel of states at a time, into one buffer of
+    # (b + 3k)(2b + 3k + 1) numbers that every panel reuses, so the traced
+    # peak stays near b(3b + 1) numbers whatever N is: about 1.9 and 1.65
+    # times their bytes now, 2.2 to 2.4 with the former blocks of b states,
+    # 6.3 and 11 when the rows of all N - 1 states were built at once.
     wf = WFModel(pop_size=n, s_sel=s, effective_size=float(n))
     wf_fixation_exact(wf)  # numpy loaded outside the trace
     x = np.arange(1, n) / n

@@ -8,7 +8,6 @@ library; no function imports a gwbounds module, and the package's classifier
 attributes are their modules."""
 
 import ast
-import math
 import os
 import subprocess
 import sys
@@ -118,16 +117,15 @@ class _Proxy:
 def solve_through_proxies(monkeypatch, wf):
     """wf_fixation_exact(wf) plain, then with genetics.binom.pmf and
     genetics.np.linalg.solve proxied: (plain result, proxied result, the
-    proxied calls in order, what each proxied pmf call returned)."""
-    calls, returned = [], []
+    proxied calls in order, the psi that each proxied pmf call was given)."""
+    calls, given = [], []
 
     def counted(name, fn):
         def call(*args, **kwargs):
             calls.append(name)
-            result = fn(*args, **kwargs)
             if name == "pmf":
-                returned.append(result)
-            return result
+                given.append(args[1])
+            return fn(*args, **kwargs)
         return call
 
     plain = genetics.wf_fixation_exact(wf)
@@ -136,34 +134,30 @@ def solve_through_proxies(monkeypatch, wf):
         genetics.binom, pmf=counted("pmf", genetics.binom.pmf)))
     monkeypatch.setattr(genetics, "np", _Proxy(np, linalg=_Proxy(
         np.linalg, solve=counted("solve", np.linalg.solve))))
-    return plain, genetics.wf_fixation_exact(wf), calls, returned
+    return plain, genetics.wf_fixation_exact(wf), calls, given
 
 
 def test_proxies_set_on_the_module_are_what_the_solve_calls(monkeypatch):
-    # N = 30: one block holds every state.
+    # N = 30: one panel holds every state.
     plain, proxied, calls, _ = solve_through_proxies(monkeypatch, genetics.WFModel(30, 0.1, 30.0))
     assert proxied == plain
     assert calls == ["pmf", "solve"]
 
 
-def test_proxied_solve_goes_block_by_block(monkeypatch):
-    # N = 500: ceil((N - 1)/b) blocks of b states, where b is the
-    # half-bandwidth of the pmf's windows over all states: the farthest any
-    # window reaches from its row's state. Each block, from the last up, gets
-    # the pmf rows of its own states only, and one solve eliminates it.
+def test_proxied_solve_goes_panel_by_panel(monkeypatch):
+    # N = 500: each pmf call builds the rows of at most one panel of states,
+    # from the last state up, so the calls cover the N - 1 states once, in
+    # reverse. Panels above the first are eliminated without a solve; one
+    # solve, of the panel holding state 1, gives q[0].
     n, s = 500, 0.1
-    plain, proxied, calls, returned = solve_through_proxies(
+    plain, proxied, calls, given = solve_through_proxies(
         monkeypatch, genetics.WFModel(n, s, float(n)))
     assert proxied == plain
+    assert len(given) >= 2 and calls == ["pmf"] * len(given) + ["solve"]
+    assert max(map(len, given)) <= genetics._PANEL
     x = genetics.np.arange(1, n) / n
-    start, t = genetics.binom.window(n, x * (1.0 + s) / (1.0 + s * x))
-    offset = [first - state for state, first in enumerate(start.tolist(), 1)]
-    b = max(-min(offset), max(offset) + 2 * t)
-    blocks = math.ceil((n - 1) / b)
-    assert blocks >= 2
-    assert calls == ["pmf", "solve"] * blocks
-    assert [first.tolist() for first, _ in reversed(returned)] == [
-        start[r0:r0 + b].tolist() for r0 in range(0, n - 1, b)]
+    psi = x * (1.0 + s) / (1.0 + s * x)
+    assert genetics.np.concatenate(given[::-1]).tolist() == psi.tolist()
 
 
 def parse_module(name):

@@ -428,6 +428,21 @@ def test_series_times_raise_where_1_over_eps_overflows(eps):
     assert t_simple(0.5, 1e-308) == math.ceil(math.log1p(1e308) / 0.5)
 
 
+@pytest.mark.parametrize("s, eps", [(1e-308, 0.01), (5e-324, 0.5), (1e-306, 1e-300)])
+def test_series_times_raise_where_the_time_overflows(s, eps):
+    # Both raised OverflowError from ceil(inf): 1/eps is finite, but
+    # ln(1 + 1/eps)/s is not.
+    for call, formula in ((lambda: t_simple(s, eps), "ln(1 + 1/eps)/s"),
+                          (lambda: t_ser(poisson_from_s(0.1), s, eps),
+                           "(1/s - 1/2 + gamma2) ln(1 + 1/eps) - theta")):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == f"{formula} overflows at s={s!r}, eps={eps!r}"
+    # just inside, both are times
+    assert t_simple(1e-300, 0.01) == math.ceil(math.log1p(100.0) / 1e-300)
+    assert t_ser(poisson_from_s(0.1), 1e-300, 0.01) > 10 ** 300
+
+
 def test_t_ser_is_zero_where_the_series_value_is_not_positive():
     # Both returned -1: (1/s - 1/2 + gamma2) ln(1 + 1/eps) - theta < 0 at large s.
     from gwbounds.fl_bounds import t_eps_exact
