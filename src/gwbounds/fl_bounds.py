@@ -150,8 +150,9 @@ def t_eps_exact(model: OffspringModel, eps: float) -> int:
     T. It steps untested to just short of ceil(t_eps_fl), which tracks T or
     falls short of it, and tests each generation from there. An orbit never
     falls, so no earlier iterate meets the target where the landing one does
-    not; where it does, the estimate overshot, and a fresh orbit is tested
-    from P^(0). Without a finite estimate nothing is skipped."""
+    not; where it does, the estimate overshot, and a fresh orbit steps
+    untested to the generation the call started from and is tested from
+    there. Without a finite estimate nothing is skipped."""
     require_positive("eps", eps)
     fp = extinction_probability(model)
     target = (1.0 + eps) * fp.s_inf
@@ -168,7 +169,7 @@ def t_eps_exact(model: OffspringModel, eps: float) -> int:
             n, x = n + skip, landed
         else:
             orbit = extinction_iterates(model)
-            n, x = 0, next(orbit)
+            x = next(islice(orbit, n, None))
     if 1.0 - x > target:
         for n, x in enumerate(islice(orbit, max(T_EPS_CAP - n, 0)), n + 1):
             if 1.0 - x <= target:

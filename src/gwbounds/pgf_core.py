@@ -372,24 +372,41 @@ class GeneralizedPoisson(_Family):
         # h(t) = t - x*exp(lam*(t - 1)) at or just below the root. h is
         # increasing and concave on [0, 1]: from its first iterate on, Newton
         # rises monotonically to the root, and after a step of at most 1e-9*t
-        # the error left is about lam^2/(2(1 - lam*t)) * 1e-18*t. At lam = 0,
-        # ratio = 1 and t = x: phi is the Poisson pgf exp(mu*(x - 1)).
-        lam, mu, exp = self.lam, self.mu, math.exp
-        ratio, x = exp(-lam), 0.0
+        # the error left is about lam^2/(2(1 - lam*t)) * 1e-18*t. So dt <= 0 up
+        # to rounding (the warm start lies at most 2 ulp above the root), and
+        # only a fall, dt < -1e-9*t, takes another step. Most generations stop
+        # at the first or second step, both inline; the step count and the cap
+        # apply from the third. A NaN step stops at once, and the guard raises
+        # DomainError on its phi. At lam = 0, ratio = 1 and each step is 0, so
+        # t = x: phi is the Poisson pgf exp(mu*(x - 1)). phi(0) = exp(-mu)
+        # needs no Newton step, and is > 0 for a law (_validate), so ratio
+        # needs no x = 0 case.
+        lam, mu, exp, cap = self.lam, self.mu, math.exp, _GP_NEWTON_CAP
+        yield 0.0
+        x, ratio = exp(mu * -1.0), exp(-lam)
+        if not x <= 1.0:
+            raise DomainError(_OUTSIDE.format(x, self))
         while True:
             yield x
-            t, steps = x * ratio, 1
-            while lam:
+            t = x * ratio
+            e = x * exp(lam * (t - 1.0))
+            dt = (t - e) / (1.0 - lam * e)
+            t -= dt
+            if dt < -1e-9 * t:
+                if cap < 2:
+                    raise ConvergenceError(f"GP orbit step did not converge at x={x!r} for {self!r}")
                 e = x * exp(lam * (t - 1.0))
                 dt = (t - e) / (1.0 - lam * e)
                 t -= dt
-                if -1e-9 * t <= dt <= 1e-9 * t:
-                    break
-                if steps == _GP_NEWTON_CAP:
-                    raise ConvergenceError(f"GP orbit step did not converge at x={x!r} for {self!r}")
-                steps += 1
-            if x:
-                ratio = t / x
+                steps = 2
+                while dt < -1e-9 * t:
+                    if steps == cap:
+                        raise ConvergenceError(f"GP orbit step did not converge at x={x!r} for {self!r}")
+                    e = x * exp(lam * (t - 1.0))
+                    dt = (t - e) / (1.0 - lam * e)
+                    t -= dt
+                    steps += 1
+            ratio = t / x
             nxt = exp(mu * (t - 1.0))
             if nxt <= x:
                 yield from repeat(x)

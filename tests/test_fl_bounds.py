@@ -413,6 +413,25 @@ def test_t_eps_exact_is_the_walk_from_0_whatever_its_estimate(estimate, monkeypa
     assert walks == (fell_back if estimate == "10T" else [])
 
 
+def test_t_eps_exact_past_its_estimate_tests_from_where_it_resumed(monkeypatch):
+    # At eps = 1e-9 the target lies within the rounding of the orbit's limit,
+    # and ceil(t_eps_fl) = 69080 overshoots T = 67243. The fresh orbit then
+    # steps untested to where the call started, P^(0) or P^(5000), and its
+    # test loop counts from the next generation.
+    model, eps = poisson_from_s(3e-4), 1e-9
+    assert t_eps_fl(extinction_probability(model), eps) > 69_079
+    starts = []
+    monkeypatch.setattr(fl_bounds, "enumerate",
+                        lambda it, start: starts.append(start) or enumerate(it, start),
+                        raising=False)
+    monkeypatch.setattr(pgf_core, "_last_orbit", [])
+    assert t_eps_exact(model, eps) == 67_243
+    iterate_extinction(model, 5000)
+    assert t_eps_exact(model, eps) == 67_243
+    assert starts == [1, 5001]
+    assert t_eps_walk(model, eps) == 67_243
+
+
 @pytest.mark.parametrize("family, law_at, ts", [
     (Poisson, poisson_from_s, (46148, 4612)),
     (GeneralizedPoisson, lambda s: gp_from_s(0.5, s), (46158, 4621)),

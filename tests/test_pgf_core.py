@@ -8,7 +8,7 @@ import random
 import sys
 import threading
 import types
-from itertools import islice
+from itertools import islice, repeat
 
 import mpmath
 import pytest
@@ -271,6 +271,83 @@ def test_gp_orbit_raises_convergence_error_at_its_newton_cap(monkeypatch):
         for x in islice(extinction_iterates(model), 10):
             seen.append(x)
     assert seen == [0.0, pgf_eval(model, 0.0)]
+
+
+def former_gp_orbit(model, starts=None):
+    """GeneralizedPoisson.orbit as it was before its first two Newton steps
+    were written inline, with a step counter, the cap read at each step and a
+    two-sided stop: the reference for its yields and errors. Where starts is
+    a list, each generation's solve appends (warm start, root) to it."""
+    lam, mu, exp = model.lam, model.mu, math.exp
+    ratio, x = exp(-lam), 0.0
+    while True:
+        yield x
+        t, steps = x * ratio, 1
+        start = t
+        while lam:
+            e = x * exp(lam * (t - 1.0))
+            dt = (t - e) / (1.0 - lam * e)
+            t -= dt
+            if -1e-9 * t <= dt <= 1e-9 * t:
+                break
+            if steps == pgf_core._GP_NEWTON_CAP:
+                raise ConvergenceError(f"GP orbit step did not converge at x={x!r} for {model!r}")
+            steps += 1
+        if starts is not None:
+            starts.append((start, t))
+        if x:
+            ratio = t / x
+        nxt = exp(mu * (t - 1.0))
+        if nxt <= x:
+            yield from repeat(x)
+        if not nxt <= 1.0:
+            raise DomainError(pgf_core._OUTSIDE.format(nxt, model))
+        x = nxt
+
+
+FORMER_GP_GRID = [gp_from_s(lam, s)
+                  for lam in (1e-12, 1e-6, 0.01, 0.2, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-6)
+                  for s in (1e-12, 1e-8, 1e-4, 1e-2, 0.3, 1.0, 5.0)]
+
+
+def walk(orbit, n):
+    """The first n values of orbit, and the error it raised before them, as
+    (type, message), or None."""
+    seen = []
+    try:
+        for x in islice(orbit, n):
+            seen.append(x)
+    except (ConvergenceError, DomainError) as exc:
+        return seen, (type(exc), str(exc))
+    return seen, None
+
+
+@pytest.mark.parametrize("cap", (None, 1, 2, 3))
+def test_gp_orbit_is_the_former_newton_loop_bit_for_bit(cap, monkeypatch):
+    # 10^5 generations of each law in the grid, with the cap as it is and at
+    # 1, 2 and 3 Newton steps: the same values and the same error, if any. A
+    # lower cap stops more of the 63 orbits, each with ConvergenceError.
+    if cap is not None:
+        monkeypatch.setattr(pgf_core, "_GP_NEWTON_CAP", cap)
+    raised = []
+    for model in FORMER_GP_GRID:
+        new = walk(extinction_iterates(model), 100_000)
+        assert new == walk(former_gp_orbit(model), 100_000), model
+        if new[1] is not None:
+            raised.append(new[1][0])
+    assert raised == [ConvergenceError] * {None: 0, 1: 56, 2: 41, 3: 33}[cap]
+
+
+def test_gp_orbit_warm_start_lies_at_most_2_ulp_above_the_root():
+    # The one-sided stop's premise: from x times the last generation's t/x,
+    # Newton does not fall by more than rounding, so a rise of dt < 0 is the
+    # only step that takes another.
+    for model in FORMER_GP_GRID:
+        starts = []
+        for _ in islice(former_gp_orbit(model, starts), 100_000):
+            pass
+        worst = max((start - t) / math.ulp(t) for start, t in starts[1:])
+        assert worst <= 2.0, (model, worst)
 
 
 ORBIT_CALL_CASES = [*laws_at(1e-6), *laws_at(0.3), gp_from_s(0.5, 1e-6)]
