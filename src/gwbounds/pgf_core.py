@@ -343,8 +343,8 @@ def _gp_t_derivs(x: float, lam: float):
     return t, t1, t2, t3
 
 
-# Newton steps allowed per GP orbit step: 8 at most were seen up to
-# lam = 0.999, and 22 at lam = 1 - 1e-12 (1e5 generations, s = 1e-12 ... 5).
+# Newton steps per GP orbit step, read as an orbit starts: 8 at most were seen
+# up to lam = 0.999, 22 at lam = 1 - 1e-12 (1e5 generations, s = 1e-12 ... 5).
 _GP_NEWTON_CAP = 50
 
 
@@ -374,13 +374,13 @@ class GeneralizedPoisson(_Family):
         # rises monotonically to the root, and after a step of at most 1e-9*t
         # the error left is about lam^2/(2(1 - lam*t)) * 1e-18*t. So dt <= 0 up
         # to rounding (the warm start lies at most 2 ulp above the root), and
-        # only a fall, dt < -1e-9*t, takes another step. Most generations stop
-        # at the first or second step, both inline; the step count and the cap
-        # apply from the third. A NaN step stops at once, and the guard raises
-        # DomainError on its phi. At lam = 0, ratio = 1 and each step is 0, so
-        # t = x: phi is the Poisson pgf exp(mu*(x - 1)). phi(0) = exp(-mu)
-        # needs no Newton step, and is > 0 for a law (_validate), so ratio
-        # needs no x = 0 case.
+        # only a rise of more than 1e-9*t, dt < -1e-9*t, takes another step.
+        # Most generations stop at the first or second step, both inline; the
+        # step count and the cap apply from the third. A NaN step stops at
+        # once, and the guard raises DomainError on its phi. At lam = 0,
+        # ratio = 1 and each step is 0, so t = x: phi is the Poisson pgf
+        # exp(mu*(x - 1)). phi(0) = exp(-mu) takes no Newton step, and is > 0
+        # for a law (_validate), so ratio = t/x needs no x = 0 case.
         lam, mu, exp, cap = self.lam, self.mu, math.exp, _GP_NEWTON_CAP
         yield 0.0
         x, ratio = exp(mu * -1.0), exp(-lam)
