@@ -690,6 +690,97 @@ def test_format_flag_is_gone(capsys):
 
 
 # ---------------------------------------------------------------------------
+# The README's commands
+# ---------------------------------------------------------------------------
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    # Every README line that starts with `gwb `, split on whitespace as CI's
+    # loop over the installed script splits it: --strict exits 3, the rest 0.
+    with open(README, encoding="utf-8") as fh:
+        commands = [line.split() for line in fh if line.startswith("gwb ")]
+    assert len(commands) == 13
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _, _ = run_cli(capsys, *argv[1:])
+        assert code == (3 if "--strict" in argv else 0), argv
+    assert (tmp_path / "table2.csv").is_file()
+
+
+# ---------------------------------------------------------------------------
+# Paper-regime faults, pinned one output at a time (fault letters as in
+# bench/checks.py): a mend turns its pin into an XPASS, which fails until
+# the mark is removed.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="fault c: S_inf = 1 - P_inf cancels near criticality")
+def test_sinf_poisson_near_critical_matches_mpmath(capsys):
+    code, out, _ = run_cli(capsys, "sinf", "--dist", "poisson", "--s", "1e-7",
+                           "--digits", "10")
+    assert code == 0
+    rows = {r[0]: r[1] for r in parse_csv(out)[1:]}
+    with mpmath.workdps(30):
+        m = mpmath.mpf(poisson_from_s(1e-7).m)
+        want = mpmath.findroot(lambda y: 1 - y - mpmath.exp(-m * y), 2 * (m - 1))
+    assert abs(float(rows["s_inf"]) / want - 1) <= 1e-6, (rows["s_inf"], want)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="fault a: _root_solve_p_inf's bracket top 1 - 1e-9 lies "
+                          "beyond P_inf, ConvergenceError 'not bracketed'")
+def test_sinf_binomial_near_critical_exits_0(capsys):
+    code, _, err = run_cli(capsys, "sinf", "--dist", "binomial", "--n", "5", "--s", "1e-9")
+    assert code == 0, err
+
+
+def gp_sign_rule_mp(model):
+    """The direction the sign rule gives from f''(P_inf) and f(0) of the GP
+    law, f = phi - phi_FL, all at 40 digits: ((f'', f(0)), direction)."""
+    with mpmath.workdps(40):
+        lam, mu = mpmath.mpf(model.lam), mpmath.mpf(model.mu)
+        z = -lam * mpmath.exp(-lam)
+
+        def phi(x):
+            return mpmath.exp(mu * (-mpmath.lambertw(z * x).real / lam - 1))
+
+        s = mu / (1 - lam) - 1
+        p = mpmath.findroot(lambda x: phi(x) - x, 1 - 2 * (1 - lam) ** 2 * s)
+        gamma = mpmath.diff(phi, p)
+        pi = (1 - gamma) / (1 - p * gamma)
+        rho = p * pi
+        # the matching FL law's phi'' is 2 pi (1-pi)(1-rho)/(1 - pi x)^3
+        f2 = mpmath.diff(phi, p, 2) - 2 * pi * (1 - pi) * (1 - rho) / (1 - pi * p) ** 3
+        f0 = phi(0) - rho
+    direction = "UpperOnS" if f2 > 0 else "LowerOnS" if f0 < 0 else "SwitchesAt"
+    return (float(f2), float(f0)), direction
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="f''(P_inf) is formed in P space, where pi = (1 - gamma)/(1 - "
+                          "P_inf*gamma) cancels near criticality: bound_direction reads "
+                          "the sign of rounding noise")
+def test_classify_gp_near_critical_follows_the_sign_rule(capsys):
+    (f2, f0), want = gp_sign_rule_mp(gp_from_s(0.2499, 1e-5))
+    assert f2 == pytest.approx(2.4e-9, rel=0.01) and f0 == pytest.approx(1.8e-3, rel=0.01)
+    assert want == "UpperOnS"
+    code, out, _ = run_cli(capsys, "classify", "gp", "--s", "1e-5", "--lambda", "0.2499")
+    assert code == 0
+    assert json.loads(out)["direction"] == want
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="cmd_sinf takes s = m - 1.0, which rounds to 0 for an "
+                          "admissible law within about 1e-16 of critical")
+def test_sinf_fl_law_whose_m_minus_1_rounds_to_0_exits_0(capsys):
+    code, _, err = run_cli(capsys, "sinf", "--dist", "fl", "--pi", "0.1859062658947177",
+                           "--rho", "0.18590626589471768")
+    assert code == 0, err
+
+
+# ---------------------------------------------------------------------------
 # Figure data series
 # ---------------------------------------------------------------------------
 

@@ -327,28 +327,24 @@ def test_gp_orbit_is_the_former_newton_loop_bit_for_bit(cap, monkeypatch):
     # 10^5 generations of each law in the grid, with the cap as it is and at
     # 1, 2 and 3 Newton steps: the same values and the same error, if any. A
     # lower cap stops more of the 63 orbits, each with ConvergenceError.
+    # With the cap as it is, the same walk checks the one-sided stop's
+    # premise: x times the last generation's t/x lies at most 2 ulp above
+    # the root (1 ulp at worst, on 11 of the 63 laws), so a Newton step falls
+    # (dt > 0) only by rounding, and only a rise (dt < -1e-9*t) needs another
+    # step.
     if cap is not None:
         monkeypatch.setattr(pgf_core, "_GP_NEWTON_CAP", cap)
     raised = []
     for model in FORMER_GP_GRID:
+        starts = [] if cap is None else None
         new = walk(extinction_iterates(model), 100_000)
-        assert new == walk(former_gp_orbit(model), 100_000), model
+        assert new == walk(former_gp_orbit(model, starts), 100_000), model
         if new[1] is not None:
             raised.append(new[1][0])
+        if starts is not None:
+            worst = max((start - t) / math.ulp(t) for start, t in starts)
+            assert worst <= 2.0, (model, worst)
     assert raised == [ConvergenceError] * {None: 0, 1: 56, 2: 41, 3: 33}[cap]
-
-
-def test_gp_orbit_warm_start_lies_at_most_2_ulp_above_the_root():
-    # The one-sided stop's premise: x times the last generation's t/x lies at
-    # most 2 ulp above the root (1 ulp at worst, on 11 of the 63 laws), so a
-    # Newton step falls (dt > 0) only by rounding, and only a rise
-    # (dt < -1e-9*t) needs another step.
-    for model in FORMER_GP_GRID:
-        starts = []
-        for _ in islice(former_gp_orbit(model, starts), 100_000):
-            pass
-        worst = max((start - t) / math.ulp(t) for start, t in starts)
-        assert worst <= 2.0, (model, worst)
 
 
 ORBIT_CALL_CASES = [*laws_at(1e-6), *laws_at(0.3), gp_from_s(0.5, 1e-6)]
