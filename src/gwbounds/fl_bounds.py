@@ -164,12 +164,14 @@ def t_eps_exact(model: OffspringModel, eps: float) -> int:
     gap = min(math.ceil(estimate), T_EPS_CAP) - n if estimate < math.inf else 0
     skip = gap - max(8, gap >> 6)
     if skip > 0:
-        landed = next(islice(orbit, skip - 1, None))
+        landed = orbit.send(skip)
         if 1.0 - landed > target:
             n, x = n + skip, landed
         else:
             orbit = extinction_iterates(model)
-            x = next(islice(orbit, n, None))
+            x = next(orbit)
+            if n:
+                x = orbit.send(n)
     if 1.0 - x > target:
         for n, x in enumerate(islice(orbit, max(T_EPS_CAP - n, 0)), n + 1):
             if 1.0 - x <= target:

@@ -11,7 +11,7 @@ arguments and delegate to the model. All operations are pure.
 from __future__ import annotations
 
 import math
-from itertools import islice, repeat
+from itertools import islice
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import ConvergenceError, DomainError, require_count
@@ -111,6 +111,9 @@ class FixedPoint(Record):
 # ---------------------------------------------------------------------------
 
 # A family's pgf and orbit, with phi inline: a call per step costs more than phi.
+# send(k) steps the first k - 1 generations in an inner loop with the same
+# guards; where one of them would not rise, the step after the loop finds it
+# again and repeats x.
 _OUTSIDE = "phi returned {!r}, outside [0,1], iterating {!r}"
 _PHI_TEMPLATE = """\
 def pgf(self, x):
@@ -119,10 +122,19 @@ def pgf(self, x):
 def orbit(self):
 {load}    x = 0.0
     while True:
-        yield x
+        k = yield x
+        if k:
+            for _ in range(k - 1):
+                nxt = {phi}
+                if nxt <= x:
+                    break
+                if not nxt <= 1.0:
+                    raise DomainError(_OUTSIDE.format(nxt, self))
+                x = nxt
         nxt = {phi}
         if nxt <= x:
-            yield from repeat(x)
+            while True:
+                yield x
         if not nxt <= 1.0:
             raise DomainError(_OUTSIDE.format(nxt, self))
         x = nxt
@@ -144,7 +156,7 @@ class _Family(Record):
         if "_phi" not in vars(cls):
             return
         load = "".join(f"    {n} = self.{n}\n" for n in cls._fields) + f"    {cls._consts}\n"
-        namespace = dict(exp=math.exp, repeat=repeat, DomainError=DomainError, _OUTSIDE=_OUTSIDE)
+        namespace = dict(exp=math.exp, DomainError=DomainError, _OUTSIDE=_OUTSIDE)
         exec(_PHI_TEMPLATE.format(load=load, phi=cls._phi), namespace)
         for name in ("pgf", "orbit"):
             namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
@@ -343,8 +355,9 @@ def _gp_t_derivs(x: float, lam: float):
     return t, t1, t2, t3
 
 
-# Newton steps per GP orbit step, read as an orbit starts: 8 at most were seen
-# up to lam = 0.999, 22 at lam = 1 - 1e-12 (1e5 generations, s = 1e-12 ... 5).
+# Newton steps per GP generation, read as an orbit starts: 14 at most were
+# seen, in the first solve (from u_0 = 1) at lam = 1 - 1e-6, and 9 in any later
+# generation (lam up to 1 - 1e-6, s = 1e-12 ... 5, 1e5 generations).
 _GP_NEWTON_CAP = 50
 
 
@@ -366,53 +379,55 @@ class GeneralizedPoisson(_Family):
         return math.exp(self.mu * (t - 1.0))
 
     def orbit(self) -> Iterator[float]:
-        # _PHI_TEMPLATE's orbit with t by Newton. Along an orbit x rises, and
-        # with it t(x)/x = exp(lam*(t - 1)), so x times the last generation's
-        # ratio (e^-lam, its limit at x = 0, at first) starts Newton on
-        # h(t) = t - x*exp(lam*(t - 1)) at or just below the root. h is
-        # increasing and concave on [0, 1]: from its first iterate on, Newton
-        # rises monotonically to the root, and after a step of at most 1e-9*t
-        # the error left is about lam^2/(2(1 - lam*t)) * 1e-18*t. So dt <= 0 up
-        # to rounding (the warm start lies at most 2 ulp above the root), and
-        # only a rise of more than 1e-9*t, dt < -1e-9*t, takes another step.
-        # Most generations stop at the first or second step, both inline; the
-        # step count and the cap apply from the third. A NaN step stops at
-        # once, and the guard raises DomainError on its phi. At lam = 0,
-        # ratio = 1 and each step is 0, so t = x: phi is the Poisson pgf
-        # exp(mu*(x - 1)). phi(0) = exp(-mu) takes no Newton step, and is > 0
-        # for a law (_validate), so ratio = t/x needs no x = 0 case.
-        lam, mu, exp, cap = self.lam, self.mu, math.exp, _GP_NEWTON_CAP
-        yield 0.0
-        x, ratio = exp(mu * -1.0), exp(-lam)
+        # In survival space: u_n = 1 - t(P^(n)), u_0 = 1, P^(n+1) = exp(-mu*u_n),
+        # and u_{n+1} is the root of G(v) = v + expm1(-mu*u_n - lam*v). G is
+        # increasing (G' >= 1 - lam) and convex, so a Newton step costs one
+        # expm1 and no P. It starts from the quadratic predictor
+        # 3(u_n - u_{n-1}) + u_{n-2}, or from u_n^2/u_{n-1} where that leaves
+        # (0, u_n), and stops on either side of the root once |step| <= 1e-9*v:
+        # the error left is about lam^2(1 - v)/(2 G') * 1e-18*v^2. The history
+        # starts flat at 1, so the first solve starts at u_0, above its root.
+        # Most generations take one step. u never rises, so P never falls; once
+        # v >= u_n, P^(n+1) is yielded for ever. A NaN state raises
+        # DomainError, as does a formed P above 1 (mu < 0, no law). send(k)
+        # steps k generations and forms P only where it lands; the loop
+        # counts k down, and a generation with k = 1 forms and yields P.
+        lam, c, nmu, cap = self.lam, 1.0 - self.lam, -self.mu, _GP_NEWTON_CAP
+        expm1, exp, fabs = math.expm1, math.exp, abs
+        k = (yield 0.0) or 1
+        u = u1 = u2 = 1.0
+        while True:
+            if k == 1:
+                x = exp(nmu * u)
+                if not x <= 1.0:
+                    raise DomainError(_OUTSIDE.format(x, self))
+                k = (yield x) or 1
+            else:
+                k -= 1
+            v = 3.0 * (u - u1) + u2
+            if not 0.0 < v < u:
+                v = u * u / u1
+            e = expm1(nmu * u - lam * v)
+            d = (v + e) / (c - lam * e)
+            v -= d
+            steps = 1
+            while fabs(d) > 1e-9 * v:
+                if steps == cap:
+                    raise ConvergenceError(f"GP orbit step did not converge at u={u!r} for {self!r}")
+                e = expm1(nmu * u - lam * v)
+                d = (v + e) / (c - lam * e)
+                v -= d
+                steps += 1
+            if not v < u:
+                break
+            u2, u1, u = u1, u, v
+        if v != v:
+            raise DomainError(_OUTSIDE.format(exp(nmu * v), self))
+        x = exp(nmu * u)
         if not x <= 1.0:
             raise DomainError(_OUTSIDE.format(x, self))
         while True:
             yield x
-            t = x * ratio
-            e = x * exp(lam * (t - 1.0))
-            dt = (t - e) / (1.0 - lam * e)
-            t -= dt
-            if dt < -1e-9 * t:
-                if cap < 2:
-                    raise ConvergenceError(f"GP orbit step did not converge at x={x!r} for {self!r}")
-                e = x * exp(lam * (t - 1.0))
-                dt = (t - e) / (1.0 - lam * e)
-                t -= dt
-                steps = 2
-                while dt < -1e-9 * t:
-                    if steps == cap:
-                        raise ConvergenceError(f"GP orbit step did not converge at x={x!r} for {self!r}")
-                    e = x * exp(lam * (t - 1.0))
-                    dt = (t - e) / (1.0 - lam * e)
-                    t -= dt
-                    steps += 1
-            ratio = t / x
-            nxt = exp(mu * (t - 1.0))
-            if nxt <= x:
-                yield from repeat(x)
-            if not nxt <= 1.0:
-                raise DomainError(_OUTSIDE.format(nxt, self))
-            x = nxt
 
     def derivative(self, x: float, order: int) -> float:
         mu = self.mu
@@ -538,11 +553,19 @@ def extinction_probability(model: OffspringModel) -> FixedPoint:
 def extinction_iterates(model: OffspringModel) -> Iterator[float]:
     """P^(0), P^(1), ... with P^(n) = phi^(n)(0), without end: the model's
     orbit(), the one iteration of the pgf that every per-generation quantity
-    reads. It steps by phi inline (GP with lam > 0: Newton for t, warm-started
-    and within a few ulp of the pgf). An iterate above 1 or NaN raises
-    DomainError unyielded; none is below phi(0) > 0, as phi is nondecreasing.
-    The iterates never fall, though rounding can put phi one ulp below its
-    argument: once an iterate does not rise, it is yielded from then on."""
+    reads. It steps by phi inline; GP steps u = 1 - t(P) in survival space,
+    one expm1 a generation, and forms P = exp(-mu*u) from it. An iterate
+    above 1 or NaN raises DomainError unyielded; none is below phi(0) > 0, as
+    phi is nondecreasing. The iterates never fall, though rounding can put
+    phi one ulp below its argument: once an iterate does not rise, it is
+    yielded from then on.
+
+    next() steps one generation; orbit.send(k), k >= 1, after the first
+    next(), steps k and returns the iterate k generations on, with the bits
+    and the errors of k next() calls, without yielding those between. An
+    override of orbit() must forward send, as yield from does: a wrapper
+    that loops over the inner orbit drops k and steps one generation, so a
+    reader that skips gets a wrong number, not an error."""
     return model.orbit()
 
 
@@ -576,12 +599,13 @@ def iterate_extinction(model: OffspringModel, n: int) -> float:
     """P^(n) = phi^(n)(0), the probability of extinction by generation n.
 
     It resumes the last law's orbit, as t_eps_exact does: for an equal law
-    and n at or past where the last reader stopped, it steps on from there,
-    so a scan over increasing n walks max n generations, not their sum."""
+    and n at or past where the last reader stopped, it skips on from there by
+    send, so a scan over increasing n walks max n generations, not their
+    sum."""
     require_count("n", n)
     k, x, orbit = _take_orbit(model, lambda k, x: k <= n)
     if n > k:
-        x = next(islice(orbit, n - k - 1, None))
+        x = orbit.send(n - k)
     _leave_orbit(model, n, x, orbit)
     return x
 

@@ -8,7 +8,7 @@ import random
 import sys
 import threading
 import types
-from itertools import islice, repeat
+from itertools import islice
 
 import mpmath
 import pytest
@@ -189,13 +189,13 @@ def ulps_apart(a, b):
 
 def test_extinction_iterates_is_the_iteration_of_the_pgf():
     # P^(0) = 0 and P^(n+1) = phi(P^(n)): bit for bit where the iterator
-    # steps with the pgf itself, within 8 ulp for GP with lam > 0, whose
-    # orbit takes its own Newton solve for t.
+    # steps with the pgf itself, within 8 ulp for GP, whose orbit steps in
+    # survival space.
     for model in MODELS[::11]:
         iterates = list(islice(extinction_iterates(model), 40))
         assert iterates[0] == 0.0
         for prev, cur in zip(iterates, iterates[1:]):
-            if isinstance(model, GeneralizedPoisson) and model.lam:
+            if isinstance(model, GeneralizedPoisson):
                 assert ulps_apart(cur, pgf_eval(model, prev)) <= 8.0, model
             else:
                 assert cur == pgf_eval(model, prev)
@@ -203,8 +203,7 @@ def test_extinction_iterates_is_the_iteration_of_the_pgf():
 
 
 def laws_at(s):
-    """One law of each of the six families with mean 1 + s, GP at lam = 0,
-    where it steps with its pgf as every other family does."""
+    """One law of each of the six families with mean 1 + s, GP at lam = 0."""
     return (poisson_from_s(s), binomial_from_s(5, s), negbinomial_from_s(3, s),
             fl_from_s(0.4, s), gp_from_s(0.0, s),
             FiniteThree(p0=0.4 - s, p1=0.3 + s, p2=0.2, p3=0.1))
@@ -227,11 +226,20 @@ GP_ORBIT_CASES = [gp_from_s(0.5, 0.3), gp_from_s(0.5, 1e-2), gp_from_s(0.9, 1e-8
 @pytest.mark.parametrize("s, model", ITERATE_CASES, ids=[repr(m) for _, m in ITERATE_CASES])
 def test_extinction_iterates_matches_the_pgf_eval_loop_bit_for_bit(s, model):
     # 10^4 generations. At s = 0.3 the iterates reach a float fixed point
-    # within them, so the iterator's repeat branch is checked too.
+    # within them, so the iterator's repeat branch is checked too. GP (here
+    # at lam = 0, the Poisson pgf) steps in survival space, so its reference
+    # is the orbit at 40 digits: every P^(n) within 2 ulp of it (1.64 at
+    # worst, at s = 1e-2), and no further from it than the loop (49.6 ulp).
     loop = pgf_eval_loop(model, 10_000)
-    assert list(islice(extinction_iterates(model), 10_000)) == loop
+    iterates = list(islice(extinction_iterates(model), 10_000))
+    if isinstance(model, GeneralizedPoisson):
+        ref = mp_gp_iterates(model, 9_999)
+        assert all(abs(x - r) <= 2.0 * math.ulp(x) for x, r in zip(iterates, ref))
+        assert max_rel_err(iterates[1:], ref[1:]) <= max_rel_err(loop[1:], ref[1:])
+    else:
+        assert iterates == loop
     if s == 0.3:
-        assert any(a == b for a, b in zip(loop, loop[1:]))
+        assert any(a == b for a, b in zip(iterates, iterates[1:]))
 
 
 # Each family's pgf written out as a plain method: the reference for the pgf
@@ -260,9 +268,9 @@ def test_compiled_pgf_is_the_former_closed_form_bit_for_bit(family):
 
 
 def test_gp_orbit_raises_convergence_error_at_its_newton_cap(monkeypatch):
-    # From phi(0) on, each generation of this orbit takes at least 2 Newton
-    # steps from its warm start. At x = 0 the first step is 0 and ends the
-    # solve, so with one step allowed phi(0) is the last value yielded.
+    # The first solve, for u_1, starts from u_0 = 1 (the history starts flat)
+    # and takes more than one Newton step, so with one step allowed phi(0),
+    # formed from u_0 without a solve, is the last value yielded.
     model = gp_from_s(0.5, 1e-6)
     assert list(islice(extinction_iterates(model), 5))[1] == pgf_eval(model, 0.0)
     monkeypatch.setattr(pgf_core, "_GP_NEWTON_CAP", 1)
@@ -273,41 +281,9 @@ def test_gp_orbit_raises_convergence_error_at_its_newton_cap(monkeypatch):
     assert seen == [0.0, pgf_eval(model, 0.0)]
 
 
-def former_gp_orbit(model, starts=None):
-    """GeneralizedPoisson.orbit as it was before its first two Newton steps
-    were written inline, with a step counter, the cap read at each step and a
-    two-sided stop: the reference for its yields and errors. Where starts is
-    a list, each generation's solve appends (warm start, root) to it."""
-    lam, mu, exp = model.lam, model.mu, math.exp
-    ratio, x = exp(-lam), 0.0
-    while True:
-        yield x
-        t, steps = x * ratio, 1
-        start = t
-        while lam:
-            e = x * exp(lam * (t - 1.0))
-            dt = (t - e) / (1.0 - lam * e)
-            t -= dt
-            if -1e-9 * t <= dt <= 1e-9 * t:
-                break
-            if steps == pgf_core._GP_NEWTON_CAP:
-                raise ConvergenceError(f"GP orbit step did not converge at x={x!r} for {model!r}")
-            steps += 1
-        if starts is not None:
-            starts.append((start, t))
-        if x:
-            ratio = t / x
-        nxt = exp(mu * (t - 1.0))
-        if nxt <= x:
-            yield from repeat(x)
-        if not nxt <= 1.0:
-            raise DomainError(pgf_core._OUTSIDE.format(nxt, model))
-        x = nxt
-
-
-FORMER_GP_GRID = [gp_from_s(lam, s)
-                  for lam in (1e-12, 1e-6, 0.01, 0.2, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-6)
-                  for s in (1e-12, 1e-8, 1e-4, 1e-2, 0.3, 1.0, 5.0)]
+GP_GRID = [gp_from_s(lam, s)
+           for lam in (1e-12, 1e-6, 0.01, 0.2, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-6)
+           for s in (1e-12, 1e-8, 1e-4, 1e-2, 0.3, 1.0, 5.0)]
 
 
 def walk(orbit, n):
@@ -323,28 +299,36 @@ def walk(orbit, n):
 
 
 @pytest.mark.parametrize("cap", (None, 1, 2, 3))
-def test_gp_orbit_is_the_former_newton_loop_bit_for_bit(cap, monkeypatch):
-    # 10^5 generations of each law in the grid, with the cap as it is and at
-    # 1, 2 and 3 Newton steps: the same values and the same error, if any. A
-    # lower cap stops more of the 63 orbits, each with ConvergenceError.
-    # With the cap as it is, the same walk checks the one-sided stop's
-    # premise: x times the last generation's t/x lies at most 2 ulp above
-    # the root (1 ulp at worst, on 11 of the 63 laws), so a Newton step falls
-    # (dt > 0) only by rounding, and only a rise (dt < -1e-9*t) needs another
-    # step.
+def test_gp_orbit_walks_the_grid_within_its_newton_cap(cap, monkeypatch):
+    # 10^5 generations of each of the 63 laws in the grid. With the cap as it
+    # is, each walk stays nondecreasing in [0, 1] and raises nothing. At 1, 2
+    # and 3 Newton steps a generation, more of the orbits stop, each with
+    # ConvergenceError: every first solve takes at least 2 steps, and up to
+    # 14 at lam = 1 - 1e-6.
     if cap is not None:
         monkeypatch.setattr(pgf_core, "_GP_NEWTON_CAP", cap)
     raised = []
-    for model in FORMER_GP_GRID:
-        starts = [] if cap is None else None
-        new = walk(extinction_iterates(model), 100_000)
-        assert new == walk(former_gp_orbit(model, starts), 100_000), model
-        if new[1] is not None:
-            raised.append(new[1][0])
-        if starts is not None:
-            worst = max((start - t) / math.ulp(t) for start, t in starts)
-            assert worst <= 2.0, (model, worst)
-    assert raised == [ConvergenceError] * {None: 0, 1: 56, 2: 41, 3: 33}[cap]
+    for model in GP_GRID:
+        seen, error = walk(extinction_iterates(model), 100_000)
+        if error is not None:
+            raised.append(error[0])
+        else:
+            assert len(seen) == 100_000
+            assert seen[0] == 0.0 and seen[-1] <= 1.0, model
+            assert all(a <= b for a, b in zip(seen, seen[1:])), model
+    assert raised == [ConvergenceError] * {None: 0, 1: 63, 2: 48, 3: 40}[cap]
+
+
+GP_GRID_CORNERS = [gp_from_s(lam, s) for lam in (1e-6, 0.5, 1.0 - 1e-6) for s in (1e-8, 1e-2, 5.0)]
+
+
+@pytest.mark.parametrize("model", GP_GRID_CORNERS, ids=repr)
+def test_gp_orbit_on_the_grid_is_within_6e_16_of_mpmath(model):
+    # P^(1..200) against the orbit at 40 digits: at most 5.0e-16 relative
+    # (at s = 5, where mu*u amplifies the error of u). The Newton loop in P
+    # space was up to 2.9e-15 off here (lam = 1 - 1e-6, s = 1e-8).
+    iterates = list(islice(extinction_iterates(model), 201))
+    assert max_rel_err(iterates[1:], mp_gp_iterates(model, 200)[1:]) <= 6e-16
 
 
 ORBIT_CALL_CASES = [*laws_at(1e-6), *laws_at(0.3), gp_from_s(0.5, 1e-6)]
@@ -354,8 +338,9 @@ ORBIT_CALL_CASES = [*laws_at(1e-6), *laws_at(0.3), gp_from_s(0.5, 1e-6)]
 def test_orbit_calls_no_python_function_a_generation(model):
     # Under sys.setprofile, a Python frame that starts or resumes is a "call"
     # event (a C function such as math.exp is a "c_call"). In 1000
-    # generations only the orbit generator itself may be one. At s = 0.3 the
-    # orbit reaches its float fixed point, so its repeat branch runs too.
+    # generations stepped one at a time, then 1000 skipped by send, only the
+    # orbit generator itself may be one. At s = 0.3 the orbit reaches its
+    # float fixed point, so its repeat branch runs too.
     orbit, frames = extinction_iterates(model), set()
 
     def profile(frame, event, arg):
@@ -366,6 +351,7 @@ def test_orbit_calls_no_python_function_a_generation(model):
     try:
         for _ in islice(orbit, 1000):
             pass
+        orbit.send(1000)
     finally:
         sys.setprofile(None)
     assert frames == {type(model).orbit.__code__}
@@ -382,21 +368,29 @@ def test_gp_orbit_steps_are_within_8_ulp_of_pgf_eval(model):
 
 def mp_gp_pgf(model):
     """phi of the GP law with the model's float parameters, at mpmath's
-    working precision: t = -W(-x lam e^-lam)/lam, phi = exp(mu (t - 1))."""
+    working precision: t = -W(-x lam e^-lam)/lam (t = x at lam = 0),
+    phi = exp(mu (t - 1))."""
     lam, mu = mpmath.mpf(model.lam), mpmath.mpf(model.mu)
+    if not lam:
+        return lambda x: mpmath.exp(mu * (x - 1))
     z = -lam * mpmath.exp(-lam)
     return lambda x: mpmath.exp(mu * (-mpmath.lambertw(z * x).real / lam - 1))
+
+
+def mp_gp_iterates(model, n):
+    """P^(0), ..., P^(n) of the GP law, iterated at 40 digits."""
+    with mpmath.workdps(40):
+        phi = mp_gp_pgf(model)
+        out = [mpmath.mpf(0)]
+        for _ in range(n):
+            out.append(phi(out[-1]))
+        return out
 
 
 def mp_gp_orbit(model, n):
     """S^(0), ..., S^(n) of the GP law, iterated at 40 digits."""
     with mpmath.workdps(40):
-        phi = mp_gp_pgf(model)
-        x, out = mpmath.mpf(0), [mpmath.mpf(1)]
-        for _ in range(n):
-            x = phi(x)
-            out.append(1 - x)
-        return out
+        return [1 - x for x in mp_gp_iterates(model, n)]
 
 
 def max_rel_err(values, ref):
@@ -414,17 +408,30 @@ def test_gp_orbit_at_least_as_close_to_mpmath_as_the_lambert_loop(lam, s):
     assert max_rel_err(orbit, ref) <= max_rel_err(lambert, ref)
 
 
-def test_survival_gp_golden_is_within_2e_14_of_mpmath():
+@pytest.mark.parametrize("lam", (0.2, 0.5, 0.9))
+@pytest.mark.parametrize("s", (1e-6, 1e-4, 1e-2))
+def test_gp_orbit_iterates_within_1_3e_16_of_mpmath(s, lam):
+    # P^(1..300) against the orbit at 40 digits. At worst 1.29e-16 relative,
+    # at P^(3) for lam = 0.2, s = 1e-6 (0.82 ulp: the rounding of exp on top
+    # of a 0.9-ulp error in u_2), and at most 9.3e-17 elsewhere. The Newton
+    # loop in P space was up to 1.1e-15 off here.
+    model = gp_from_s(lam, s)
+    iterates = list(islice(extinction_iterates(model), 301))
+    assert max_rel_err(iterates[1:], mp_gp_iterates(model, 300)[1:]) <= 1.3e-16
+
+
+def test_survival_gp_golden_is_within_3e_15_of_mpmath():
     # Every S^(n) cell of `gwb survival --dist gp --s 0.05 --lambda 0.5
     # --nmax 200 --digits 17` against the orbit at 40 digits. The file the
-    # Lambert W loop wrote was 3.6e-14 off at worst; this one is 1.5e-14.
+    # Lambert W loop wrote was 3.6e-14 off at worst, the one of the Newton
+    # loop in P space 1.5e-14; this one is 2.5e-15.
     golden = os.path.join(os.path.dirname(__file__), "golden", "survival_gp.csv")
     with open(golden, newline="") as fh:
         rows = list(csv.DictReader(fh))
     ref = mp_gp_orbit(gp_from_s(0.5, 0.05), 200)
     assert [int(row["n"]) for row in rows] == list(range(201))
     for row, want in zip(rows, ref):
-        assert abs(float(row["s_n"]) - want) <= 2e-14 * want, row
+        assert abs(float(row["s_n"]) - want) <= 3e-15 * want, row
 
 
 class Stray(pgf_core._Family):
@@ -446,24 +453,71 @@ def test_extinction_iterates_never_yields_a_value_outside_the_unit_interval(bad)
     assert seen == [0.0, 0.5]
 
 
-def test_gp_orbit_guards_the_unit_interval_as_the_compiled_orbits_do():
-    # GP writes its orbit itself. mu < 0 is no law (built here without its
-    # check): phi(0) = exp(-mu) = e lies above 1.
+def unchecked_gp(mu, lam):
+    """A GeneralizedPoisson built without its domain check."""
     model = object.__new__(GeneralizedPoisson)
-    object.__setattr__(model, "mu", -1.0)
-    object.__setattr__(model, "lam", 0.5)
+    object.__setattr__(model, "mu", mu)
+    object.__setattr__(model, "lam", lam)
+    return model
+
+
+@pytest.mark.parametrize("mu, lam, yielded", [(-1.0, 0.5, [0.0]),
+                                              (0.5, math.nan, [0.0, math.exp(-0.5)])],
+                         ids=("mu<0", "lam-nan"))
+def test_gp_orbit_guards_the_unit_interval_as_the_compiled_orbits_do(mu, lam, yielded):
+    # GP writes its orbit itself. Neither is a law: at mu < 0, phi(0) =
+    # exp(-mu) = e lies above 1; at lam = NaN, phi(0) = exp(-mu) is formed
+    # without a solve and the first solve turns the state NaN.
     seen = []
     with pytest.raises(DomainError, match="outside"):
-        for x in islice(extinction_iterates(model), 10):
+        for x in islice(extinction_iterates(unchecked_gp(mu, lam)), 10):
             seen.append(x)
-    assert seen == [0.0]
+    assert seen == yielded
+
+
+def outcome(step):
+    """step()'s value, or the DomainError it raised as (type, message)."""
+    try:
+        return step()
+    except DomainError as exc:
+        return DomainError, str(exc)
+
+
+SEND_CASES = [*laws_at(1e-6), *laws_at(0.3), gp_from_s(0.5, 1e-6), gp_from_s(0.9, 1e-6),
+              Stray(after=1.5)]
+
+
+@pytest.mark.parametrize("model", SEND_CASES, ids=repr)
+def test_orbit_send_k_lands_where_k_steps_do(model):
+    # orbit.send(k) from generation n returns P^(n+k) with the bits of the
+    # walk, or raises the walk's DomainError where the walk does: from n = 0
+    # and 1, and along a chain of sends. At s = 0.3 the skips of 1000 cross
+    # the repeat branch; Stray leaves [0, 1] at its second generation.
+    def walked(n):
+        return outcome(lambda: next(islice(extinction_iterates(model), n, None)))
+
+    for start in (0, 1):
+        for k in (1, 2, 7, 1000):
+            orbit = extinction_iterates(model)
+            for _ in range(start + 1):
+                next(orbit)
+            assert outcome(lambda: orbit.send(k)) == walked(start + k), (start, k)
+    orbit, n = extinction_iterates(model), 0
+    next(orbit)
+    for k in (2, 1, 7, 1000, 1, 1000, 7):
+        n += k
+        got = outcome(lambda: orbit.send(k))
+        assert got == walked(n), (n, k)
+        if isinstance(got, tuple):
+            break
 
 
 # Laws whose phi, at the rounding floor, lies one ulp below its argument: the
-# orbit would step down at generation n and repeat the lower value.
+# orbit would step down at generation n and repeat the lower value. GP steps
+# in survival space, where u never rises; its orbit tops out at n = 154.
 STEP_DOWN_CASES = [
     (FractionalLinear(pi=0.9790882908033464, rho=0.9780166490876349), 466, 0.9989054697866748),
-    (GeneralizedPoisson(mu=0.19500000000000003, lam=0.85), 149, 0.9835865322423037),
+    (GeneralizedPoisson(mu=0.19500000000000003, lam=0.85), 154, 0.9835865322423037),
 ]
 
 
@@ -477,8 +531,8 @@ def test_orbit_never_falls_and_repeats_the_higher_iterate(model, n, top):
 
 
 def resume_laws(s):
-    """laws_at(s) and a GP law with lam > 0, whose orbit carries its Newton
-    warm start from one generation to the next."""
+    """laws_at(s) and a GP law with lam > 0, whose orbit carries the last
+    three survival-space states from one generation to the next."""
     return (*laws_at(s), gp_from_s(0.5, s))
 
 
