@@ -11,7 +11,7 @@ arguments and delegate to the model. All operations are pure.
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import ConvergenceError, DomainError, require_count
@@ -111,9 +111,13 @@ class FixedPoint(Record):
 # ---------------------------------------------------------------------------
 
 # A family's pgf and orbit, with phi inline: a call per step costs more than phi.
-# send(k) steps the first k - 1 generations in an inner loop with the same
-# guards; where one of them would not rise, the step after the loop finds it
-# again and repeats x.
+# send(k) steps the first k - 1 generations in blocks of four, x = phi(x) four
+# times under one guard, and keeps a block only where each of its steps rose
+# and stayed in [0, 1]. The last (k - 1) % 4 take one guard pair a step, as
+# does a block that failed, from its start: within its four steps that loop
+# meets the step that does not rise, and breaks, or the one that leaves
+# [0, 1], and raises, so it needs no count of what is left. Where a step
+# would not rise, the step after the loops finds it again and repeats x.
 _OUTSIDE = "phi returned {!r}, outside [0,1], iterating {!r}"
 _PHI_TEMPLATE = """\
 def pgf(self, x):
@@ -124,7 +128,22 @@ def orbit(self):
     while True:
         k = yield x
         if k:
-            for _ in range(k - 1):
+            k -= 1
+            for _ in range(k >> 2):
+                x0 = x
+                x = {phi}
+                x1 = x
+                x = {phi}
+                x2 = x
+                x = {phi}
+                x3 = x
+                x = {phi}
+                if not x0 < x1 < x2 < x3 < x <= 1.0:
+                    x = x0
+                    break
+            else:
+                k &= 3
+            for _ in range(k):
                 nxt = {phi}
                 if nxt <= x:
                     break
@@ -357,7 +376,9 @@ def _gp_t_derivs(x: float, lam: float):
 
 # Newton steps per GP generation, read as an orbit starts: 14 at most were
 # seen, in the first solve (from u_0 = 1) at lam = 1 - 1e-6, and 9 in any later
-# generation (lam up to 1 - 1e-6, s = 1e-12 ... 5, 1e5 generations).
+# generation, the second there (lam up to 1 - 1e-6, s = 1e-12 ... 5, 1e5
+# generations). At lam = 0.2 ... 0.9, s = 1e-2 ... 1e-4, every generation
+# from n = 236 ... 420 on takes one step, and every one before it two or more.
 _GP_NEWTON_CAP = 50
 
 
@@ -381,53 +402,57 @@ class GeneralizedPoisson(_Family):
     def orbit(self) -> Iterator[float]:
         # In survival space: u_n = 1 - t(P^(n)), u_0 = 1, P^(n+1) = exp(-mu*u_n),
         # and u_{n+1} is the root of G(v) = v + expm1(-mu*u_n - lam*v). G is
-        # increasing (G' >= 1 - lam) and convex, so a Newton step costs one
-        # expm1 and no P. It starts from the quadratic predictor
-        # 3(u_n - u_{n-1}) + u_{n-2}, or from u_n^2/u_{n-1} where that leaves
-        # (0, u_n), and stops on either side of the root once |step| <= 1e-9*v:
-        # the error left is about lam^2(1 - v)/(2 G') * 1e-18*v^2. The history
-        # starts flat at 1, so the first solve starts at u_0, above its root.
-        # Most generations take one step. u never rises, so P never falls; once
-        # v >= u_n, P^(n+1) is yielded for ever. A NaN state raises
-        # DomainError, as does a formed P above 1 (mu < 0, no law). send(k)
-        # steps k generations and forms P only where it lands; the loop
-        # counts k down, and a generation with k = 1 forms and yields P.
+        # increasing (G' = 1 - lam(1 - v) >= 1 - lam) and convex (G'' =
+        # lam^2(1 - v) <= lam^2), so a Newton step costs one expm1 and no P,
+        # and after a step d the error left is at most about
+        # lam^2/(2(1 - lam)) * d^2. The step stops once that is <= 2^-56 * v,
+        # 1/8 ulp of v: h*d*d <= v. At lam = 0 G is linear and one step is
+        # exact. It starts from the quadratic predictor 3(u_n - u_{n-1}) +
+        # u_{n-2}, or from u_n^2/u_{n-1} where that leaves (0, u_n); the
+        # history starts flat at 1, so the first solve starts at u_0, above
+        # its root. Once the predictor is close enough (see _GP_NEWTON_CAP)
+        # every generation takes one step. u never rises, so P never
+        # falls; once v >= u_n, P^(n+1) is yielded for ever, and a NaN state
+        # raises DomainError. P = exp(-mu*u) <= 1 for every u in (0, 1] iff
+        # mu >= 0, so P^(1) = exp(-mu) is the one P checked against 1, before
+        # the first step. send(k) steps k generations and forms P only where
+        # it lands.
         lam, c, nmu, cap = self.lam, 1.0 - self.lam, -self.mu, _GP_NEWTON_CAP
-        expm1, exp, fabs = math.expm1, math.exp, abs
+        h = lam * lam / (2.0 * c) * 2.0 ** 56
+        expm1, exp, once = math.expm1, math.exp, (None,)
         k = (yield 0.0) or 1
+        x = exp(nmu)
+        if not x <= 1.0:
+            raise DomainError(_OUTSIDE.format(x, self))
         u = u1 = u2 = 1.0
+        k -= 1
         while True:
-            if k == 1:
-                x = exp(nmu * u)
-                if not x <= 1.0:
-                    raise DomainError(_OUTSIDE.format(x, self))
-                k = (yield x) or 1
-            else:
-                k -= 1
-            v = 3.0 * (u - u1) + u2
-            if not 0.0 < v < u:
-                v = u * u / u1
-            e = expm1(nmu * u - lam * v)
-            d = (v + e) / (c - lam * e)
-            v -= d
-            steps = 1
-            while fabs(d) > 1e-9 * v:
-                if steps == cap:
-                    raise ConvergenceError(f"GP orbit step did not converge at u={u!r} for {self!r}")
+            # One generation loops over a tuple: making a range or repeat
+            # iterator costs about a third of a generation.
+            for _ in repeat(None, k) if k != 1 else once:
+                v = 3.0 * (u - u1) + u2
+                if not 0.0 < v < u:
+                    v = u * u / u1
                 e = expm1(nmu * u - lam * v)
                 d = (v + e) / (c - lam * e)
                 v -= d
-                steps += 1
-            if not v < u:
-                break
-            u2, u1, u = u1, u, v
-        if v != v:
-            raise DomainError(_OUTSIDE.format(exp(nmu * v), self))
-        x = exp(nmu * u)
-        if not x <= 1.0:
-            raise DomainError(_OUTSIDE.format(x, self))
-        while True:
-            yield x
+                if h * d * d > v:
+                    steps = 1
+                    while h * d * d > v:
+                        if steps == cap:
+                            raise ConvergenceError(f"GP orbit step did not converge at u={u!r} for {self!r}")
+                        e = expm1(nmu * u - lam * v)
+                        d = (v + e) / (c - lam * e)
+                        v -= d
+                        steps += 1
+                if not v < u:
+                    if v != v:
+                        raise DomainError(_OUTSIDE.format(exp(nmu * v), self))
+                    x = exp(nmu * u)
+                    while True:
+                        yield x
+                u2, u1, u = u1, u, v
+            k = (yield exp(nmu * u)) or 1
 
     def derivative(self, x: float, order: int) -> float:
         mu = self.mu

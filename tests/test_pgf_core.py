@@ -303,8 +303,10 @@ def test_gp_orbit_walks_the_grid_within_its_newton_cap(cap, monkeypatch):
     # 10^5 generations of each of the 63 laws in the grid. With the cap as it
     # is, each walk stays nondecreasing in [0, 1] and raises nothing. At 1, 2
     # and 3 Newton steps a generation, more of the orbits stop, each with
-    # ConvergenceError: every first solve takes at least 2 steps, and up to
-    # 14 at lam = 1 - 1e-6.
+    # ConvergenceError. The first solve takes the most steps: one at
+    # lam = 1e-12, where G is all but linear, 2-4 at lam = 0.01 ... 0.5 and up
+    # to 14 at lam = 1 - 1e-6. One step a generation walks the seven laws at
+    # lam = 1e-12 and the one at lam = 1e-6, s = 5.
     if cap is not None:
         monkeypatch.setattr(pgf_core, "_GP_NEWTON_CAP", cap)
     raised = []
@@ -316,7 +318,7 @@ def test_gp_orbit_walks_the_grid_within_its_newton_cap(cap, monkeypatch):
             assert len(seen) == 100_000
             assert seen[0] == 0.0 and seen[-1] <= 1.0, model
             assert all(a <= b for a, b in zip(seen, seen[1:])), model
-    assert raised == [ConvergenceError] * {None: 0, 1: 63, 2: 48, 3: 40}[cap]
+    assert raised == [ConvergenceError] * {None: 0, 1: 55, 2: 48, 3: 35}[cap]
 
 
 GP_GRID_CORNERS = [gp_from_s(lam, s) for lam in (1e-6, 0.5, 1.0 - 1e-6) for s in (1e-8, 1e-2, 5.0)]
@@ -409,15 +411,19 @@ def test_gp_orbit_at_least_as_close_to_mpmath_as_the_lambert_loop(lam, s):
 
 
 @pytest.mark.parametrize("lam", (0.2, 0.5, 0.9))
-@pytest.mark.parametrize("s", (1e-6, 1e-4, 1e-2))
-def test_gp_orbit_iterates_within_1_3e_16_of_mpmath(s, lam):
-    # P^(1..300) against the orbit at 40 digits. At worst 1.29e-16 relative,
+@pytest.mark.parametrize("s, n", ((1e-6, 300), (1e-4, 2000), (1e-2, 300)),
+                         ids=("1e-06", "0.0001", "0.01"))
+def test_gp_orbit_iterates_within_1_3e_16_of_mpmath(s, n, lam):
+    # P^(1..n) against the orbit at 40 digits. At worst 1.29e-16 relative,
     # at P^(3) for lam = 0.2, s = 1e-6 (0.82 ulp: the rounding of exp on top
-    # of a 0.9-ulp error in u_2), and at most 9.3e-17 elsewhere. The Newton
-    # loop in P space was up to 1.1e-15 off here.
+    # of a 0.9-ulp error in u_2), and at most 9.2e-17 elsewhere. At s = 1e-4
+    # the walk runs to n = 2000: from n = 269, 352 and 420 (lam = 0.2, 0.5,
+    # 0.9) on every generation stops after one Newton step, where a stop at
+    # |step| <= 1e-9 v took two up to n ~ 1800. The Newton loop in P space
+    # was up to 1.1e-15 off here.
     model = gp_from_s(lam, s)
-    iterates = list(islice(extinction_iterates(model), 301))
-    assert max_rel_err(iterates[1:], mp_gp_iterates(model, 300)[1:]) <= 1.3e-16
+    iterates = list(islice(extinction_iterates(model), n + 1))
+    assert max_rel_err(iterates[1:], mp_gp_iterates(model, n)[1:]) <= 1.3e-16
 
 
 def test_survival_gp_golden_is_within_3e_15_of_mpmath():
@@ -435,10 +441,13 @@ def test_survival_gp_golden_is_within_3e_15_of_mpmath():
 
 
 class Stray(pgf_core._Family):
-    """phi(0) = 0.5 and phi(x) = after for x > 0: not a law, but a family whose
-    orbit leaves [0, 1] (or turns NaN) after phi(0)."""
+    """phi(0) = 0.5, phi(x) = x + 1/8 for 0 < x < top and phi(x) = after from
+    top on: not a law, but a family whose orbit climbs 0, 0.5, ..., top and
+    then leaves [0, 1], turns NaN or repeats top (after = top), at generation
+    2 + 8(top - 0.5)."""
     after: float
-    _phi = "0.5 if x == 0.0 else after"
+    top: float = 0.5
+    _phi = "0.5 if x == 0.0 else x + 0.125 if x < top else after"
 
     def _validate(self):
         pass
@@ -483,28 +492,37 @@ def outcome(step):
         return DomainError, str(exc)
 
 
+# The Stray laws leave [0, 1] or repeat at generations 2 ... 5, so at each of
+# the four places of a template orbit's first block of a send from generation
+# 0 or 1.
 SEND_CASES = [*laws_at(1e-6), *laws_at(0.3), gp_from_s(0.5, 1e-6), gp_from_s(0.9, 1e-6),
-              Stray(after=1.5)]
+              unchecked_gp(-1.0, 0.5), Stray(after=math.nan, top=0.625),
+              *(Stray(after=after, top=top) for top in (0.5, 0.625, 0.75, 0.875)
+                for after in (1.5, top))]
 
 
 @pytest.mark.parametrize("model", SEND_CASES, ids=repr)
 def test_orbit_send_k_lands_where_k_steps_do(model):
     # orbit.send(k) from generation n returns P^(n+k) with the bits of the
     # walk, or raises the walk's DomainError where the walk does: from n = 0
-    # and 1, and along a chain of sends. At s = 0.3 the skips of 1000 cross
-    # the repeat branch; Stray leaves [0, 1] at its second generation.
+    # and 1 (where the walk gets there), and along a chain of sends. A
+    # template orbit steps k - 1 generations in blocks of four, so k = 4, 5,
+    # 8 and 9 end at a block's edge. At s = 0.3 the skips of 1000 cross the
+    # repeat branch. The GP law at mu < 0 leaves [0, 1] at P^(1) = e.
     def walked(n):
         return outcome(lambda: next(islice(extinction_iterates(model), n, None)))
 
     for start in (0, 1):
-        for k in (1, 2, 7, 1000):
+        if isinstance(walked(start), tuple):
+            continue
+        for k in (1, 2, 4, 5, 7, 8, 9, 1000):
             orbit = extinction_iterates(model)
             for _ in range(start + 1):
                 next(orbit)
             assert outcome(lambda: orbit.send(k)) == walked(start + k), (start, k)
     orbit, n = extinction_iterates(model), 0
     next(orbit)
-    for k in (2, 1, 7, 1000, 1, 1000, 7):
+    for k in (2, 1, 7, 4, 9, 1000, 1, 5, 8, 1000, 7):
         n += k
         got = outcome(lambda: orbit.send(k))
         assert got == walked(n), (n, k)
