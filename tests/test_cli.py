@@ -14,7 +14,7 @@ import mpmath
 import pytest
 
 import gwbounds
-from gwbounds.cli import build_model, main, make_parser, render_csv
+from gwbounds.cli import SUBCOMMANDS, build_model, main, make_parser, render_csv
 from gwbounds.fl_bounds import matching_fl
 from gwbounds.pgf_core import (
     Binomial,
@@ -617,14 +617,25 @@ def test_model_flags_build_the_model(dist, flags, model, capsys):
     ("f3", ["--p0", "0.2", "--p2", "0.2"], "f3 requires --p0, --p2, --p3 (p1 is inferred)"),
     ("gp", ["--s", "0.1"], "gp requires --lambda"),
     ("gp", ["--lambda", "0.2"], "gp requires --mu or --s"),
-    (None, ["--s", "0.1"], "unknown distribution None"),
 ])
 def test_missing_model_flag_exits_2(dist, flags, message, capsys):
-    dist_flags = ["--dist", dist] if dist else []
-    code, out, err = run_cli(capsys, "sinf", *dist_flags, *flags)
+    code, out, err = run_cli(capsys, "sinf", "--dist", dist, *flags)
     assert code == 2 and out == ""
     assert err.count("\n") == 1
     assert json.loads(err) == {"error": "domain", "message": message}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sinf", "--s", "0.1"],
+    ["survival", "--m", "1.5"],
+    ["teps", "--s", "0.1", "--eps", "0.01"],
+    ["genetics", "--s", "0.1", "--N", "50"],
+], ids=lambda argv: argv[0])
+def test_missing_dist_names_the_command(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "domain", "message": f"{argv[0]} requires --dist"}
 
 
 def test_sinf_binomial_n2_fills_every_cell_but_dn_upper(capsys):
@@ -687,6 +698,58 @@ def test_format_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "1", "--format", "json"])
     assert exc.value.code == 2
+
+
+def parse_outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr) of parse(argv), which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+# main builds only the subparser that argv[0] names, and every subparser
+# when it names none.
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    *([command, "--help"] for command in SUBCOMMANDS),
+    [],
+    ["nosuch"],
+    ["sinf", "--dist", "gp", "--s", "0.2", "--bogus"],
+    ["table", "7"],
+], ids=" ".join)
+def test_main_parses_as_the_full_parser_prints(argv, capsys):
+    one = parse_outcome(capsys, main, argv)
+    assert one == parse_outcome(capsys, make_parser().parse_args, argv)
+    if not argv or argv[0] not in SUBCOMMANDS or argv[-1] == "--bogus":
+        usage = (one[1] or one[2]).splitlines()[0]
+        assert usage == "usage: gwb [-h] {table,classify,survival,sinf,teps,genetics,figdata} ..."
+    if argv in ([], ["nosuch"]):  # errors name the argument "command"
+        assert "command" in one[2].splitlines()[-1]
+
+
+def test_a_named_subcommand_builds_that_subparser_alone(capsys):
+    code, _, err = parse_outcome(capsys, make_parser("sinf").parse_args, ["table", "1"])
+    assert code == 2
+    assert "invalid choice: 'table' (choose from 'sinf')" in err
+
+
+def test_console_script_reads_the_subcommand_from_sys_argv(capsys, monkeypatch):
+    # The gwb script calls main() with no argv.
+    monkeypatch.setattr(sys, "argv", ["gwb", "sinf", "--help"])
+    assert parse_outcome(capsys, lambda _: main(), None) == parse_outcome(
+        capsys, make_parser().parse_args, ["sinf", "--help"])
+
+
+def test_readme_commands_parse_as_with_the_full_parser():
+    def fields(args):
+        return {k: getattr(v, "__code__", v) for k, v in vars(args).items()}
+
+    with open(README, encoding="utf-8") as fh:
+        commands = [line.split()[1:] for line in fh if line.startswith("gwb ")]
+    for argv in commands:
+        one = make_parser(argv[0]).parse_args(argv)
+        assert fields(one) == fields(make_parser().parse_args(argv)), argv
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """numpy loads only for the Wright-Fisher absorption solve, and scipy and
-dataclasses never: `import gwbounds` and every other subcommand
-start without them, and genetics.np / genetics.binom stay module attributes
-that a caller may replace (a timing proxy, say) and wf_fixation_exact then
-calls. The model layer imports nothing above it, the F3 classifier nothing
-above the model layer, and neither imports anything outside the standard
-library; no function imports a gwbounds module, and the package's classifier
+dataclasses never: `import gwbounds` and every other subcommand start
+without them. `import gwbounds` loads no gwbounds module, and each README
+command loads only the modules it calls, with their imports.
+genetics.np / genetics.binom stay module attributes that a caller may
+replace (a timing proxy, say) and wf_fixation_exact then calls. The model
+layer imports nothing above it, the F3 classifier nothing above the model
+layer, and neither imports anything outside the standard library; no
+function imports a gwbounds module, and the package's classifier
 attributes are their modules."""
 
 import ast
@@ -26,24 +28,29 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 REPORT_HEAVY = ("import atexit, sys\n"
                 "atexit.register(lambda: sys.stderr.write(repr(sorted(\n"
                 "    m for m in ('dataclasses', 'numpy', 'scipy') if m in sys.modules)) + '\\n'))\n")
+# Printed on stderr at exit instead: the gwbounds submodules the process loaded.
+REPORT_PACKAGE = ("import atexit, sys\n"
+                  "atexit.register(lambda: sys.stderr.write(repr(sorted(\n"
+                  "    m for m in sys.modules if m.startswith('gwbounds.'))) + '\\n'))\n")
 
 
-def run_python(code):
+def run_python(code, report=REPORT_HEAVY, cwd=None):
     """Run code in a fresh interpreter with the package under test first on
-    PYTHONPATH; return (returncode, stdout, last stderr line)."""
+    PYTHONPATH; return (returncode, stdout, last stderr line: the report)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", REPORT_HEAVY + code],
-                          capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", report + code],
+                          capture_output=True, text=True, env=env, cwd=cwd)
     return proc.returncode, proc.stdout, proc.stderr.splitlines()[-1]
 
 
-def run_cli_module(*argv):
+def run_cli_module(*argv, **options):
     """`python -m gwbounds.cli argv...` in a fresh interpreter."""
     return run_python("import runpy\n"
                       f"sys.argv = ['gwbounds.cli', *{list(argv)!r}]\n"
-                      "runpy.run_module('gwbounds.cli', run_name='__main__', alter_sys=True)\n")
+                      "runpy.run_module('gwbounds.cli', run_name='__main__', alter_sys=True)\n",
+                      **options)
 
 
 @pytest.mark.parametrize("module", ["gwbounds", "gwbounds.cli"])
@@ -77,6 +84,72 @@ def test_subcommands_other_than_genetics_and_volumes_skip_numpy(argv):
     code, out, loaded = run_cli_module(*argv)
     assert code == 0 and out
     assert loaded == "[]"
+
+
+# What each module imports from the package; loading one loads the closure.
+PACKAGE_IMPORTS = {
+    "errors": set(),
+    "specfun": {"errors"},
+    "pgf_core": {"errors", "specfun"},
+    "classify_f3": {"errors", "pgf_core"},
+    "fl_bounds": {"classify_f3", "errors", "pgf_core"},
+    "classify_gp": {"errors", "fl_bounds", "pgf_core"},
+    "sinf_estimates": {"errors", "pgf_core"},
+    "genetics": {"errors", "pgf_core", "sinf_estimates", "specfun"},
+    "cli": {"errors"},
+}
+
+# The modules whose functions each README command calls, beside the cli.
+README_CALLS = {
+    "gwb table 1": {"fl_bounds"},
+    "gwb table 2 --out table2.csv": {"sinf_estimates"},
+    "gwb table 3": {"fl_bounds", "sinf_estimates"},
+    "gwb survival --dist poisson --m 1.5 --nmax 20": {"fl_bounds"},
+    "gwb sinf --dist gp --s 0.2 --lambda 0.9": {"sinf_estimates"},
+    "gwb sinf --dist gp --s 0.2 --lambda 0.9 --strict": {"sinf_estimates"},
+    "gwb teps --dist binomial --n 5 --p 0.202 --eps 0.01": {"fl_bounds", "sinf_estimates"},
+    "gwb classify f3 --p0 0.2 --p2 0.2 --p3 0.1": {"classify_f3", "fl_bounds"},
+    "gwb classify gp --s 0.1 --lambda 0.276": {"classify_gp", "fl_bounds"},
+    "gwb genetics --dist poisson --m 1.1 --N 1000 --s 0.1 --tau 10": {"genetics"},
+    "gwb figdata 1": {"fl_bounds"},
+    "gwb figdata 3-volumes": {"classify_f3"},
+    "gwb figdata 4": {"fl_bounds"},
+}
+
+
+def loaded_with(modules):
+    """The gwbounds modules that loading modules loads."""
+    out, todo = set(), set(modules)
+    while todo:
+        name = todo.pop()
+        out.add(name)
+        todo |= PACKAGE_IMPORTS[name] - out
+    return out
+
+
+def test_readme_calls_table_lists_the_readme_commands():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        commands = [line.strip() for line in fh if line.startswith("gwb ")]
+    assert commands == list(README_CALLS)
+
+
+def test_import_gwbounds_loads_no_submodule():
+    code, _, loaded = run_python("import gwbounds\n", report=REPORT_PACKAGE)
+    assert code == 0
+    assert loaded == "[]"
+
+
+@pytest.mark.parametrize("command", list(README_CALLS), ids=lambda c: "-".join(
+    a for a in c.split()[1:3] if not a.startswith("--")))
+def test_each_command_loads_only_the_modules_it_calls(command, tmp_path):
+    argv = command.split()[1:]
+    code, _, loaded = run_cli_module(*argv, report=REPORT_PACKAGE, cwd=tmp_path)
+    assert code == (3 if "--strict" in argv else 0)
+    expected = loaded_with(README_CALLS[command] | PACKAGE_IMPORTS["cli"])
+    assert loaded == repr(sorted(f"gwbounds.{m}" for m in expected))
+    assert ("'gwbounds.genetics'" in loaded) == (argv[0] == "genetics")
+    assert ("'gwbounds.classify_gp'" in loaded) == (argv[:2] == ["classify", "gp"])
 
 
 def test_wf_solve_loads_numpy():
@@ -180,6 +253,12 @@ def imported_modules(tree):
         elif isinstance(node, ast.Import):
             absolute.update(alias.name for alias in node.names)
     return relative, absolute
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE_IMPORTS))
+def test_package_import_table_is_the_import_graph(module):
+    relative, _ = imported_modules(parse_module(module))
+    assert relative == PACKAGE_IMPORTS[module]
 
 
 def test_pgf_core_imports_only_stdlib_errors_and_specfun():

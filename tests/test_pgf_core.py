@@ -1,10 +1,12 @@
 """Core pgf machinery: fixed points, derivatives, moments, iteration."""
 
 import csv
+import importlib
 import math
 import os
 import pickle
 import random
+import subprocess
 import sys
 import threading
 import types
@@ -848,6 +850,72 @@ def test_package_all_lists_no_modules():
     assert modules == []
     assert "FractionalLinear" in gwbounds.__all__
     assert "pgf_core" not in gwbounds.__all__
+
+
+# The package's public names by the module each is read from, in __all__
+# order, as `import gwbounds` exported them when it imported every module.
+PUBLIC = {
+    "errors": ["ApplicabilityError", "ConvergenceError", "DomainError", "GWError"],
+    "pgf_core": ["Binomial", "FiniteThree", "FixedPoint", "FractionalLinear",
+                 "GeneralizedPoisson", "Moments", "NegBinomial", "OffspringModel",
+                 "Poisson", "binomial_from_s", "extinction_iterates",
+                 "extinction_probability", "fl_from_s", "gp_from_s", "iterate_extinction",
+                 "moments", "negbinomial_from_s", "pgf_derivative", "pgf_eval",
+                 "poisson_from_s", "survival_curve"],
+    "fl_bounds": ["BoundDirection", "bound_direction", "matching_fl", "sn_fl_bound",
+                  "sn_pollak_bound", "sn_simple_bound", "t_eps_app", "t_eps_exact",
+                  "t_eps_fl"],
+    "classify_f3": ["F3Class", "F3Thresholds", "f3_region_volumes", "thresholds_f3"],
+    "classify_gp": ["GPThresholds", "gp_thresholds"],
+    "sinf_estimates": ["MuDerivatives", "SeriesCoeffs", "SinfBounds", "dn_upper",
+                       "pn_ratio_series", "quine_bounds", "sinf_bounds_all",
+                       "sinf_series", "t_ser"],
+    "genetics": ["TraitModel", "VGInf", "WFModel", "mutant_density", "v1_inf", "vg_inf",
+                 "vg_tau", "wf_fixation_a", "wf_fixation_diffusion",
+                 "wf_fixation_exact", "within_variance"],
+    "specfun": ["exp_e1", "lambert_w0"],
+}
+
+
+def test_package_all_is_the_62_public_names():
+    assert gwbounds.__all__ == [name for names in PUBLIC.values() for name in names]
+    assert len(gwbounds.__all__) == 62
+
+
+@pytest.mark.parametrize("module", list(PUBLIC))
+def test_each_package_name_is_its_modules_object(module):
+    source = importlib.import_module(f"gwbounds.{module}")
+    for name in PUBLIC[module]:
+        assert getattr(gwbounds, name) is getattr(source, name), name
+        assert name in vars(gwbounds), name  # kept after the first read
+
+
+def test_unknown_package_name_raises_attribute_error():
+    assert not hasattr(gwbounds, "no_such_name")
+    with pytest.raises(AttributeError, match="'gwbounds' has no attribute 'no_such_name'"):
+        gwbounds.no_such_name  # noqa: B018
+
+
+def test_fresh_package_lists_all_and_loads_the_classifier_modules():
+    # In a fresh interpreter, before any read has loaded a name: dir() lists
+    # __all__ all the same, and the classifier attributes are their modules.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.dirname(os.path.dirname(gwbounds.__file__)),
+                    os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", (
+        "import sys, gwbounds\n"
+        "print('Poisson' in vars(gwbounds), set(gwbounds.__all__) <= set(dir(gwbounds)))\n"
+        "print([getattr(gwbounds, name) is sys.modules['gwbounds.' + name]\n"
+        "       for name in ('classify_f3', 'classify_gp')])\n")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False True\n[True, True]\n"
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from gwbounds import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(gwbounds.__all__)
 
 
 def test_constructor_means():
