@@ -36,6 +36,8 @@ class ConvergenceError(GWError):
 def require_count(name: str, n, least: int = 0) -> None:
     """Raise DomainError unless n is an integer (a type with __index__, as
     operator.index takes) and n >= least."""
+    if type(n) is int and n >= least:
+        return
     if not (hasattr(type(n), "__index__") and n >= least):
         raise DomainError(f"{name} must be an integer >= {least}, got {n!r}")
 

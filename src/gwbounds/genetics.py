@@ -15,7 +15,7 @@ from .pgf_core import (
     Record,
     extinction_iterates,
     extinction_probability,
-    moments,
+    pgf_derivative,
 )
 from .sinf_estimates import sinf_series
 from .specfun import e1_cf_tail, exp_e1
@@ -111,7 +111,7 @@ def vg_tau(tm: TraitModel, model: OffspringModel, tau: float) -> float:
     nearest-integer map. The sum stops where m^n overflows or a_n underflows
     to 0: the cells beyond add less than 1e-300."""
     require_positive("tau", tau)
-    mom = moments(model)
+    m = pgf_derivative(model, 1.0, 1)  # moments(model).m, without b and c
     n_cells = math.ceil(tau + 0.5)
     total = 0.0
     for n, x in zip(range(n_cells), extinction_iterates(model)):
@@ -119,7 +119,7 @@ def vg_tau(tm: TraitModel, model: OffspringModel, tau: float) -> float:
         hi = min(n + 0.5, tau)
         s_n = 1.0 - x
         try:
-            a_n = tm.pop_size * s_n / mom.m ** n
+            a_n = tm.pop_size * s_n / m ** n
         except OverflowError:
             break
         if a_n == 0.0:

@@ -61,6 +61,8 @@ class Record:
     __delattr__ = __setattr__
 
     def __eq__(self, other):
+        if other is self:  # a slot hit compares the caller's own law with itself
+            return True
         same = other.__class__ is self.__class__
         return self._values() == other._values() if same else NotImplemented
 
@@ -636,9 +638,15 @@ def iterate_extinction(model: OffspringModel, n: int) -> float:
 
 
 def survival_curve(model: OffspringModel, n_max: int) -> Sequence[float]:
-    """[S^(0), ..., S^(n_max)] with S^(n) = 1 - phi^(n)(0)."""
+    """[S^(0), ..., S^(n_max)] with S^(n) = 1 - phi^(n)(0). It leaves its
+    orbit at n_max, as iterate_extinction does, for the next reader."""
     require_count("n_max", n_max, 1)
-    return [1.0 - x for x in islice(extinction_iterates(model), n_max + 1)]
+    orbit = extinction_iterates(model)
+    curve = [1.0 - x for x in islice(orbit, n_max)]
+    x = next(orbit)
+    _leave_orbit(model, n_max, x, orbit)
+    curve.append(1.0 - x)
+    return curve
 
 
 # ---------------------------------------------------------------------------

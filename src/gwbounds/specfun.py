@@ -13,6 +13,7 @@ from .errors import ConvergenceError, DomainError, require_positive
 
 _INV_E = math.exp(-1.0)
 _EULER_GAMMA = 0.5772156649015328606
+_LENTZ_A = tuple(-float(n * n) for n in range(2, 200))  # e1_cf_tail's a_n = -n^2
 
 # lambert_w0 accepts z down to the branch point -1/e less a slack of 1e-15,
 # and up to _W0_SERIES_TOP it is the branch series alone.
@@ -89,24 +90,20 @@ def e1_cf_tail(x: float) -> float:
     neither exp_e1 nor the per-locus variance built from it cancels."""
     if not 1.0 <= x < math.inf:
         raise DomainError(f"e1_cf_tail requires a finite x >= 1, got {x!r}")
+    # No guard against a zero b + a*d or c: for x >= 1 both are ratios of positive
+    # convergent denominators or numerators, above b/2 (tests/test_specfun.py).
     tiny = 1e-300
     b = x + 3.0
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for n in range(2, 200):
-        a = -float(n * n)
+    for a in _LENTZ_A:
         b += 2.0
-        d = b + a * d
-        if abs(d) < tiny:
-            d = tiny
+        d = 1.0 / (b + a * d)
         c = b + a / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) <= 1e-15:
+        if -1e-15 <= delta - 1.0 <= 1e-15:
             return h
     raise ConvergenceError(f"E1 continued fraction did not converge for x={x!r}")
 

@@ -1,13 +1,16 @@
 """Fractional-linear matching, per-generation bounds, convergence times, and
 the positivity of the appendix comparison coefficients."""
 
+import importlib
 import math
+import os
 import random
 from itertools import islice
 
 import pytest
 from mpmath import mp
 
+import gwbounds
 from gwbounds import fl_bounds, pgf_core
 from gwbounds.errors import ConvergenceError, DomainError
 from gwbounds.fl_bounds import (
@@ -611,3 +614,40 @@ def test_negbinomial_cg_positive():
         for j in range(0, r):
             for zeta in (0.05, 0.3, 0.6, 0.9, 0.99):
                 assert nb_coeff_cg(r, j, zeta) > 0, (r, j, zeta)
+
+
+# ---------------------------------------------------------------------------
+# The frames the benchmark matches its faults by
+# ---------------------------------------------------------------------------
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+# The Poisson operations of the near_critical grid that fault (c) makes
+# raise, by -log10(s): gamma rounds to 1 and pollak_dbar divides by 0. At
+# k = 5, 6, 7 and 9 they return values off by more than the check allows.
+POISSON_ZERO_DIVISION = (8, 10, 11, 12)
+
+
+@pytest.mark.parametrize("fid", ["a", "b", "c"])
+def test_near_critical_faults_raise_in_the_frames_the_benchmark_matches(fid, monkeypatch):
+    # bench/checks.py matches a raised fault by its type, message and the
+    # innermost program frame (_root_solve_p_inf for a, pgf_eval under it
+    # for b, pollak_dbar for c). Run each such operation as the benchmark
+    # does, record its failure as bench/worker.py does, and match it with
+    # the benchmark's own table, so a change that moves the raise fails here.
+    monkeypatch.syspath_prepend(BENCH)
+    checks, worker, workloads = (importlib.import_module(name)
+                                 for name in ("checks", "worker", "workloads"))
+    wl = workloads.NearCritical(1)
+    ops = [law for law in wl.grid if wl.expected_fault(law) == fid]
+    if fid == "c":
+        ops = [law for law in ops if law.fam == "poisson"
+               and round(-math.log10(law.s)) in POISSON_ZERO_DIVISION]
+    for law in ops:
+        try:
+            wl.run(gwbounds, law)
+        except Exception as exc:
+            err = worker.failure(exc)
+        else:
+            pytest.fail(f"{law} did not raise")
+        assert checks.FAULTS[fid][1](law, None, err, []), (law, err)

@@ -31,8 +31,14 @@ from gwbounds.genetics import (
 )
 from gwbounds.pgf_core import (
     FiniteThree,
+    Poisson,
+    binomial_from_s,
+    extinction_iterates,
+    fl_from_s,
+    gp_from_s,
     iterate_extinction,
     moments,
+    negbinomial_from_s,
     poisson_from_s,
 )
 
@@ -142,6 +148,36 @@ def test_vg_tau_large_population_against_mpmath(tau):
     tm = TraitModel(theta_mut=1.0, alpha=1.0, s_sel=0.1, pop_size=1_000_000)
     model = poisson_from_s(0.1)
     assert vg_tau(tm, model, tau) == pytest.approx(float(vg_tau_mp(tm, model, tau)), rel=1e-12)
+
+
+def vg_tau_with_moments(tm, model, tau):
+    """vg_tau's cell sum as it was, with m read from moments(model)."""
+    mom = moments(model)
+    total = 0.0
+    for n, x in zip(range(math.ceil(tau + 0.5)), extinction_iterates(model)):
+        lo = 0.0 if n == 0 else n - 0.5
+        s_n = 1.0 - x
+        try:
+            a_n = tm.pop_size * s_n / mom.m ** n
+        except OverflowError:
+            break
+        if a_n == 0.0:
+            break
+        total += (min(n + 0.5, tau) - lo) * s_n * within_variance(a_n)
+    return tm.theta_mut * tm.alpha ** 2 * total
+
+
+@pytest.mark.parametrize("model", [
+    poisson_from_s(0.1), binomial_from_s(5, 0.02), negbinomial_from_s(3, 0.3),
+    fl_from_s(0.4, 0.1), gp_from_s(0.5, 0.1), FiniteThree(p0=0.2, p1=0.5, p2=0.2, p3=0.1),
+    Poisson(m=700.0),
+], ids=repr)
+@pytest.mark.parametrize("pop_size, tau", [(1000, 10.0), (1_000_000, 60.0), (2, 300.0)])
+def test_vg_tau_reads_m_as_moments_does_bit_for_bit(model, pop_size, tau):
+    # m = phi'(1) is moments(model).m, so the sum is the same to the bit,
+    # also where it stops because m^n overflows (Poisson m = 700, tau = 300).
+    tm = TraitModel(theta_mut=1.0, alpha=0.5, s_sel=0.1, pop_size=pop_size)
+    assert vg_tau(tm, model, tau) == vg_tau_with_moments(tm, model, tau)
 
 
 def test_vg_tau_anchor():

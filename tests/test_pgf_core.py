@@ -585,6 +585,43 @@ def test_iterate_extinction_resumed_is_the_walk_from_0_bit_for_bit(model, monkey
             assert iterate_extinction(law, n) == want, (law, n)
 
 
+def counting(model):
+    """An equal-valued twin of model, of a subclass whose orbit forwards send,
+    as an orbit() override must, and counts the generations it steps in
+    stepped[0]."""
+    family = type(model)
+
+    class Counting(family):
+        stepped = [0]
+
+        def orbit(self):
+            inner = family.orbit(self)
+            k = yield next(inner)
+            while True:
+                k = k or 1
+                Counting.stepped[0] += k
+                k = yield inner.send(k)
+
+    return Counting(*model._values())
+
+
+@pytest.mark.parametrize("model", [m for s in (1e-3, 0.1) for m in resume_laws(s)], ids=repr)
+def test_a_report_resumes_t_eps_exact_where_its_survival_curve_stopped(model, monkeypatch):
+    # survival_curve leaves its orbit at generation 50. Where T > 50 (s =
+    # 1e-3) t_eps_exact resumes there, so the report walks T generations,
+    # not 50 + T; where T <= 50 (s = 0.1, T = 43 ... 47, but for GP lam = 0.5
+    # with T = 51) the slot is past T and a fresh orbit walks to it. T and
+    # the curve are the emptied slot's.
+    monkeypatch.setattr(pgf_core, "_last_orbit", [])
+    t = gwbounds.t_eps_exact(model, 0.01)
+    monkeypatch.setattr(pgf_core, "_last_orbit", [])
+    twin = counting(model)
+    assert survival_curve(twin, 50) == [1.0 - x for x in islice(model.orbit(), 51)]
+    assert twin.stepped[0] == 50
+    assert gwbounds.t_eps_exact(twin, 0.01) == t
+    assert twin.stepped[0] <= (max(t, 50) + 1 if t > 50 else 50 + t + 1)
+
+
 def test_iterate_extinction_raises_on_every_call_when_the_orbit_leaves_the_interval():
     # The entry left at generation 1 steps into phi = 1.5; the orbit that
     # raised is not kept, so the next call walks afresh and raises again.

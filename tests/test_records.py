@@ -3,14 +3,16 @@ by position or keyword with defaults, frozen fields, equality and hash by
 class and field values, the dataclass repr, and pickling."""
 
 import dataclasses
+import math
 import pickle
 import struct
 
+import numpy as np
 import pytest
 
 from gwbounds.classify_f3 import F3Class, F3Thresholds, classify_f3
 from gwbounds.classify_gp import GPThresholds, gp_thresholds
-from gwbounds.errors import DomainError
+from gwbounds.errors import DomainError, require_count
 from gwbounds.fl_bounds import SWITCHES, UPPER_ON_S, BoundDirection
 from gwbounds.genetics import TraitModel, VGInf, WFModel, vg_inf
 from gwbounds.pgf_core import (
@@ -93,6 +95,19 @@ def test_equal_values_are_equal_records_with_equal_hashes(record):
     assert hash(by_keyword) == hash(record) == hash(by_position)
     # Binomial(n=5, p=0.3) and NegBinomial(r=5, p=0.3) are among the others.
     assert all(record != other for other in RECORDS if other is not record)
+
+
+@by_class
+def test_a_record_equals_itself_and_its_values_follow_its_fields(record):
+    # Equality tests identity first: a slot hit compares a law with itself.
+    assert record == record and not record != record
+    assert record._values() == tuple(fields(record).values())
+
+
+def test_a_record_with_a_nan_field_equals_itself():
+    record = vg_inf(TRAIT, F3_LAW)  # F3 has no series: simple is NaN
+    assert math.isnan(record.simple)
+    assert record == record and not record != record
 
 
 @by_class
@@ -208,4 +223,44 @@ def test_non_integer_sizes_are_domain_errors(record, message):
 def test_out_of_domain_parameters_are_domain_errors(record, message):
     with pytest.raises(DomainError) as info:
         record()
+    assert str(info.value) == message
+
+
+class Index:
+    """An integer type that is not int: it has __index__, as operator.index
+    takes, and compares as its value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __ge__(self, other):
+        return self.value >= other
+
+    def __repr__(self):
+        return f"Index({self.value})"
+
+
+@pytest.mark.parametrize("n", [3, 4, True, np.int64(3), np.int64(7), Index(3), Index(9)],
+                         ids=repr)
+def test_require_count_accepts_integers_at_and_above_least(n):
+    least = 1 if n is True else 3
+    assert require_count("n", n, least) is None
+
+
+@pytest.mark.parametrize("n, least, message", [
+    (3.0, 0, "n must be an integer >= 0, got 3.0"),
+    (-1, 0, "n must be an integer >= 0, got -1"),
+    ("3", 0, "n must be an integer >= 0, got '3'"),
+    (None, 0, "n must be an integer >= 0, got None"),
+    (2, 3, "n must be an integer >= 3, got 2"),
+    (False, 1, "n must be an integer >= 1, got False"),
+    (np.int64(2), 3, f"n must be an integer >= 3, got {np.int64(2)!r}"),
+    (Index(2), 3, "n must be an integer >= 3, got Index(2)"),
+], ids=repr)
+def test_require_count_rejects_other_values_with_its_message(n, least, message):
+    with pytest.raises(DomainError) as info:
+        require_count("n", n, least)
     assert str(info.value) == message

@@ -108,3 +108,40 @@ def test_arguments_outside_the_domain_raise_domain_error(fn, x):
     # and raise ConvergenceError.
     with pytest.raises(DomainError):
         fn(x)
+
+
+def e1_cf_tail_guarded(x):
+    """e1_cf_tail's modified Lentz loop with both of Lentz's guards against a
+    zero divisor, as it was; also the least ratio to b of any b + a*d and c
+    it divided by."""
+    tiny = 1e-300
+    b = x + 3.0
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    least = math.inf
+    for n in range(2, 200):
+        a = -float(n * n)
+        b += 2.0
+        d = b + a * d
+        if abs(d) < tiny:
+            d = tiny
+        c = b + a / c
+        if abs(c) < tiny:
+            c = tiny
+        least = min(least, d / b, c / b)
+        d = 1.0 / d
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) <= 1e-15:
+            return h, least
+    raise AssertionError(f"no convergence at x={x!r}")
+
+
+def test_e1_cf_tail_is_the_guarded_lentz_loop_bit_for_bit():
+    # The guards never fire for x >= 1: every divisor stays above b/2.
+    for k in range(2401):
+        x = 10.0 ** (12 * k / 2400)
+        want, least = e1_cf_tail_guarded(x)
+        assert e1_cf_tail(x) == want, x
+        assert least > 0.5, x
