@@ -210,9 +210,11 @@ def switch_generation(model: OffspringModel) -> Optional[int]:
 
     The scan ends early, with None, once nothing can change: after generation
     n's sign is taken, where P^(n) = P^(n-1) (so every later iterate repeats
-    it) and 1 - gamma^n rounds to 1.0 (then so does 1 - gamma^n P_inf, as
+    it, as a stepped orbit repeats an iterate that does not rise) and
+    1 - gamma^n rounds to 1.0 (then so does 1 - gamma^n P_inf, as
     P_inf <= 1, and P^(n)_FL reads P_inf from then on), every later
-    generation has generation n's diff."""
+    generation has generation n's diff. An FL orbit can repeat an iterate
+    and rise again, but bound_direction never scans an FL law."""
     fp = extinction_probability(model)
     p_inf, gamma = fp.p_inf, fp.gamma
     prev_sign, prev_x = 0, 0.0

@@ -13,6 +13,7 @@ from .errors import DomainError, require_count, require_positive
 from .pgf_core import (
     OffspringModel,
     Record,
+    _Family,
     extinction_iterates,
     extinction_probability,
     pgf_derivative,
@@ -145,11 +146,12 @@ def vg_inf(tm: TraitModel, model: OffspringModel) -> VGInf:
     sa = tm.s_sel * tm.alpha
     v1 = v1_inf(tm, fp.s_inf)
     lead = tm.theta_mut * fp.s_inf * tm.alpha ** 2 * v1
-    try:
-        coeffs = sinf_series(model.mu_table())
-    except DomainError:
-        simple = delta_mean = float("nan")
+    # A family without an s-family keeps the default mu_table, which raises:
+    # decided by the class, without the raise and the repr its message formats.
+    if type(model).mu_table is _Family.mu_table:
+        simple = delta_mean = math.nan
     else:
+        coeffs = sinf_series(model.mu_table())
         factor = coeffs.theta * (1.0 - coeffs.delta2 * sa)
         simple = tm.theta_mut * tm.alpha ** 2 * factor
         delta_mean = tm.theta_mut * coeffs.theta * tm.s_sel * tm.alpha ** 2 \
@@ -281,17 +283,18 @@ def wf_fixation_exact(wf: WFModel) -> float:
     the expected absorption time (about 2N at most). I - P is then banded
     with half-bandwidth b, which binom.window gives before any row is built.
     Elimination runs from the last state up in panels of k = _PANEL
-    unknowns: with D the panel's k x k diagonal block, only the b rows above
-    it change, by the Schur update U D^-1 [L | rhs] (U their part in the
-    panel's columns, L the panel rows' part in the b columns to its left),
-    about 2 N b^2 flops in all. The panel holding state 1 is solved for
-    q[0], with no back-substitution. Rows enter k at a time, built just
-    before the first panel that updates them, into a window over the b + k
-    live unknowns that moves up a buffer of b + 3k rows and is copied back
-    down at its top: O(b^2) working memory plus a few length-N vectors.
-    I - P is a nonsingular M-matrix and so is each Schur complement, so no
-    pivoting across panels is needed. Where one panel holds every state
-    (N - 1 <= _PANEL) this is a dense solve."""
+    unknowns: with D the panel's k x k diagonal block, only the rows above it
+    whose windows reach it change, at most b of them, by the Schur update
+    U D^-1 [L | rhs] (U their part in the panel's columns, L the panel rows'
+    part in the columns from the first panel row's window up to the panel,
+    at most b), at most about 2 N b^2 flops in all. The panel holding
+    state 1 is solved for q[0], with no back-substitution. Rows enter k at
+    a time, built just before the first panel that updates them, into a
+    window over the b + k live unknowns that moves up a buffer of b + 3k
+    rows and is copied back down at its top: O(b^2) working memory plus a
+    few length-N vectors. I - P is a nonsingular M-matrix and so is each
+    Schur complement, so no pivoting across panels is needed. Where one
+    panel holds every state (N - 1 <= _PANEL) this is a dense solve."""
     n, s = wf.pop_size, wf.s_sel
     if n > WF_EXACT_MAX_N:
         raise DomainError(
@@ -307,6 +310,7 @@ def wf_fixation_exact(wf: WFModel) -> float:
     offset = start - np.arange(1, n)  # first window state less the row's state
     b = int(max(-offset.min(), offset.max() + width - 1))
     col = n - start  # each row's window column of state N, >= width if outside
+    reach = start + width - 2  # each row's last unknown in its window, nondecreasing
     m, k = n - 1, _PANEL  # unknown u is q at state u + 1
     # Buffer row i holds unknown base + i and column j unknown base + j - b,
     # so row i's band starts at column i, and a row is 0 left of it whoever
@@ -319,7 +323,7 @@ def wf_fixation_exact(wf: WFModel) -> float:
     base, top = m - h, m  # rows top .. m-1 have entered
     for p1 in range(m, 0, -k):  # the panel is unknowns p0 .. p1-1
         p0 = max(p1 - k, 0)
-        lo = max(p0 - b, 0)  # its Schur update reaches rows lo .. p0-1
+        lo = max(p0 - b, 0)  # its Schur update reaches rows lo .. p0-1 at most
         while top > lo:  # enter rows e .. top-1
             e = max(top - k, lo)
             if e < base:  # no room above: move rows top .. p1-1 to the bottom
@@ -344,10 +348,15 @@ def wf_fixation_exact(wf: WFModel) -> float:
             del rows
             band[:, b] += 1.0
             top = e
-        il, i0, i1 = lo - base, p0 - base, p1 - base  # rows, and columns less b
+        i0, i1 = p0 - base, p1 - base  # the panel's rows, and columns less b
         diag = a[i0:i1, i0 + b:i1 + b]
         if p0 == 0:
             return float(np.linalg.solve(diag, rhs[i0:i1])[0])
+        # U's rows are 0 above the first row whose window reaches the panel,
+        # and L's columns left of the first panel row's window, and no update
+        # fills them: both ends are nondecreasing in the row.
+        il = int(np.searchsorted(reach, p0)) - base
+        jl = max(int(start[p0]) - 1, 0) - base + b
         y = a[il:i0, i0 + b:i1 + b] @ np.linalg.inv(diag)  # U D^-1
-        a[il:i0, il + b:i0 + b] -= y @ a[i0:i1, il + b:i0 + b]
+        a[il:i0, jl:i0 + b] -= y @ a[i0:i1, jl:i0 + b]
         rhs[il:i0] -= y @ rhs[i0:i1]

@@ -168,7 +168,9 @@ class _Family(Record):
     derivative(x, order) for order in {1, 2, 3} and x <= 1. It states phi once,
     as _phi, an expression in x over its fields and the constants that _consts
     sets (statements split by ';'), and its pgf(x) for x in [0, 1] and orbit()
-    (see extinction_iterates) are compiled from it. GP writes both itself."""
+    (see extinction_iterates) are compiled from it; a family that writes its
+    own orbit(), as FL does, keeps it and gets only the pgf. GP writes both
+    itself."""
 
     _consts = ""
 
@@ -180,8 +182,9 @@ class _Family(Record):
         namespace = dict(exp=math.exp, DomainError=DomainError, _OUTSIDE=_OUTSIDE)
         exec(_PHI_TEMPLATE.format(load=load, phi=cls._phi), namespace)
         for name in ("pgf", "orbit"):
-            namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
-            setattr(cls, name, namespace[name])
+            if name not in vars(cls):
+                namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
+                setattr(cls, name, namespace[name])
 
     def closed_p_inf(self) -> Optional[float]:
         """P_inf in closed form, or None when it takes a root solve."""
@@ -280,7 +283,8 @@ class NegBinomial(_Family):
 
 class FractionalLinear(_Family):
     """phi(x) = (rho + x(1 - pi - rho)) / (1 - pi x), the family whose n-fold
-    compositions stay in the family (see fl_bounds)."""
+    compositions stay in the family (see fl_bounds). Its pgf is compiled
+    from _phi; its orbit is the n-fold composition in closed form."""
     pi: float
     rho: float
 
@@ -293,6 +297,23 @@ class FractionalLinear(_Family):
             raise DomainError("FractionalLinear requires rho < pi (supercritical)")
 
     _phi, _consts = "(rho + x * c) / (1.0 - x * pi)", "c = 1.0 - pi - rho"
+
+    def orbit(self) -> Iterator[float]:
+        # phi fixes P_inf = rho/pi with multiplier gamma = (1 - pi)/(1 - rho)
+        # and 1 with multiplier 1/gamma, so (P^(n) - P_inf)/(P^(n) - 1) =
+        # gamma^n P_inf, that is S^(n) = S_inf / (S_inf - P_inf (gamma^n - 1)),
+        # with S_inf = (pi - rho)/pi and gamma^n - 1 = expm1(n log gamma). Every
+        # term is positive and each operation monotone in n, so P^(n) = 1 -
+        # S^(n) never falls, though consecutive iterates may round alike, and
+        # send(k) costs one step for any k, with the bits of k next() calls.
+        # n is a float, exact to 2^53: an int n would be converted at every
+        # generation, about a fifth of a yielded one's cost.
+        pi, rho, expm1 = self.pi, self.rho, math.expm1
+        s_inf, p_inf = (pi - rho) / pi, rho / pi
+        log_gamma = math.log1p(-(pi - rho) / (1.0 - rho))
+        n = 0.0
+        while True:
+            n += (yield 1.0 - s_inf / (s_inf - p_inf * expm1(n * log_gamma))) or 1.0
 
     def derivative(self, x: float, order: int) -> float:
         pi, rho = self.pi, self.rho
@@ -581,11 +602,13 @@ def extinction_iterates(model: OffspringModel) -> Iterator[float]:
     """P^(0), P^(1), ... with P^(n) = phi^(n)(0), without end: the model's
     orbit(), the one iteration of the pgf that every per-generation quantity
     reads. It steps by phi inline; GP steps u = 1 - t(P) in survival space,
-    one expm1 a generation, and forms P = exp(-mu*u) from it. An iterate
-    above 1 or NaN raises DomainError unyielded; none is below phi(0) > 0, as
-    phi is nondecreasing. The iterates never fall, though rounding can put
-    phi one ulp below its argument: once an iterate does not rise, it is
-    yielded from then on.
+    one expm1 a generation, and forms P = exp(-mu*u) from it; FL forms each
+    P^(n) from n alone, by the closed-form composition. An iterate above 1
+    or NaN raises DomainError unyielded; none is below phi(0) > 0, as phi is
+    nondecreasing. The iterates never fall, though rounding can put phi one
+    ulp below its argument: once a stepped iterate does not rise, it is
+    yielded from then on. FL's can repeat an iterate and then rise again,
+    as their last bits move with n.
 
     next() steps one generation; orbit.send(k), k >= 1, after the first
     next(), steps k and returns the iterate k generations on, with the bits

@@ -247,11 +247,22 @@ def test_vg_inf_response_is_s_times_variance():
 
 
 def test_vg_inf_no_series_family_gives_nan():
+    # vg_inf tells a family without an s-family by its class: it neither
+    # calls the mu_table that raises nor formats the law's repr for it.
+    class Unprintable(FiniteThree):
+        def __repr__(self):
+            raise AssertionError("repr formatted")
+
     tm = TraitModel(theta_mut=1.0, alpha=1.0, s_sel=0.1, pop_size=1000)
     model = FiniteThree(p0=0.1, p1=0.5, p2=0.2, p3=0.2)
     v = vg_inf(tm, model)
     assert v.v1_inf > 0.0 and v.leading > 0.0
     assert math.isnan(v.simple) and math.isnan(v.delta_mean)
+    with pytest.raises(DomainError, match="no mu table"):
+        model.mu_table()
+    twin = vg_inf(tm, Unprintable(*model._values()))
+    assert (twin.v1_inf, twin.leading) == (v.v1_inf, v.leading)
+    assert math.isnan(twin.simple) and math.isnan(twin.delta_mean)
 
 
 def test_trait_model_validation():

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 import types
 from itertools import islice
 
@@ -189,19 +190,58 @@ def ulps_apart(a, b):
     return abs(a - b) / math.ulp(max(abs(a), abs(b)))
 
 
+# The unit roundoff of a double.
+UNIT = 2.0 ** -53
+
+
+def mp_fl_iterates(model, n):
+    """P^(0), ..., P^(n) of the FL law, phi iterated at 40 digits on the
+    model's float parameters."""
+    with mpmath.workdps(40):
+        pi, rho = mpmath.mpf(model.pi), mpmath.mpf(model.rho)
+        x, out = mpmath.mpf(0), [mpmath.mpf(0)]
+        for _ in range(n):
+            x = (rho + x * (1 - pi - rho)) / (1 - x * pi)
+            out.append(x)
+        return out
+
+
+def assert_on_the_fl_orbit(model, iterates):
+    """Each P^(n) of iterates, an FL orbit from n = 0, against the orbit at 40
+    digits, on S^(n) = 1 - P^(n). The closed form takes S^(n) through about
+    3m + 7 roundings (m = (1 - rho)/(1 - pi), the condition of log1p(-x) at
+    x = (pi - rho)/(1 - rho); every other step is a product, a quotient, a
+    sum of two positive terms or expm1 of a negative argument, each
+    conditioned at most 1), so for m <= 3 within 16 unit roundoffs relative;
+    the orbit then yields P = 1 - S, rounded to half an ulp of P, and the
+    reader's 1 - P is exact for P >= 1/2 and adds a rounding of S below.
+    That is the bound: 16u S + ulp(P)/2, where ulp(P)/2 = 2^-54 for P in
+    [1/2, 1), about 1e-13 relative on an S^(n) of 5e-4 and 3.7e-13 on the
+    1.5e-4 that S^(10^4) comes to near criticality at pi = 0.4."""
+    assert (1.0 - model.rho) / (1.0 - model.pi) <= 3.0, model
+    ref = mp_fl_iterates(model, len(iterates) - 1)
+    for n, (p, want) in enumerate(zip(iterates, ref)):
+        s_ref = 1 - want
+        assert abs((1.0 - p) - s_ref) <= 16.0 * UNIT * s_ref + math.ulp(p) / 2, (model, n)
+
+
 def test_extinction_iterates_is_the_iteration_of_the_pgf():
     # P^(0) = 0 and P^(n+1) = phi(P^(n)): bit for bit where the iterator
     # steps with the pgf itself, within 8 ulp for GP, whose orbit steps in
-    # survival space.
+    # survival space. FL's orbit is phi's n-fold composition in closed form,
+    # so its reference is phi iterated at 40 digits.
     for model in MODELS[::11]:
         iterates = list(islice(extinction_iterates(model), 40))
         assert iterates[0] == 0.0
+        if isinstance(model, FractionalLinear):
+            assert_on_the_fl_orbit(model, iterates)
         for prev, cur in zip(iterates, iterates[1:]):
             if isinstance(model, GeneralizedPoisson):
                 assert ulps_apart(cur, pgf_eval(model, prev)) <= 8.0, model
-            else:
+            elif not isinstance(model, FractionalLinear):
                 assert cur == pgf_eval(model, prev)
         assert iterates[-1] == iterate_extinction(model, 39)
+    assert any(isinstance(model, FractionalLinear) for model in MODELS[::11])
 
 
 def laws_at(s):
@@ -232,12 +272,18 @@ def test_extinction_iterates_matches_the_pgf_eval_loop_bit_for_bit(s, model):
     # at lam = 0, the Poisson pgf) steps in survival space, so its reference
     # is the orbit at 40 digits: every P^(n) within 2 ulp of it (1.64 at
     # worst, at s = 1e-2), and no further from it than the loop (49.6 ulp).
+    # FL's orbit is the closed form, so its reference is the orbit at 40
+    # digits too, at the bound assert_on_the_fl_orbit derives: S^(n) within
+    # 3.7e-13 relative at worst (s = 1e-6 and 1e-12, the rounding of P), where
+    # the loop is up to 4.4e-11 off.
     loop = pgf_eval_loop(model, 10_000)
     iterates = list(islice(extinction_iterates(model), 10_000))
     if isinstance(model, GeneralizedPoisson):
         ref = mp_gp_iterates(model, 9_999)
         assert all(abs(x - r) <= 2.0 * math.ulp(x) for x, r in zip(iterates, ref))
         assert max_rel_err(iterates[1:], ref[1:]) <= max_rel_err(loop[1:], ref[1:])
+    elif isinstance(model, FractionalLinear):
+        assert_on_the_fl_orbit(model, iterates)
     else:
         assert iterates == loop
     if s == 0.3:
@@ -496,8 +542,9 @@ def outcome(step):
 
 # The Stray laws leave [0, 1] or repeat at generations 2 ... 5, so at each of
 # the four places of a template orbit's first block of a send from generation
-# 0 or 1.
+# 0 or 1. FL's closed-form orbit sends in one step whatever k is.
 SEND_CASES = [*laws_at(1e-6), *laws_at(0.3), gp_from_s(0.5, 1e-6), gp_from_s(0.9, 1e-6),
+              fl_from_s(0.05, 1e-12), fl_from_s(0.99, 1e-3),
               unchecked_gp(-1.0, 0.5), Stray(after=math.nan, top=0.625),
               *(Stray(after=after, top=top) for top in (0.5, 0.625, 0.75, 0.875)
                 for after in (1.5, top))]
@@ -532,9 +579,12 @@ def test_orbit_send_k_lands_where_k_steps_do(model):
             break
 
 
-# Laws whose phi, at the rounding floor, lies one ulp below its argument: the
-# orbit would step down at generation n and repeat the lower value. GP steps
-# in survival space, where u never rises; its orbit tops out at n = 154.
+# Laws whose phi, at the rounding floor, lies one ulp below its argument: a
+# loop of phi would step down at generation n and repeat the lower value. GP
+# steps in survival space, where u never rises; its orbit tops out at n = 154.
+# The loop of the FL law's phi stalls at n = 466 on top, 788 ulp below
+# rho/pi, a rounding artefact of the P-space iteration; its closed-form
+# orbit rises past it and reaches the float rho/pi at n = 610.
 STEP_DOWN_CASES = [
     (FractionalLinear(pi=0.9790882908033464, rho=0.9780166490876349), 466, 0.9989054697866748),
     (GeneralizedPoisson(mu=0.19500000000000003, lam=0.85), 154, 0.9835865322423037),
@@ -546,8 +596,45 @@ def test_orbit_never_falls_and_repeats_the_higher_iterate(model, n, top):
     # The orbit's resume (iterate_extinction, t_eps_exact) rests on this.
     iterates = list(islice(extinction_iterates(model), 100_000))
     assert all(a <= b for a, b in zip(iterates, iterates[1:]))
-    assert iterates[n - 1] == top
-    assert set(iterates[n - 1:]) == {top}
+    if isinstance(model, FractionalLinear):
+        assert pgf_eval_loop(model, n)[n - 1] == top
+        assert_on_the_fl_orbit(model, iterates[:1001])
+        assert iterates[1000] > top
+        assert set(iterates[1000:]) == {iterates[-1]}
+        assert ulps_apart(iterates[-1], model.rho / model.pi) <= 2.0
+    else:
+        assert iterates[n - 1] == top
+        assert set(iterates[n - 1:]) == {top}
+
+
+# FL laws at s = 1e-12 ... 0.3, pi = 0.05 ... 0.99, rho > 0.
+FL_LAWS = [fl_from_s(pi, s) for pi in (0.05, 0.2, 0.5, 0.8, 0.99)
+           for s in (1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.3) if pi * (1.0 + s) > s]
+
+
+@pytest.mark.parametrize("pi", (0.05, 0.2, 0.5, 0.8, 0.99))
+def test_fl_orbit_never_falls(pi):
+    # 10^5 generations of each law: the closed form is monotone in n, op by
+    # op, so no iterate falls, though two can round alike and the next rise
+    # (STEP_DOWN_CASES' FL law repeats 51 iterates so before n = 610).
+    for model in (m for m in FL_LAWS if m.pi == pi):
+        iterates = list(islice(extinction_iterates(model), 100_000))
+        assert iterates[0] == 0.0 and iterates[-1] < 1.0, model
+        assert all(a <= b for a, b in zip(iterates, iterates[1:])), model
+
+
+@pytest.mark.parametrize("model", [fl_from_s(pi, s) for pi in (0.05, 0.5, 0.99)
+                                   for s in (1e-6, 1e-3, 0.04)], ids=repr)
+def test_fl_orbit_sends_a_billion_generations_at_once(model):
+    # At s >= 1e-6, 10^9 generations take gamma^n far below an ulp of P_inf,
+    # so the landing iterate is the float rho/pi within 2 ulp. The template's
+    # loop would step each of them: about a minute.
+    orbit = extinction_iterates(model)
+    next(orbit)
+    start = time.perf_counter()
+    x = orbit.send(10**9)
+    assert time.perf_counter() - start < 1.0
+    assert ulps_apart(x, model.rho / model.pi) <= 2.0, model
 
 
 def resume_laws(s):
