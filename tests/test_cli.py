@@ -1,6 +1,7 @@
 """Command-line interface: golden table files, output format, determinism,
 exit codes, and the classify/sinf/teps/genetics reports."""
 
+import argparse
 import csv
 import io
 import json
@@ -750,6 +751,100 @@ def test_readme_commands_parse_as_with_the_full_parser():
     for argv in commands:
         one = make_parser(argv[0]).parse_args(argv)
         assert fields(one) == fields(make_parser().parse_args(argv)), argv
+
+
+# Every action of each subcommand's parser, written out by hand, so that a
+# flag dropped, retyped or re-defaulted in the parser's declaration fails
+# here: (option strings, dest, action class, type, default, choices, nargs,
+# required, help). The --help text is not compared, as argparse words it
+# differently across Python versions.
+_HELP = (("-h", "--help"), "help", "_HelpAction", None, argparse.SUPPRESS, None, 0,
+         False, "show this help message and exit")
+_DIST = (("--dist",), "dist", "_StoreAction", None, None,
+         ["poisson", "binomial", "negbinomial", "fl", "f3", "gp"], None, False, None)
+
+
+def _flag_pin(flag, dest, typ, default=None, nargs=None, required=False, help=None):
+    return ((flag,), dest, "_StoreAction", typ, default, None, nargs, required, help)
+
+
+_MODEL_PIN = [_DIST] + [_flag_pin(flag, dest, typ) for flag, dest, typ in (
+    ("--m", "m", float), ("--n", "n", int), ("--p", "p", float), ("--r", "r", int),
+    ("--pi", "pi", float), ("--rho", "rho", float), ("--p0", "p0", float),
+    ("--p2", "p2", float), ("--p3", "p3", float), ("--mu", "mu", float),
+    ("--lambda", "lam", float), ("--s", "s", float))]
+_OUT_PIN = _flag_pin("--out", "out", None)
+_DIGITS_PIN = _flag_pin("--digits", "digits", int, 6)
+_IGNORED = "ignored: the 3-volumes shares are exact"
+
+PARSER_PIN = {
+    "table": [
+        _HELP,
+        ((), "id", "_StoreAction", int, None, [1, 2, 3], None, True, None),
+        _OUT_PIN, _DIGITS_PIN],
+    "classify": [
+        _HELP,
+        ((), "kind", "_StoreAction", None, None, ["f3", "gp"], None, True, None),
+        _flag_pin("--p0", "p0", float), _flag_pin("--p2", "p2", float),
+        _flag_pin("--p3", "p3", float), _flag_pin("--lambda", "lam", float),
+        _flag_pin("--s", "s", float), _OUT_PIN],
+    "survival": [
+        _HELP, *_MODEL_PIN, _flag_pin("--nmax", "nmax", int, 50), _OUT_PIN, _DIGITS_PIN],
+    "sinf": [
+        _HELP, *_MODEL_PIN,
+        (("--strict",), "strict", "_StoreTrueAction", None, False, None, 0, False,
+         "fail (exit 3) when a bound's validity condition does not hold instead "
+         "of reporting its value"),
+        _OUT_PIN, _DIGITS_PIN],
+    "teps": [
+        _HELP, *_MODEL_PIN, _flag_pin("--eps", "eps", float, [0.01], nargs="+"),
+        _OUT_PIN, _DIGITS_PIN],
+    "genetics": [
+        _HELP, *_MODEL_PIN,
+        _flag_pin("--N", "N", int, required=True), _flag_pin("--Ne", "Ne", float),
+        _flag_pin("--theta-mut", "theta_mut", float, 1.0),
+        _flag_pin("--alpha", "alpha", float, 1.0), _flag_pin("--tau", "tau", float),
+        _OUT_PIN, _DIGITS_PIN],
+    "figdata": [
+        _HELP,
+        ((), "fig", "_StoreAction", None, None, ["1", "2", "3-volumes", "4"], None, True,
+         None),
+        _flag_pin("--samples", "samples", int, help=_IGNORED),
+        _flag_pin("--seed", "seed", int, help=_IGNORED),
+        _OUT_PIN, _DIGITS_PIN],
+}
+
+SUBCOMMAND_HELP = {
+    "table": "emit a reference table as CSV",
+    "classify": "bound-direction classification",
+    "survival": "survival curve and bounds",
+    "sinf": "eventual survival and its bounds",
+    "teps": "convergence times T(eps)",
+    "genetics": "trait-variance and fixation report",
+    "figdata": "emit plot-ready figure data",
+}
+
+
+def subparsers_action(parser):
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub
+
+
+@pytest.mark.parametrize("name", list(PARSER_PIN))
+def test_each_subcommand_declares_the_pinned_arguments(name):
+    sub = subparsers_action(make_parser(name))
+    assert list(sub.choices) == [name]
+    got = [(tuple(a.option_strings), a.dest, type(a).__name__, a.type, a.default,
+            a.choices, a.nargs, a.required, a.help)
+           for a in sub.choices[name]._actions]
+    assert got == PARSER_PIN[name]
+    assert sub.choices[name].get_default("func") is not None
+
+
+def test_subcommands_are_the_pinned_ones_in_help_order():
+    sub = subparsers_action(make_parser())
+    assert list(SUBCOMMANDS) == list(sub.choices) == list(PARSER_PIN)
+    assert {a.dest: a.help for a in sub._choices_actions} == SUBCOMMAND_HELP
 
 
 # ---------------------------------------------------------------------------
