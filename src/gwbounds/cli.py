@@ -3,7 +3,8 @@ runs the classifiers, and exposes the survival/bound/convergence/genetics
 computations as deterministic CSV or JSON.
 
 Exit codes: 0 success, 2 domain error, 3 applicability error, 1 anything else.
-Errors, including an --out file that cannot be written, are written to
+Errors, including an --out file that cannot be written and an arithmetic
+error (a division by zero, an overflow) in the library, are written to
 stderr as single-line JSON.
 
 A call builds only its subcommand's parser and reaches the library through
@@ -217,15 +218,13 @@ def cmd_classify(args) -> dict:
         fp = gw.extinction_probability(model)
         fl = gw.matching_fl(fp)
         report = {
+            **_by_name(cls),  # json writes its sign_profile tuple as a list
             "kind": "f3",
-            "region": cls.region,
-            "case_label": cls.case_label,
+            "thresholds": _by_name(cls.thresholds),
             "p_inf": fp.p_inf,
             "gamma": fp.gamma,
             "fl_pi": fl.pi,
             "fl_rho": fl.rho,
-            "sign_profile": list(cls.sign_profile),
-            "thresholds": _by_name(cls.thresholds),
         }
         direction = gw.bound_direction(model)
         if direction.kind == gw.fl_bounds.SWITCHES:
@@ -384,94 +383,49 @@ FIGURES = {"1": figure1, "2": figure2, "3-volumes": figure3_volumes, "4": figure
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-# The model flags by destination, in help order, and the ones classify reads.
-_MODEL_FLAGS = {"m": float, "n": int, "p": float, "r": int, "pi": float, "rho": float,
-                "p0": float, "p2": float, "p3": float, "mu": float, "lam": float,
-                "s": float}
-_CLASSIFY_FLAGS = ("p0", "p2", "p3", "lam", "s")
+# Arguments as (name or flag, add_argument options) pairs. The model flags
+# are --dist and then each parameter by its destination, in help order.
+_PARAMS = {"m": float, "n": int, "p": float, "r": int, "pi": float, "rho": float,
+           "p0": float, "p2": float, "p3": float, "mu": float, "lam": float, "s": float}
 
 
-def _add_flags(parser: argparse.ArgumentParser, names) -> None:
-    for name in names:
-        parser.add_argument(_flag(name), dest=name, type=_MODEL_FLAGS[name])
+def _params(*names):
+    return [(_flag(name), {"dest": name, "type": _PARAMS[name]}) for name in names]
 
 
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dist", choices=["poisson", "binomial", "negbinomial",
-                                           "fl", "f3", "gp"])
-    _add_flags(parser, _MODEL_FLAGS)
+_MODEL = [("--dist", {"choices": ["poisson", "binomial", "negbinomial", "fl", "f3", "gp"]}),
+          *_params(*_PARAMS)]
+_OUT = ("--out", {})
+_OUTPUT = [_OUT, ("--digits", {"type": int, "default": 6})]
+_IGNORED = {"type": int, "help": "ignored: the 3-volumes shares are exact"}
 
-
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--digits", type=int, default=6)
-
-
-def _add_table(p: argparse.ArgumentParser) -> None:
-    p.add_argument("id", type=int, choices=sorted(TABLES))
-    _add_output_flags(p)
-    p.set_defaults(func=lambda args: TABLES[args.id]())
-
-
-def _add_classify(p: argparse.ArgumentParser) -> None:
-    p.add_argument("kind", choices=["f3", "gp"])
-    _add_flags(p, _CLASSIFY_FLAGS)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_classify)
-
-
-def _add_survival(p: argparse.ArgumentParser) -> None:
-    _add_model_flags(p)
-    p.add_argument("--nmax", type=int, default=50)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_survival)
-
-
-def _add_sinf(p: argparse.ArgumentParser) -> None:
-    _add_model_flags(p)
-    p.add_argument("--strict", action="store_true",
-                   help="fail (exit 3) when a bound's validity condition "
-                        "does not hold instead of reporting its value")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_sinf)
-
-
-def _add_teps(p: argparse.ArgumentParser) -> None:
-    _add_model_flags(p)
-    p.add_argument("--eps", type=float, nargs="+", default=[0.01])
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_teps)
-
-
-def _add_genetics(p: argparse.ArgumentParser) -> None:
-    _add_model_flags(p)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--Ne", type=float, default=None)
-    p.add_argument("--theta-mut", dest="theta_mut", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--tau", type=float, default=None)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_genetics)
-
-
-def _add_figdata(p: argparse.ArgumentParser) -> None:
-    p.add_argument("fig", choices=list(FIGURES))
-    for flag in ("--samples", "--seed"):
-        p.add_argument(flag, type=int, help="ignored: the 3-volumes shares are exact")
-    _add_output_flags(p)
-    p.set_defaults(func=lambda args: FIGURES[args.fig]())
-
-
-# Each subcommand's help line and the function that adds its arguments, in
-# help order.
+# Each subcommand's help line, the function that computes what it prints, and
+# its arguments, in help order.
 SUBCOMMANDS = {
-    "table": ("emit a reference table as CSV", _add_table),
-    "classify": ("bound-direction classification", _add_classify),
-    "survival": ("survival curve and bounds", _add_survival),
-    "sinf": ("eventual survival and its bounds", _add_sinf),
-    "teps": ("convergence times T(eps)", _add_teps),
-    "genetics": ("trait-variance and fixation report", _add_genetics),
-    "figdata": ("emit plot-ready figure data", _add_figdata),
+    "table": ("emit a reference table as CSV", lambda args: TABLES[args.id](),
+              [("id", {"type": int, "choices": sorted(TABLES)}), *_OUTPUT]),
+    "classify": ("bound-direction classification", cmd_classify,
+                 [("kind", {"choices": ["f3", "gp"]}),
+                  *_params("p0", "p2", "p3", "lam", "s"), _OUT]),
+    "survival": ("survival curve and bounds", cmd_survival,
+                 [*_MODEL, ("--nmax", {"type": int, "default": 50}), *_OUTPUT]),
+    "sinf": ("eventual survival and its bounds", cmd_sinf,
+             [*_MODEL,
+              ("--strict", {"action": "store_true",
+                            "help": "fail (exit 3) when a bound's validity condition "
+                                    "does not hold instead of reporting its value"}),
+              *_OUTPUT]),
+    "teps": ("convergence times T(eps)", cmd_teps,
+             [*_MODEL, ("--eps", {"type": float, "nargs": "+", "default": [0.01]}),
+              *_OUTPUT]),
+    "genetics": ("trait-variance and fixation report", cmd_genetics,
+                 [*_MODEL, ("--N", {"type": int, "required": True}),
+                  ("--Ne", {"type": float}), ("--theta-mut", {"type": float, "default": 1.0}),
+                  ("--alpha", {"type": float, "default": 1.0}), ("--tau", {"type": float}),
+                  *_OUTPUT]),
+    "figdata": ("emit plot-ready figure data", lambda args: FIGURES[args.fig](),
+                [("fig", {"choices": list(FIGURES)}), ("--samples", _IGNORED),
+                 ("--seed", _IGNORED), *_OUTPUT]),
 }
 
 
@@ -491,8 +445,11 @@ def make_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar=choices if len(names) == 1 else None)
     for name in names:
-        summary, add_arguments = SUBCOMMANDS[name]
-        add_arguments(sub.add_parser(name, help=summary))
+        summary, handler, arguments = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -517,7 +474,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         sys.stderr.write(_json_line({"error": "domain", "message": str(exc)}))
         return 2
-    except (GWError, OSError) as exc:
+    except (GWError, OSError, ArithmeticError) as exc:
         sys.stderr.write(_json_line({"error": type(exc).__name__, "message": str(exc)}))
         return 1
 

@@ -288,6 +288,24 @@ def test_error_output_is_single_line_json(capsys):
     json.loads(err)
 
 
+@pytest.mark.parametrize("error,message", [
+    (ZeroDivisionError, "float division by zero"),
+    (OverflowError, "math range error"),
+])
+def test_arithmetic_error_is_a_json_error(error, message, capsys, monkeypatch):
+    # A library call that raises, as pollak_dbar divides by zero where gamma
+    # rounds to 1 (gwb survival --dist poisson --s 1e-8), exits 1 with one
+    # JSON line and no traceback.
+    def raises(*args):
+        raise error(message)
+
+    monkeypatch.setattr(gwbounds, "survival_curve", raises)
+    code, out, err = run_cli(capsys, "survival", "--dist", "poisson", "--m", "1.5")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": error.__name__, "message": message}
+
+
 def test_missing_model_params_domain_error(capsys):
     code, _, err = run_cli(capsys, "classify", "f3", "--p0", "0.1")
     assert code == 2
