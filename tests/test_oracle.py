@@ -19,26 +19,27 @@ must satisfy what the theory proves of the exact ones.
 
 The margin. Each check compares two floats x, y that the library computes
 for exact values X <= Y. If each lies within K ulp of its exact value, then
-x <= y + K (ulp(x) + ulp(y)), so that is the check, with K = 8. The bound
-on each side is derived, not read off the code under test: a side here is a
-chain of at most six correctly rounded multiplications, divisions, additions
-of like-signed terms and libm calls (each within 1 ulp) applied to S_inf,
+x <= y + K (ulp(x) + ulp(y)), so that is the check, with K = 8. K comes from
+the operations behind each side, not from results: a side here is a chain
+of at most six correctly rounded multiplications, divisions, additions of
+like-signed terms and libm calls (each within 1 ulp) applied to S_inf,
 P_inf, gamma and S^(n). When those are formed in survival space, so that no
-subtraction cancels, each is within 1-2 ulp (the fixed point is solved to
-about 1 ulp; the GP orbit is documented within 1.3e-16 relative, FL's closed
-form within 16u S^(n), 8 ulp), and a chain's relative error is at most the
-sum of its steps', under 8 ulp. gamma^n carries n times gamma's relative
-error, but its term either leaves a gap far wider than that (the simple
-bound exceeds S^(n) - S_inf by a factor of about 1/S_inf) or falls below an
-ulp of S_inf. A subtraction that cancels (S = 1 - P near criticality,
-1 - gamma^n (1 - S_inf) at small n s) is not such a chain.
+subtraction cancels, each is within 1-2 ulp (a fixed point solved to 1 ulp;
+the GP orbit is documented within 1.3e-16 relative, FL's closed form within
+16u S^(n), 8 ulp), and a chain's relative error is at most the sum of its
+steps', under 8 ulp. gamma^n carries n times gamma's relative error, but
+its term either leaves a gap far wider than that (the simple bound exceeds
+S^(n) - S_inf by a factor of about 1/S_inf) or falls below an ulp of S_inf.
+A subtraction that cancels (S = 1 - P near criticality, 1 - gamma^n (1 -
+S_inf) at small n s) is not such a chain.
 
 Cells. The draws are split into (family, s-range) cells. A cell that fails
 at this commit is marked xfail(strict=True) with its cause, so a mend turns
 it into an XPASS, which fails until the mark goes; a raise from the library
 (ConvergenceError, ZeroDivisionError, ...) counts as the cell's assertion
-failure. Every cell has fixed examples at its corners (they run on every
-hypothesis version), then hypothesis draws the rest with derandomize=True.
+failure. Five fixed examples run first in every cell, on every hypothesis
+version, and each failing cell fails on one of them; then hypothesis draws
+the rest with derandomize=True.
 """
 
 import math
@@ -135,8 +136,8 @@ def check_law(model, eps):
 # s log-uniform on the cell's range, cut to the family's admissible s.
 # ---------------------------------------------------------------------------
 
-S_RANGES = {"s<1e-4": (1e-12, 1e-4), "1e-4<=s<0.1": (1e-4, 0.1), "0.1<=s<1": (0.1, 1.0),
-            "s>=1": (1.0, 10.0)}
+S_RANGES = {"1e-12..1e-4": (1e-12, 1e-4), "1e-4..0.1": (1e-4, 0.1), "0.1..1": (0.1, 1.0),
+            "1..10": (1.0, 10.0)}
 BINOMIAL_NS = (2, 3, 5, 10, 50)
 NEGBINOMIAL_RS = (1, 2, 5, 20)
 
@@ -179,8 +180,8 @@ FAMILIES = {
 
 
 def law(family, s_range, t, u, v):
-    """The law of a draw (t, u, v) in [0, 1]^3, and its s; None where the
-    family admits no s in the cell's range at parameter u."""
+    """The law of a draw (t, u, v) in [0, 1]^3; None where the family admits
+    no s in the cell's range at parameter u."""
     s_max, make = FAMILIES[family]
     lo, hi = S_RANGES[s_range]
     hi = min(hi, s_max(u))
@@ -204,7 +205,7 @@ _CUBIC = ("dn_upper equals S_inf for a cubic pgf, and both cancel: S_inf = 1 - P
           "3b - 3 sqrt(b^2 - 8c(m - 1)/3)")
 _AB = ("faults a-c: the root bracket misses P_inf (a, ConvergenceError) or a Newton "
        "step leaves [0, 1] (b, DomainError); c: " + _C)
-NEAR = "s<1e-4"
+NEAR = "1e-12..1e-4"
 XFAIL = {
     ("poisson", NEAR): "fault c: " + _C,
     ("binomial", NEAR): _AB,
@@ -212,20 +213,20 @@ XFAIL = {
     ("fl", NEAR): "fault c: " + _C,
     ("gp", NEAR): _AB,
     ("f3", NEAR): "fault c: " + _C + "; " + _CUBIC,
-    ("poisson", "1e-4<=s<0.1"): _ABS,
-    ("binomial", "1e-4<=s<0.1"): _POLISH,
-    ("negbinomial", "1e-4<=s<0.1"): _POLISH,
-    ("fl", "1e-4<=s<0.1"): _FL,
-    ("gp", "1e-4<=s<0.1"): _POLISH,
-    ("f3", "1e-4<=s<0.1"): _CUBIC + "; " + _ABS,
-    ("poisson", "0.1<=s<1"): _ABS,
-    ("binomial", "0.1<=s<1"): _POLISH,
-    ("negbinomial", "0.1<=s<1"): _POLISH,
-    ("fl", "0.1<=s<1"): _FL + " (3% of draws)",
-    ("gp", "0.1<=s<1"): _POLISH,
-    ("f3", "0.1<=s<1"): _ABS + "; " + _CUBIC,
-    ("gp", "s>=1"): "at lam > 0.8 S_inf is 0.01-0.1 at s >= 1 (1% of draws): " + _ABS,
-    ("f3", "s>=1"): _CUBIC + ", up to 24 ulp where p0 < 0.01 (S_inf > 0.99; 1 in 3000 draws)",
+    ("poisson", "1e-4..0.1"): _ABS,
+    ("binomial", "1e-4..0.1"): _POLISH,
+    ("negbinomial", "1e-4..0.1"): _POLISH,
+    ("fl", "1e-4..0.1"): _FL,
+    ("gp", "1e-4..0.1"): _POLISH,
+    ("f3", "1e-4..0.1"): _CUBIC + "; " + _ABS,
+    ("poisson", "0.1..1"): _ABS,
+    ("binomial", "0.1..1"): _POLISH,
+    ("negbinomial", "0.1..1"): _POLISH,
+    ("fl", "0.1..1"): _FL + " (3% of draws)",
+    ("gp", "0.1..1"): _POLISH,
+    ("f3", "0.1..1"): _ABS + "; " + _CUBIC,
+    ("gp", "1..10"): "at lam > 0.8 S_inf is 0.01-0.1 at s >= 1 (1% of draws): " + _ABS,
+    ("f3", "1..10"): _CUBIC + ", up to 24 ulp where p0 < 0.01 (S_inf > 0.99; 1 in 3000 draws)",
 }
 
 
