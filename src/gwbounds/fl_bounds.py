@@ -152,10 +152,19 @@ def t_eps_exact(model: OffspringModel, eps: float) -> int:
     falls, so no earlier iterate meets the target where the landing one does
     not; where it does, the estimate overshot, and a fresh orbit steps
     untested to the generation the call started from and is tested from
-    there. Without a finite estimate nothing is skipped."""
+    there. Without a finite estimate nothing is skipped. A GP law's T is
+    counted back from the target (GeneralizedPoisson.generations_to, one
+    log1p a generation), as S^(n) <= target iff psi^(n-1)(u_t) >= 1: the
+    exact count, but where shifting the target by B = (1 + lam)/(1 - lam)
+    2^-53/(1 - gamma) relative changes it. It reads no orbit nor t_eps_fl."""
     require_positive("eps", eps)
     fp = extinction_probability(model)
     target = (1.0 + eps) * fp.s_inf
+    if isinstance(model, GeneralizedPoisson):
+        t = model.generations_to(target, T_EPS_CAP)
+        if t is None:
+            raise ConvergenceError(f"t_eps_exact exceeded the iteration cap ({T_EPS_CAP})")
+        return t
     n, x, orbit = _take_orbit(model, lambda n, x: 1.0 - x > target)
     try:
         estimate = t_eps_fl(fp, eps)

@@ -477,6 +477,36 @@ class GeneralizedPoisson(_Family):
                 u2, u1, u = u1, u, v
             k = (yield exp(nmu * u)) or 1
 
+    def generations_to(self, target: float, cap: int) -> Optional[int]:
+        """The least n <= cap with S^(n) <= target, or None, counted back from
+        the target. The step u -> v of orbit() has the increasing inverse
+        psi(v) = (-log1p(-v) - lam*v)/mu, so S^(n) = -expm1(-mu*u_{n-1}) <=
+        target iff psi^(n-1)(u_t) >= 1 = u_0, u_t = -log1p(-target)/mu: T = 0
+        where target >= 1, else 1 + the psi steps, one log1p each, that take
+        u_t to 1. It steps four at a time, and log1p(-v) raises once v >= 1:
+        a block that reaches 1 before its last step raises, and single steps
+        count on from its start; one that reaches it last stops at the next
+        log1p. Deciding in u, of relative precision, it errs only where
+        shifting the target by B = (1 + lam)/(1 - lam) 2^-53/(1 - gamma)
+        relative changes the exact count: a step rounds by about (1 + lam)/
+        (1 - lam) ulp, and the errors add over about 1/(1 - gamma) steps."""
+        if not target < 1.0:
+            return 0
+        mu, nlam, log1p = self.mu, -self.lam, math.log1p
+        v, n = -log1p(-target) / mu, 1
+        try:
+            for _ in repeat(None, (cap - n) >> 2):
+                w = (nlam * v - log1p(-v)) / mu
+                w = (nlam * w - log1p(-w)) / mu
+                w = (nlam * w - log1p(-w)) / mu
+                w = (nlam * w - log1p(-w)) / mu
+                v, n = w, n + 4
+        except ValueError:
+            pass
+        while v < 1.0 and n < cap:
+            v, n = (nlam * v - log1p(-v)) / mu, n + 1
+        return n if v >= 1.0 and n <= cap else None
+
     def derivative(self, x: float, order: int) -> float:
         mu = self.mu
         t, t1, t2, t3 = _gp_t_derivs(x, self.lam)

@@ -113,7 +113,8 @@ def _dn_upper(mom: Moments) -> float:
         raise ApplicabilityError("phi'''(1) > 0", c, 0.0)
     if not 8.0 * c * (m - 1.0) < 3.0 * b * b:
         raise ApplicabilityError("8c(m-1) < 3b^2", 8.0 * c * (m - 1.0), 3.0 * b * b)
-    return (3.0 * b - 3.0 * math.sqrt(b * b - (8.0 / 3.0) * c * (m - 1.0))) / (2.0 * c)
+    # (3b - 3 sqrt(b^2 - 8c(m-1)/3))/(2c) without the subtraction, which cancels.
+    return 4.0 * (m - 1.0) / (b + math.sqrt(b * b - (8.0 / 3.0) * c * (m - 1.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,21 @@ def test_t_eps_exact_raises_past_the_iteration_cap(s):
             t_eps_exact(model, 0.01)
 
 
+@pytest.mark.parametrize("model", [poisson_from_s(1e-3), gp_from_s(0.5, 1e-3)], ids=repr)
+def test_t_eps_exact_returns_t_at_a_cap_of_t_and_raises_below(model, monkeypatch):
+    # T_EPS_CAP is read at call time: a cap of T admits T, and T - 1 does not.
+    t = t_eps_exact(model, 0.01)
+    for cap, fresh in ((t, True), (t, False), (t - 1, True), (t - 1, False)):
+        monkeypatch.setattr(fl_bounds, "T_EPS_CAP", cap)
+        if fresh:
+            monkeypatch.setattr(pgf_core, "_last_orbit", [])
+        if cap == t:
+            assert t_eps_exact(model, 0.01) == t
+        else:
+            with pytest.raises(ConvergenceError, match=rf"iteration cap \({cap}\)"):
+                t_eps_exact(model, 0.01)
+
+
 def t_eps_walk(model, eps):
     """T(eps) by a scan of the orbit from P^(0), or None past T_EPS_CAP: the
     reference for the resumed t_eps_exact."""
@@ -345,6 +360,76 @@ def t_eps_or_none(model, eps):
         return t_eps_exact(model, eps)
     except ConvergenceError:
         return None
+
+
+def gp_t_40_digits(model, target):
+    """The least n <= T_EPS_CAP with S^(n) <= target on the exact orbit of a
+    GP law, or None: GeneralizedPoisson.generations_to's count at 40 digits,
+    psi(v) = (-log(1 - v) - lam v)/mu stepped from u_t = -log(1 - target)/mu
+    until it reaches 1, about 7 us a step.
+
+    A count past the cap is certified without the steps where it can be. psi
+    is convex and increasing and fixes u_inf, so with a <= u_inf (psi(a) <=
+    a) an iterate below a stays below it, and for v in [a, c] psi(v) - a <=
+    rho (v - a), rho = (psi(c) - psi(a))/(c - a): where max(1, rho)^(cap - 1)
+    (u_t - a) <= c - a, every psi^k(u_t), k < cap, lies below c < 1."""
+    with mp.workdps(40):
+        one, lam, mu = mp.mpf(1), mp.mpf(model.lam), mp.mpf(model.mu)
+        target = mp.mpf(target)
+        if target >= one:
+            return 0
+
+        def psi(v):
+            return (-mp.log(one - v) - lam * v) / mu
+
+        v = -mp.log(one - target) / mu
+        # u_inf is the root of -log(1 - a) = (lam + mu) a in (0, 1), by Newton.
+        a = -mp.log(one - extinction_probability(model).s_inf) / mu
+        for _ in range(8):
+            a -= (-mp.log(one - a) - (lam + mu) * a) / (1 / (one - a) - lam - mu)
+        a *= 1 - mp.mpf(10) ** -30
+        assert psi(a) <= a
+        c = v
+        while v > a:
+            c = a + 2 * (c - a)
+            if not c < one:
+                break
+            rho = max((psi(c) - psi(a)) / (c - a), one)
+            if rho ** (T_EPS_CAP - 1) * (v - a) <= c - a:
+                return None
+        for n in range(1, T_EPS_CAP + 1):
+            if v >= one:
+                return n
+            if v <= a:
+                return None
+            v = psi(v)
+        return None
+
+
+def assert_t_eps_is_the_40_digit_count(model, eps, t):
+    """t, None past the cap, is the 40-digit count of t_eps_exact's float
+    target, or either side where shifting the target by B relative changes
+    that count.
+
+    B = (1 + lam)/(1 - lam) 2^-53/(1 - gamma), the error of the float count
+    in the target. A psi step forms -log1p(-v) ~ v and lam v, each within an
+    ulp, and their difference ~(1 - lam) v: a relative error d of about
+    (1 + lam)/(1 - lam) ulp. Carried back to u_t through (psi^k)'(u_t) ~
+    (v_k - u_inf)/(u_t - u_inf), the error d v_k of step k is a shift of
+    u_t by about d (u_inf gamma^k + u_t - u_inf), as v_k - u_inf ~ (u_t -
+    u_inf) gamma^-k. These add to about d u_t/(1 - gamma): u_t - u_inf is
+    an eps-fraction of u_t, and T ~ log(1/eps)/(1 - gamma)."""
+    fp = extinction_probability(model)
+    target = (1.0 + eps) * fp.s_inf
+    count = gp_t_40_digits(model, target)
+    if t == count:
+        return
+    b = (1.0 + model.lam) / (1.0 - model.lam) * 2.0 ** -53 / (1.0 - fp.gamma)
+    with mp.workdps(40):
+        lo, hi = (gp_t_40_digits(model, mp.mpf(target) * (1 + side * mp.mpf(b)))
+                  for side in (1, -1))
+    past = [T_EPS_CAP + 1 if n is None else n for n in (lo, t, hi)]
+    assert past[0] <= past[1] <= past[2], (t, count, lo, hi, b)
 
 
 def resume_laws(s):
@@ -367,13 +452,18 @@ T_RESUME_CASES = [m for s in (1e-6, 1e-2, 0.3) for m in resume_laws(s)] + [
 @pytest.mark.parametrize("model", T_RESUME_CASES, ids=repr)
 def test_t_eps_exact_resumed_is_the_walk_from_0(model, monkeypatch):
     # After iterate_extinction below, at and above T, and after another law,
-    # T is the scan's from P^(0) and t_eps_exact's with the slot cleared.
-    # Past the cap, T_EPS_CAP stands for T.
+    # T is t_eps_exact's with the slot cleared, and that is the scan's from
+    # P^(0), or for a GP law, counted back in u, the 40-digit count (either
+    # side of a near-tie, assert_t_eps_is_the_40_digit_count). Past the cap,
+    # T_EPS_CAP stands for T.
     other = Poisson(m=1.5)
     for eps in (0.5, 0.01, 1e-4, 1e-6, 1e-9):
-        want = t_eps_walk(model, eps)
         monkeypatch.setattr(pgf_core, "_last_orbit", [])
-        assert t_eps_or_none(model, eps) == want
+        want = t_eps_or_none(model, eps)
+        if isinstance(model, GeneralizedPoisson):
+            assert_t_eps_is_the_40_digit_count(model, eps, want)
+        else:
+            assert want == t_eps_walk(model, eps)
         t = T_EPS_CAP if want is None else want
         for before in ((model, 0), (model, t // 2), (model, max(t - 1, 0)), (model, t),
                        (model, t + 1), (model, t + 100), (other, t)):
@@ -412,7 +502,9 @@ def test_t_eps_exact_is_the_walk_from_0_whatever_its_estimate(estimate, monkeypa
         for before in (0, t // 2, t - 1, t + 1):
             iterate_extinction(model, before)
             assert t_eps_or_none(model, eps) == want, before
-    fell_back = [m for m, eps in ESTIMATE_CASES[:3] for _ in range(5)]
+    # A GP law's T is counted back from the target and reads no estimate.
+    fell_back = [m for m, eps in ESTIMATE_CASES[:3] if not isinstance(m, GeneralizedPoisson)
+                 for _ in range(5)]
     assert walks == (fell_back if estimate == "10T" else [])
 
 
@@ -442,7 +534,9 @@ def test_t_eps_exact_past_its_estimate_tests_from_where_it_resumed(monkeypatch):
 def test_the_near_critical_report_walks_the_orbit_once(family, law_at, ts, monkeypatch):
     # The benchmark's near_critical operation: P^(n) at n = 1, 10, ..., 10^4,
     # then T(0.01). Walked from P^(0) by each reader, it took T + 11117
-    # iterates at s = 1e-4 (T = 46148 for Poisson).
+    # iterates at s = 1e-4 (T = 46148 for Poisson). A GP law's T is counted
+    # back from the target, so its orbit steps the 10^4 generations of P^(n)
+    # alone; any forward walk to T would add to them.
     # The wrapper forwards send, as an orbit() override must, and counts the
     # generations stepped.
     class Counting(family):
@@ -463,7 +557,10 @@ def test_the_near_critical_report_walks_the_orbit_once(family, law_at, ts, monke
         model = Counting(*(getattr(law, name) for name in law._fields))
         values = [iterate_extinction(model, n) for n in (1, 10, 100, 1000, 10_000)]
         assert t_eps_exact(model, 0.01) == t
-        assert Counting.stepped[0] <= most
+        if family is GeneralizedPoisson:
+            assert Counting.stepped[0] == 10_000
+        else:
+            assert Counting.stepped[0] <= most
         assert values == [next(islice(law.orbit(), n, None)) for n in (1, 10, 100, 1000, 10_000)]
         assert t_eps_walk(law, 0.01) == t
 

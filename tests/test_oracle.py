@@ -201,8 +201,8 @@ _ABS = ("S_inf = 1 - P_inf and S^(n) = 1 - P^(n) keep only absolute precision, a
 _POLISH = "the root polish stops at 1e-14 absolute (dn_upper, the FL bound); and " + _ABS
 _FL = ("an FL law's bound equals its S^(n), and the bound's 1 - gamma^n (1 - S_inf) cancels "
        "at small n s, as S^(n) = 1 - P^(n) does")
-_CUBIC = ("dn_upper equals S_inf for a cubic pgf, and both cancel: S_inf = 1 - P_inf and "
-          "3b - 3 sqrt(b^2 - 8c(m - 1)/3)")
+_CUBIC = ("dn_upper equals S_inf for a cubic pgf, and S_inf = 1 - P_inf cancels, where "
+          "dn_upper's 4(m - 1)/(b + sqrt(b^2 - 8c(m - 1)/3)) does not")
 _AB = ("faults a-c: the root bracket misses P_inf (a, ConvergenceError) or a Newton "
        "step leaves [0, 1] (b, DomainError); c: " + _C)
 NEAR = "1e-12..1e-4"
@@ -226,7 +226,6 @@ XFAIL = {
     ("gp", "0.1..1"): _POLISH,
     ("f3", "0.1..1"): _ABS + "; " + _CUBIC,
     ("gp", "1..10"): "at lam > 0.8 S_inf is 0.01-0.1 at s >= 1 (1% of draws): " + _ABS,
-    ("f3", "1..10"): _CUBIC + ", up to 24 ulp where p0 < 0.01 (S_inf > 0.99; 1 in 3000 draws)",
 }
 
 

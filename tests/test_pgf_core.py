@@ -540,6 +540,40 @@ def outcome(step):
         return DomainError, str(exc)
 
 
+def gp_count_by_single_steps(model, target, cap):
+    """GeneralizedPoisson.generations_to by single psi steps, no blocks."""
+    if not target < 1.0:
+        return 0
+    v, n = -math.log1p(-target) / model.mu, 1
+    while v < 1.0:
+        if n >= cap:
+            return None
+        v, n = (-model.lam * v - math.log1p(-v)) / model.mu, n + 1
+    return n
+
+
+@pytest.mark.parametrize("lam", (0.0, 0.5, 0.9))
+def test_gp_generations_to_counts_as_single_steps_do(lam):
+    # Its blocks of four psi steps count what single steps do, whichever step
+    # of a block reaches 1 (the last ends the block; after the others the next
+    # log1p raises), as T mod 4 takes every value. A cap of T admits T,
+    # one below it gives None, and a target of 1 or more is met at n = 0. A
+    # target below S_inf is never met: u_t lies below u_inf and psi lowers it.
+    model = gp_from_s(lam, 1e-2)
+    s_inf = extinction_probability(model).s_inf
+    residues = set()
+    for k in range(80):
+        target = (1.0 + 10.0 ** (-k / 8)) * s_inf
+        t = model.generations_to(target, 10 ** 5)
+        assert t == gp_count_by_single_steps(model, target, 10 ** 5), k
+        residues.add(t % 4)
+        for cap in range(max(t - 5, 0), t + 6):
+            assert model.generations_to(target, cap) == (t if cap >= t else None), (k, cap)
+    assert residues == {0, 1, 2, 3}
+    assert [model.generations_to(x, 0) for x in (1.0, 2.0, math.inf)] == [0, 0, 0]
+    assert model.generations_to(0.5 * s_inf, 10 ** 4) is None
+
+
 # The Stray laws leave [0, 1] or repeat at generations 2 ... 5, so at each of
 # the four places of a template orbit's first block of a send from generation
 # 0 or 1. FL's closed-form orbit sends in one step whatever k is.
@@ -697,8 +731,9 @@ def test_a_report_resumes_t_eps_exact_where_its_survival_curve_stopped(model, mo
     # survival_curve leaves its orbit at generation 50. Where T > 50 (s =
     # 1e-3) t_eps_exact resumes there, so the report walks T generations,
     # not 50 + T; where T <= 50 (s = 0.1, T = 43 ... 47, but for GP lam = 0.5
-    # with T = 51) the slot is past T and a fresh orbit walks to it. T and
-    # the curve are the emptied slot's.
+    # with T = 51) the slot is past T and a fresh orbit walks to it. A GP
+    # law's T is counted back from the target, so its orbit steps the
+    # curve's 50 generations alone. T and the curve are the emptied slot's.
     monkeypatch.setattr(pgf_core, "_last_orbit", [])
     t = gwbounds.t_eps_exact(model, 0.01)
     monkeypatch.setattr(pgf_core, "_last_orbit", [])
@@ -706,7 +741,10 @@ def test_a_report_resumes_t_eps_exact_where_its_survival_curve_stopped(model, mo
     assert survival_curve(twin, 50) == [1.0 - x for x in islice(model.orbit(), 51)]
     assert twin.stepped[0] == 50
     assert gwbounds.t_eps_exact(twin, 0.01) == t
-    assert twin.stepped[0] <= (max(t, 50) + 1 if t > 50 else 50 + t + 1)
+    if isinstance(model, GeneralizedPoisson):
+        assert twin.stepped[0] == 50
+    else:
+        assert twin.stepped[0] <= (max(t, 50) + 1 if t > 50 else 50 + t + 1)
 
 
 def test_iterate_extinction_raises_on_every_call_when_the_orbit_leaves_the_interval():
