@@ -170,7 +170,7 @@ class _Family(Record):
     sets (statements split by ';'), and its pgf(x) for x in [0, 1] and orbit()
     (see extinction_iterates) are compiled from it; a family that writes its
     own orbit(), as FL does, keeps it and gets only the pgf. GP writes both
-    itself."""
+    itself; a geometric law (NB r = 1) takes FL's orbit on the instance."""
 
     _consts = ""
 
@@ -188,6 +188,11 @@ class _Family(Record):
 
     def closed_p_inf(self) -> Optional[float]:
         """P_inf in closed form, or None when it takes a root solve."""
+        return None
+
+    def closed_s_inf(self) -> Optional[float]:
+        """S_inf in a closed form free of the cancellation in 1 - P_inf, or
+        None where S_inf is taken as 1 - P_inf."""
         return None
 
     def mu_table(self) -> MuDerivatives:
@@ -241,7 +246,9 @@ class Binomial(_Family):
         if not self.n * self.p > 1.0:
             raise DomainError(f"Binomial requires mean n*p > 1, got {self.n * self.p!r}")
 
-    _phi, _consts = "(q + p * x) ** n", "q = 1.0 - p"
+    # A float exponent: float ** int converts the int to this same double at
+    # every call, so the bits do not move.
+    _phi, _consts = "(q + p * x) ** nf", "q = 1.0 - p; nf = float(n)"
 
     def derivative(self, x: float, order: int) -> float:
         n, p = self.n, self.p
@@ -267,7 +274,22 @@ class NegBinomial(_Family):
         if not self.r * (1.0 - self.p) / self.p > 1.0:
             raise DomainError("NegBinomial requires mean r(1-p)/p > 1")
 
-    _phi, _consts = "pr / (1.0 - q * x) ** r", "q = 1.0 - p; pr = p ** r"
+    _phi, _consts = "pr / (1.0 - q * x) ** rf", "q = 1.0 - p; pr = p ** r; rf = float(r)"
+
+    def _validate(self):
+        super()._validate()
+        # r = 1 is the geometric law p/(1 - qx), that is FL(pi = 1 - p, rho =
+        # p): it takes FL's closed-form orbit, set on the law itself, so that
+        # r >= 2 keeps the compiled orbit with no frame to choose between them.
+        if self.r == 1 and type(self).orbit is NegBinomial.orbit:
+            object.__setattr__(self, "orbit", FractionalLinear(pi=1.0 - self.p, rho=self.p).orbit)
+
+    def closed_p_inf(self) -> Optional[float]:
+        return self.p / (1.0 - self.p) if self.r == 1 else None
+
+    def closed_s_inf(self) -> Optional[float]:
+        # 1 - 2p is exact for p >= 1/4 and above 1/2 below it: nothing cancels.
+        return (1.0 - 2.0 * self.p) / (1.0 - self.p) if self.r == 1 else None
 
     def derivative(self, x: float, order: int) -> float:
         r, p = self.r, self.p
@@ -359,7 +381,11 @@ class FiniteThree(_Family):
         if not mean > 1.0:
             raise DomainError(f"FiniteThree requires mean > 1, got {mean!r}")
 
-    _phi = "p0 + p1 * x + p2 * x * x + p3 * x ** 3"
+    # Horner's form, with no pow: on 1000 random laws at 3 points each it is
+    # within 2.24 units of 2^-53 of phi, 0.49 on average, where the monomial
+    # sum p0 + p1 x + p2 x^2 + p3 x^3 is within 2.32, 0.57 on average
+    # (test_f3_horner_pgf_is_within_3_units_of_phi).
+    _phi = "p0 + x * (p1 + x * (p2 + x * p3))"
 
     def derivative(self, x: float, order: int) -> float:
         if order == 1:
@@ -622,7 +648,10 @@ def extinction_probability(model: OffspringModel) -> FixedPoint:
     p_inf = model.closed_p_inf()
     if p_inf is None:
         p_inf = _root_solve_p_inf(model)
-    fp = FixedPoint(p_inf=p_inf, s_inf=1.0 - p_inf, gamma=pgf_derivative(model, p_inf, 1),
+    s_inf = model.closed_s_inf()
+    if s_inf is None:
+        s_inf = 1.0 - p_inf
+    fp = FixedPoint(p_inf=p_inf, s_inf=s_inf, gamma=pgf_derivative(model, p_inf, 1),
                     curvature=pgf_derivative(model, p_inf, 2))
     _last_solved = (model, fp)
     return fp
@@ -632,13 +661,14 @@ def extinction_iterates(model: OffspringModel) -> Iterator[float]:
     """P^(0), P^(1), ... with P^(n) = phi^(n)(0), without end: the model's
     orbit(), the one iteration of the pgf that every per-generation quantity
     reads. It steps by phi inline; GP steps u = 1 - t(P) in survival space,
-    one expm1 a generation, and forms P = exp(-mu*u) from it; FL forms each
-    P^(n) from n alone, by the closed-form composition. An iterate above 1
-    or NaN raises DomainError unyielded; none is below phi(0) > 0, as phi is
-    nondecreasing. The iterates never fall, though rounding can put phi one
-    ulp below its argument: once a stepped iterate does not rise, it is
-    yielded from then on. FL's can repeat an iterate and then rise again,
-    as their last bits move with n.
+    one expm1 a generation, and forms P = exp(-mu*u) from it; FL and the
+    geometric law (NB r = 1, an FL law) form each P^(n) from n alone, by the
+    closed-form composition. An iterate above 1 or NaN raises DomainError
+    unyielded; none is below phi(0) > 0, as phi is nondecreasing. The
+    iterates never fall, though rounding can put phi one ulp below its
+    argument: once a stepped iterate does not rise, it is yielded from then
+    on. FL's can repeat an iterate and then rise again, as their last bits
+    move with n.
 
     next() steps one generation; orbit.send(k), k >= 1, after the first
     next(), steps k and returns the iterate k generations on, with the bits

@@ -195,9 +195,10 @@ def test_pollak_and_f2_read_the_curvature_bit_for_bit(s):
         fl = matching_fl(fp)
         f2 = pgf_derivative(model, fp.p_inf, 2) - pgf_derivative(fl, fp.p_inf, 2)
         assert f2_at_p_inf(model, fp, fl) == f2, model
-        for n in (0, 1, 10, 50):
+        for n in range(200):
             dbar = pollak_dbar_reference(model, n, fp)
             assert pollak_dbar(model, n, fp) == dbar, (model, n)
+            assert pollak_dbar(model, n, fp, gamma_n=fp.gamma ** n) == dbar, (model, n)
             assert sn_pollak_bound(model, n, fp) == fp.s_inf + dbar * fp.gamma ** n, (model, n)
 
 
