@@ -87,29 +87,20 @@ def sn_simple_bound(model: OffspringModel, n: int, fp: FixedPoint) -> float:
     return fp.s_inf + fp.p_inf * fp.gamma ** n
 
 
-def pollak_dbar(model: OffspringModel, n: int, fp: FixedPoint, *,
-                gamma_n: Optional[float] = None) -> float:
+def pollak_dbar(model: OffspringModel, n: int, fp: FixedPoint) -> float:
     """Pollak's upper bound dbar^(n) for (P_inf - P^(n))/gamma^n. fp must be
     extinction_probability(model): the bound reads phi''(P_inf) from
-    fp.curvature, and model stays in the signature for the API. Given
-    gamma_n = gamma^n, as sn_pollak_bound passes its own, it neither checks n
-    nor forms gamma^n again. The formula stays in this frame: where gamma
-    rounds to 1 it divides by zero here, and bench/checks.py matches that
-    fault by this frame's name."""
+    fp.curvature, and model stays in the signature for the API."""
+    require_count("n", n)
     g = fp.gamma
-    if gamma_n is None:
-        require_count("n", n)
-        gamma_n = g ** n
     return (2.0 * (1.0 - g) * fp.p_inf
-            / (2.0 * (1.0 - g) + fp.curvature * fp.p_inf * (1.0 - gamma_n) / g))
+            / (2.0 * (1.0 - g) + fp.curvature * fp.p_inf * (1.0 - g ** n) / g))
 
 
 def sn_pollak_bound(model: OffspringModel, n: int, fp: FixedPoint) -> float:
     """S_inf + dbar^(n) * gamma^n; upper bound on S^(n) for Poisson and for
     negative binomial with m > 1."""
-    require_count("n", n)
-    gamma_n = fp.gamma ** n
-    return fp.s_inf + pollak_dbar(model, n, fp, gamma_n=gamma_n) * gamma_n
+    return fp.s_inf + pollak_dbar(model, n, fp) * fp.gamma ** n
 
 
 # ---------------------------------------------------------------------------

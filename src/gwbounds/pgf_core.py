@@ -281,7 +281,8 @@ class NegBinomial(_Family):
         # r = 1 is the geometric law p/(1 - qx), that is FL(pi = 1 - p, rho =
         # p): it takes FL's closed-form orbit, set on the law itself, so that
         # r >= 2 keeps the compiled orbit with no frame to choose between them.
-        if self.r == 1:
+        # A subclass that writes its own orbit() keeps it.
+        if self.r == 1 and type(self).orbit is NegBinomial.orbit:
             object.__setattr__(self, "orbit", FractionalLinear(pi=1.0 - self.p, rho=self.p).orbit)
 
     def closed_p_inf(self) -> Optional[float]:

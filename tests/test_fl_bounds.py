@@ -198,7 +198,6 @@ def test_pollak_and_f2_read_the_curvature_bit_for_bit(s):
         for n in range(200):
             dbar = pollak_dbar_reference(model, n, fp)
             assert pollak_dbar(model, n, fp) == dbar, (model, n)
-            assert pollak_dbar(model, n, fp, gamma_n=fp.gamma ** n) == dbar, (model, n)
             assert sn_pollak_bound(model, n, fp) == fp.s_inf + dbar * fp.gamma ** n, (model, n)
 
 

@@ -376,6 +376,19 @@ def test_geometric_law_is_on_the_fl_orbit(s):
     assert calls.count("call") == 1 and calls.count("expm1") == 1, calls
 
 
+def test_a_geometric_law_of_a_subclass_keeps_its_own_orbit(monkeypatch):
+    # Only NegBinomial's own orbit() gives way to FL's closed form: a
+    # subclass that writes orbit() is stepped through it, and its wrapper
+    # counts every generation.
+    monkeypatch.setattr(pgf_core, "_last_orbit", [])
+    model = negbinomial_from_s(1, 1e-3)
+    twin = counting(model)
+    assert "orbit" not in vars(twin)
+    curve = survival_curve(twin, 50)
+    assert twin.stepped[0] == 50
+    assert curve == [1.0 - x for x in islice(NegBinomial.orbit(model), 51)]
+
+
 @pytest.mark.parametrize("s", GEOMETRIC_S)
 def test_geometric_law_has_its_fixed_point_in_closed_form(s):
     # P_inf = p/(1 - p), and S_inf = (1 - 2p)/(1 - p) within 1e-15 relative
