@@ -192,17 +192,23 @@ def wf_fixation_a(wf: WFModel) -> float:
 # Largest population the exact absorption solve accepts. The panel solve
 # takes about 2 N b^2 flops and O(b^2) working memory (a buffer of about
 # (b + 3k)(2b + 3k) numbers, k = _PANEL) plus a few length-N vectors, for a
-# half-bandwidth b of about t + sN/4 (t as in binom.window): b is about 430
-# at N = 5000, s = 0.01, where the solve takes about 0.11 s and a traced
-# peak of 7.3 MB.
+# half-bandwidth b of about t + sN/4 (t as in binom.window): b is 395 at
+# N = 5000, s = 0.01, where the solve takes about 0.09 s and a traced peak
+# of 6.1 MB (431, 0.10 s and 6.9 MB with WINDOW_TAIL = 1e-30).
 WF_EXACT_MAX_N = 5000
 
 # Unknowns per elimination panel of wf_fixation_exact; 48 to 96 timed about
 # the same.
 _PANEL = 64
 
-# Largest mass a transition row may drop outside its window (binom.pmf).
-WINDOW_TAIL = 1e-30
+# Largest mass a transition row may drop outside its window (binom.pmf),
+# sized from the solve's error budget. Dropping at most tau of a row's mass
+# and renormalising moves the row by at most 2 tau in l1, so q moves by at
+# most 2 tau max_i E_i[T], E_i[T] the expected absorption time from state i,
+# at most 2N (about 1.39N at s -> 0, less with selection). As q at state 1
+# is at least 1/N for s >= 0, its relative change is at most 4 N^2 tau:
+# 1e-17, below 2^-56, at WF_EXACT_MAX_N.
+WINDOW_TAIL = 1e-25
 
 
 class binom:
@@ -215,8 +221,9 @@ class binom:
         """(start, t): each row of binom.pmf(n, psi) covers states start[i] ..
         start[i] + 2t, the t states either side of its mode
         min(floor((n+1)psi[i]), n), with t = ceil(sqrt(n/2 ln(2/WINDOW_TAIL)))
-        + 1 but at most n. By Hoeffding's inequality Binomial(n, psi[i]) has at
-        most WINDOW_TAIL of its mass outside that window. Builds no rows."""
+        + 1 but at most n: 40, 122, 243 and 383 at n = 50, 500, 2000 and
+        5000. By Hoeffding's inequality Binomial(n, psi[i]) has at most
+        WINDOW_TAIL of its mass outside that window. Builds no rows."""
         np = _numpy()
         t = min(math.ceil(math.sqrt(n / 2 * math.log(2 / WINDOW_TAIL))) + 1, n)
         mode = np.minimum(np.floor((n + 1) * psi).astype(np.intp), n)
@@ -279,8 +286,11 @@ def wf_fixation_exact(wf: WFModel) -> float:
     WF_EXACT_MAX_N and psi < 1 in floating point (s_sel*N below about 1e16).
 
     binom.pmf builds each row of P on a window around its mode, dropping at
-    most WINDOW_TAIL of its mass; that moves q by at most WINDOW_TAIL times
-    the expected absorption time (about 2N at most). I - P is then banded
+    most WINDOW_TAIL of its mass and renormalising, which moves the row by
+    at most 2 WINDOW_TAIL in l1; that moves q by at most 2 WINDOW_TAIL times
+    the largest expected absorption time, at most 2N (about 1.39N as s -> 0),
+    and q[0] >= 1/N for s >= 0, so q[0] moves by at most 4 N^2 WINDOW_TAIL
+    relative, 1e-17 at WF_EXACT_MAX_N. I - P is then banded
     with half-bandwidth b, which binom.window gives before any row is built.
     Elimination runs from the last state up in panels of k = _PANEL
     unknowns: with D the panel's k x k diagonal block, only the rows above it

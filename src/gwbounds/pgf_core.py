@@ -398,6 +398,16 @@ class FiniteThree(_Family):
     def closed_p_inf(self) -> float:
         return f3_p_inf(self.p0, self.p2, self.p3)
 
+    def closed_s_inf(self) -> float:
+        # With P = 1 - S the fixed-point quadratic is p3 S^2 - b S + c = 0,
+        # b = p2 + 3p3, c = p2 + 2p3 - p0 (m - 1 where the weights sum to 1;
+        # fsum rounds it once, where m - 1 cancels near criticality), so
+        # S_inf = 2c/(b + sqrt(b^2 - 4 p3 c)). The discriminant is
+        # f3_p_inf's (p2 + p3)^2 + 4 p0 p3: nothing is subtracted but in c.
+        q = self.p2 + self.p3
+        c = math.fsum((self.p2, self.p3, self.p3, -self.p0))
+        return 2.0 * c / (self.p2 + 3.0 * self.p3 + math.sqrt(q * q + 4.0 * self.p0 * self.p3))
+
 
 # The generalized Poisson pgf is exp(mu*(t(x) - 1)) where t solves
 # t = x*exp(lam*(t-1)); in terms of the Lambert function,

@@ -373,14 +373,20 @@ def log_choose(n):
                          for k in range(n + 1)])
 
 
-def wf_exact_dense(n, s):
-    """The full (N-1)-state absorption system solved densely. Each pmf entry is
-    exp of its log, summed and exponentiated in long double and rounded once;
-    rows from scipy's binom.pmf would move q by up to 4e-13 relative at s = 1e-3."""
+def full_rows(n, s):
+    """P[i, k], the interior states i = 1..N-1 by every state k = 0..N, with no
+    window. Each entry is exp of its log, summed and exponentiated in long
+    double and rounded once; rows from scipy's binom.pmf would move q by up
+    to 4e-13 relative at s = 1e-3."""
     x = np.arange(1, n) / n
     psi = (x * (1.0 + s) / (1.0 + s * x)).astype(np.longdouble)[:, None]
     k = np.arange(n + 1, dtype=np.longdouble)
-    p = np.exp(log_choose(n) + k * np.log(psi) + (n - k) * np.log1p(-psi)).astype(float)
+    return np.exp(log_choose(n) + k * np.log(psi) + (n - k) * np.log1p(-psi)).astype(float)
+
+
+def wf_exact_dense(n, s):
+    """The full (N-1)-state absorption system solved densely."""
+    p = full_rows(n, s)
     return float(np.linalg.solve(np.eye(n - 1) - p[:, 1:n], p[:, n])[0])
 
 
@@ -388,9 +394,25 @@ def wf_exact_dense(n, s):
 @pytest.mark.parametrize("n", [2, 3, 10, 71, 500, 2000])
 def test_wf_exact_against_dense_solve(n, s):
     # One block at N <= 10 and at N = 71, s = 5; two at N = 71 otherwise and
-    # 2 to 8 at N = 500 and 2000.
+    # 2 to 9 at N = 500 and 2000.
     wf = WFModel(pop_size=n, s_sel=s, effective_size=float(n))
     assert wf_fixation_exact(wf) == pytest.approx(wf_exact_dense(n, s), rel=1e-13)
+
+
+def test_window_tail_meets_the_error_budget():
+    # Each row drops at most WINDOW_TAIL and is renormalised: 2 WINDOW_TAIL in
+    # l1, times an expected absorption time of at most 2N, over q >= 1/N.
+    assert 4 * WF_EXACT_MAX_N ** 2 * genetics.WINDOW_TAIL <= 2.0 ** -56
+
+
+@pytest.mark.parametrize("s", [1e-9, 1e-3, 0.1])
+@pytest.mark.parametrize("n", [50, 500, 2000])
+def test_expected_absorption_time_is_at_most_2n(n, s):
+    # E_i[T] solves (I - P) T = 1 over the interior states; the largest is
+    # about 2 ln 2 N = 1.39N near neutrality, where the window budget takes 2N.
+    p = full_rows(n, s)
+    absorption = np.linalg.solve(np.eye(n - 1) - p[:, 1:n], np.ones(n - 1))
+    assert absorption.max() <= 2 * n
 
 
 def test_wf_exact_n2_closed_form():
@@ -575,13 +597,13 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-# One block at N = 2, 3 and at s = 5, 1e6 on N = 100, with windows past N;
-# a last block of one state at N = 152, s = 0.01; 2 to 12 blocks at N = 50
+# One block at N = 2, 3 and at s = 10, 1e6 on N = 100, with windows past N;
+# a last block of one state at N = 132, s = 0.01; 2 to 12 blocks at N = 50
 # to 5000; at s = 1e14 psi rounds to 1 from N = 500 on. Then the rest of the
 # bench's grid, N in {50, 500, 1000, 1500, 2000} x s in {0.01, 0.02, 0.05,
 # 0.1}, and CI's `gwb genetics --N 5000 --s 0.01` solve.
-FORMER_CASES = [(2, 0.1), (3, 0.1), (152, 0.01), (100, 1e-9), (1000, 1e-9),
-                (100, 5.0), (1000, 5.0), (100, 1e6), (1000, 1e6), (100, 1e14),
+FORMER_CASES = [(2, 0.1), (3, 0.1), (132, 0.01), (100, 1e-9), (1000, 1e-9),
+                (100, 10.0), (1000, 5.0), (100, 1e6), (1000, 1e6), (100, 1e14),
                 (1000, 1e14), (500, 0.01), (500, 0.1), (2000, 0.01), (2000, 0.1),
                 (WF_EXACT_MAX_N + 1, 0.1)]
 FORMER_CASES += [(n, s) for n in (50, 500, 1000, 1500, 2000)
@@ -604,8 +626,8 @@ def test_former_cases_cover_one_block_and_a_one_state_last_block():
         b = former_blocks(n, s)[2]
         return [min(b, n - 1 - r0) for r0 in range(0, n - 1, b)]
     assert block_sizes(2, 0.1) == [1] and block_sizes(3, 0.1) == [2]
-    assert len(block_sizes(100, 5.0)) == len(block_sizes(100, 1e6)) == 1
-    sizes = block_sizes(152, 0.01)
+    assert len(block_sizes(100, 10.0)) == len(block_sizes(100, 1e6)) == 1
+    sizes = block_sizes(132, 0.01)
     assert len(sizes) >= 2 and sizes[-1] == 1
 
 

@@ -201,8 +201,9 @@ _ABS = ("S_inf = 1 - P_inf and S^(n) = 1 - P^(n) keep only absolute precision, a
 _POLISH = "the root polish stops at 1e-14 absolute (dn_upper, the FL bound); and " + _ABS
 _FL = ("an FL law's bound equals its S^(n), and the bound's 1 - gamma^n (1 - S_inf) cancels "
        "at small n s, as S^(n) = 1 - P^(n) does")
-_CUBIC = ("dn_upper equals S_inf for a cubic pgf, and S_inf = 1 - P_inf cancels, where "
-          "dn_upper's 4(m - 1)/(b + sqrt(b^2 - 8c(m - 1)/3)) does not")
+_CUBIC = ("dn_upper equals S_inf for a cubic pgf, and dn_upper's 4(m - 1)/(b + sqrt(b^2 - "
+          "8c(m - 1)/3)) cancels in m - 1, where F3's closed S_inf reads c = p2 + 2p3 - p0 "
+          "by fsum (S_inf <= dn_upper)")
 _AB = ("faults a-c: the root bracket misses P_inf (a, ConvergenceError) or a Newton "
        "step leaves [0, 1] (b, DomainError); c: " + _C)
 NEAR = "1e-12..1e-4"
@@ -224,7 +225,7 @@ XFAIL = {
     ("negbinomial", "0.1..1"): _POLISH,
     ("fl", "0.1..1"): _FL + " (3% of draws)",
     ("gp", "0.1..1"): _POLISH,
-    ("f3", "0.1..1"): _ABS + "; " + _CUBIC,
+    ("f3", "0.1..1"): _ABS,
     ("gp", "1..10"): "at lam > 0.8 S_inf is 0.01-0.1 at s >= 1 (1% of draws): " + _ABS,
 }
 

@@ -1075,6 +1075,34 @@ def test_finite_three_p3_zero():
     assert fp.p_inf == 0.1 / 0.3
 
 
+def f3_law_at(s, rng):
+    """A random F3 law of mean 1 + s: p0 uniform on [0.01, 0.6], p3 on
+    [0, (s + p0)/2] and p2 = s + p0 - 2 p3, redrawn until p1 >= 0."""
+    while True:
+        p0 = rng.uniform(0.01, 0.6)
+        p3 = rng.uniform(0.0, (s + p0) / 2.0)
+        p2 = s + p0 - 2.0 * p3
+        if p0 + p2 + p3 <= 1.0:
+            return FiniteThree(p0=p0, p1=1.0 - p0 - p2 - p3, p2=p2, p3=p3)
+
+
+@pytest.mark.parametrize("s", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+def test_f3_s_inf_in_closed_form_against_50_digits(s):
+    # 200 laws at each s, against the 50-digit root of p3 S^2 - b S + c = 0 on
+    # the law's float weights: within 4 units of 2^-53 (2.6 at worst seen),
+    # where 1 - P_inf was 1.1e-14 off at s = 1e-2 and 1.3e-6 at s = 1e-10.
+    rng = random.Random(f"f3_s_inf/{s}")
+    with mpmath.workdps(50):
+        for _ in range(200):
+            model = f3_law_at(s, rng)
+            p0, _, p2, p3 = (mpmath.mpf(v) for v in model._values())
+            b, c = p2 + 3 * p3, p2 + 2 * p3 - p0
+            exact = 2 * c / (b + mpmath.sqrt(b * b - 4 * p3 * c))
+            s_inf = extinction_probability(model).s_inf
+            assert s_inf == model.closed_s_inf()
+            assert abs(s_inf - exact) <= 4 * UNIT * exact, model
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         Poisson(m=0.9)

@@ -3,6 +3,7 @@ values, factorial-moment oracles for the mixed-derivative tables, convergence
 order of the truncated series, and bound orderings."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -328,6 +329,22 @@ def test_applicability_error_carries_sides():
     with pytest.raises(ApplicabilityError) as exc:
         dn_upper(gp_from_s(0.9, 0.2))
     assert exc.value.lhs > exc.value.rhs
+
+
+def test_dn_upper_is_the_f3_closed_s_inf():
+    # For a cubic pgf the Daley-Narayan bound is S_inf itself. With weights
+    # k/2^40 the moments and m - 1 are exact, so the two forms differ by their
+    # roundings alone, at s = 2^-40 .. 1e-2.
+    rng = random.Random(2040)
+    for _ in range(200):
+        k0, k3 = rng.randint(1, 2 ** 39), rng.randint(1, 2 ** 37)
+        k2 = k0 + int(2 ** 40 * 10 ** rng.uniform(-12, -2)) + 1 - 2 * k3
+        if k2 < 0 or k0 + k2 + k3 > 2 ** 40:
+            continue
+        model = FiniteThree(p0=k0 / 2 ** 40, p1=(2 ** 40 - k0 - k2 - k3) / 2 ** 40,
+                            p2=k2 / 2 ** 40, p3=k3 / 2 ** 40)
+        s_inf = model.closed_s_inf()
+        assert abs(dn_upper(model) - s_inf) <= 4 * math.ulp(s_inf), model
 
 
 def test_dn_upper_tighter_than_quine_upper_when_both_exist():
