@@ -194,7 +194,7 @@ def wf_fixation_a(wf: WFModel) -> float:
 # (b + 3k)(2b + 3k) numbers, k = _PANEL) plus a few length-N vectors, for a
 # half-bandwidth b of about t + sN/4 (t as in binom.window): b is 395 at
 # N = 5000, s = 0.01, where the solve takes about 0.09 s and a traced peak
-# of 6.1 MB (431, 0.10 s and 6.9 MB with WINDOW_TAIL = 1e-30).
+# of 6.1 MB.
 WF_EXACT_MAX_N = 5000
 
 # Unknowns per elimination panel of wf_fixation_exact; 48 to 96 timed about

@@ -1089,7 +1089,7 @@ def f3_law_at(s, rng):
 @pytest.mark.parametrize("s", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
 def test_f3_s_inf_in_closed_form_against_50_digits(s):
     # 200 laws at each s, against the 50-digit root of p3 S^2 - b S + c = 0 on
-    # the law's float weights: within 4 units of 2^-53 (2.6 at worst seen),
+    # the law's float weights: within 4 units of 2^-53 (2.4 at worst seen),
     # where 1 - P_inf was 1.1e-14 off at s = 1e-2 and 1.3e-6 at s = 1e-10.
     rng = random.Random(f"f3_s_inf/{s}")
     with mpmath.workdps(50):
