@@ -9,11 +9,20 @@ stderr as single-line JSON.
 
 A call builds only its subcommand's parser and reaches the library through
 the package's lazy namespace, so it loads only the modules it calls.
+
+A gwb process (the console script, `python -m gwbounds.cli`) runs run(): once
+main() has returned, it runs the atexit handlers, then flushes stdout and
+stderr (a flush that fails exits 1), then leaves by os._exit with main's
+code. That skips the interpreter's teardown, module clearing and a last
+garbage collection, which gwb does not need: main() has already written,
+closed and replaced any --out file. main() returns its code, for callers in
+the same process.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
 import errno
 import io
@@ -479,5 +488,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
 
+def run() -> None:
+    """main() as the whole process, ended without the interpreter's teardown
+    (see the module docstring). Where main() raises, SystemExit included, the
+    process ends as Python ends it."""
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a closed pipe, or a closed stream
+        code = 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -58,15 +58,15 @@ def matching_fl(fp: FixedPoint) -> FractionalLinear:
     return FractionalLinear(pi=pi, rho=fp.p_inf * pi)
 
 
-def f_at_0(model: OffspringModel, fp: FixedPoint, fl: FractionalLinear) -> float:
-    """f(0) = phi(0) - phi_FL(0), with fl = matching_fl(fp). Like f2_at_p_inf,
-    it takes the law, its fixed point and fl, as gp_thresholds bisects on it."""
+def f_at_0(model: OffspringModel, fl: FractionalLinear) -> float:
+    """f(0) = phi(0) - phi_FL(0), with fl = matching_fl(fp) for the law's fixed
+    point fp."""
     return pgf_eval(model, 0.0) - pgf_eval(fl, 0.0)
 
 
-def f2_at_p_inf(model: OffspringModel, fp: FixedPoint, fl: FractionalLinear) -> float:
-    """f''(P_inf) = phi''(P_inf) - phi_FL''(P_inf), with phi''(P_inf) read from
-    fp.curvature."""
+def f2_at_p_inf(fp: FixedPoint, fl: FractionalLinear) -> float:
+    """f''(P_inf) = phi''(P_inf) - phi_FL''(P_inf), with fl = matching_fl(fp)
+    and phi''(P_inf) read from fp.curvature."""
     return fp.curvature - pgf_derivative(fl, fp.p_inf, 2)
 
 
@@ -269,9 +269,9 @@ def bound_direction(model: OffspringModel) -> BoundDirection:
         raise DomainError(f"require s <= 0.5, i.e. mu <= 1.5 (1 - lam), got {model!r}")
     fp = extinction_probability(model)
     fl = matching_fl(fp)
-    if f2_at_p_inf(model, fp, fl) > 0.0:
+    if f2_at_p_inf(fp, fl) > 0.0:
         return BoundDirection(UPPER_ON_S, conjectured=True)
-    if f_at_0(model, fp, fl) < 0.0:
+    if f_at_0(model, fl) < 0.0:
         return BoundDirection(LOWER_ON_S, conjectured=True)
     return BoundDirection(SWITCHES, switch_n=switch_generation(model), conjectured=True)
 

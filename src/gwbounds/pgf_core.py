@@ -121,10 +121,10 @@ class FixedPoint(Record):
 # [0, 1], and raises, so it needs no count of what is left. Where a step
 # would not rise, the step after the loops finds it again and repeats x.
 _OUTSIDE = "phi returned {!r}, outside [0,1], iterating {!r}"
-_PHI_TEMPLATE = """\
+_PHI_TEMPLATES = {"pgf": """\
 def pgf(self, x):
 {load}    return {phi}
-
+""", "orbit": """\
 def orbit(self):
 {load}    x = 0.0
     while True:
@@ -159,7 +159,7 @@ def orbit(self):
         if not nxt <= 1.0:
             raise DomainError(_OUTSIDE.format(nxt, self))
         x = nxt
-"""
+"""}
 
 
 class _Family(Record):
@@ -180,9 +180,9 @@ class _Family(Record):
             return
         load = "".join(f"    {n} = self.{n}\n" for n in cls._fields) + f"    {cls._consts}\n"
         namespace = dict(exp=math.exp, DomainError=DomainError, _OUTSIDE=_OUTSIDE)
-        exec(_PHI_TEMPLATE.format(load=load, phi=cls._phi), namespace)
-        for name in ("pgf", "orbit"):
-            if name not in vars(cls):
+        for name, template in _PHI_TEMPLATES.items():
+            if name not in vars(cls):  # compiled only where the class does not write it
+                exec(template.format(load=load, phi=cls._phi), namespace)
                 namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
                 setattr(cls, name, namespace[name])
 

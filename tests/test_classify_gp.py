@@ -1,10 +1,14 @@
 """Generalized-Poisson bound-direction thresholds in the dispersion parameter,
 and the three-way classification that bound_direction makes by the sign rule."""
 
+import json
+import math
+import os
+
 import mpmath
 import pytest
 
-from gwbounds.classify_gp import gp_thresholds
+from gwbounds.classify_gp import _e2, _fixed_point, gp_thresholds
 from gwbounds.errors import DomainError
 from gwbounds.fl_bounds import (
     LOWER_ON_S,
@@ -21,6 +25,9 @@ from gwbounds.pgf_core import (
     moments,
     pgf_eval,
 )
+
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 # ---------------------------------------------------------------------------
@@ -67,46 +74,113 @@ def test_threshold_defining_properties():
         assert mg(th.lambda_c1 - eps) < 0.0 < mg(th.lambda_c1 + eps)
 
 
-def _lambda_c2_mp(s: float) -> float:
-    """Where f''(P_inf) changes sign, by bisection in lambda on 30-digit
-    solves: the GP pgf through mpmath's Lambert W, its derivatives by
-    numerical differentiation, P_inf by a bracketed root solve, and the
-    matching FL law's phi'' = 2 pi (1-pi)(1-rho)/(1 - pi x)^3."""
+def _dps(s: float) -> int:
+    """Working digits for a reference at mean 1 + s: P_inf's root solve
+    loses about log10(1/s) digits to the slope 1 - phi'(P_inf) ~ s, and f'(1)
+    and f''(P_inf) change sign at O(s^2) and O(s) out of O(1) terms."""
+    return 40 + 3 * round(-math.log10(s))
+
+
+def _gp_fixed_point_mp(lam, s):
+    """(phi, P_inf, gamma) of the GP law of mean 1 + s at the working
+    precision, in P space: phi through mpmath's Lambert W, P_inf by a
+    bracketed root solve of phi(x) = x polished by the secant method, and
+    gamma = phi'(P_inf) by numerical differentiation."""
     mp = mpmath.mp
-    with mpmath.workdps(30):
+    mu = (1 + s) * (1 - lam)
+
+    def phi(x):
+        if x == 0:
+            return mp.exp(-mu)
+        t = -mp.lambertw(-x * lam * mp.exp(-lam)).real / lam
+        return mp.exp(mu * (t - 1))
+
+    def g(x):
+        return phi(x) - x
+
+    p = mp.findroot(g, (mp.mpf(0), 1 - s / 10), solver="illinois", verify=False, maxsteps=400)
+    p = mp.findroot(g, p)
+    return phi, p, mp.diff(phi, p)
+
+
+def _thresholds_mp(s: float) -> tuple:
+    """(lambda_c0, lambda_c1, lambda_c2): the roots in [0.2, 0.4] of f(0),
+    f'(1) = 1 + s - 1/gamma and f''(P_inf) = phi''(P_inf) - 2 pi (1-pi)(1-rho)/
+    (1 - pi P_inf)^3, the matching FL law's pi = (1-gamma)/(1 - P_inf gamma)
+    and rho = P_inf pi, at _dps(s) digits."""
+    mp = mpmath.mp
+    with mpmath.workdps(_dps(s)):
         s = mp.mpf(s)
 
+        def f0(lam):
+            phi, p, gamma = _gp_fixed_point_mp(lam, s)
+            pi = (1 - gamma) / (1 - p * gamma)
+            return phi(0) - p * pi
+
+        def f1(lam):
+            _, _, gamma = _gp_fixed_point_mp(lam, s)
+            return 1 + s - 1 / gamma
+
         def f2(lam):
-            mu = (1 + s) * (1 - lam)
-
-            def phi(x):
-                if x == 0:
-                    return mp.exp(-mu)
-                t = -mp.lambertw(-x * lam * mp.exp(-lam)).real / lam
-                return mp.exp(mu * (t - 1))
-
-            p = mp.findroot(lambda x: phi(x) - x, (mp.mpf(0), 1 - s / 10),
-                            solver="anderson")
-            gamma = mp.diff(phi, p)
+            phi, p, gamma = _gp_fixed_point_mp(lam, s)
             pi = (1 - gamma) / (1 - p * gamma)
             rho = p * pi
             return mp.diff(phi, p, 2) - 2 * pi * (1 - pi) * (1 - rho) / (1 - pi * p) ** 3
 
-        lo, hi = mp.mpf("0.2"), mp.mpf("0.4")
-        flo = f2(lo)
-        for _ in range(40):
-            mid = (lo + hi) / 2
-            fmid = f2(mid)
-            if mp.sign(fmid) == mp.sign(flo):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-        return float((lo + hi) / 2)
+        return tuple(float(mp.findroot(f, (mp.mpf("0.2"), mp.mpf("0.4")), solver="anderson"))
+                     for f in (f0, f1, f2))
 
 
-@pytest.mark.parametrize("s", [0.01, 0.1, 0.3])
+# The absolute bound on each threshold by s. Below s = 1e-4 f'(1) and
+# f''(P_inf) change sign at O(s^2) and O(s) out of O(1) terms, so rounding
+# of relative size eps moves lambda_c1 and lambda_c2 by about eps/s (at
+# s = 1e-6 they read 2.0e-10 and 3.2e-10 off, at 1e-8 3.3e-8 and 1.9e-8).
+THRESHOLD_TOL = {0.3: 1e-10, 0.1: 1e-10, 0.01: 1e-10, 1e-3: 1e-10, 1e-4: 1e-10,
+                 1e-6: 1e-9, 1e-8: 1e-7}
+
+
+# The name is kept for stable ids; it checks all three thresholds.
+@pytest.mark.parametrize("s", [0.01, 0.1, 0.3, 1e-3, 1e-4, 1e-6, 1e-8])
 def test_lambda_c2_matches_mpmath_reference(s):
-    assert gp_thresholds(s).lambda_c2 == pytest.approx(_lambda_c2_mp(s), abs=1e-8)
+    th = gp_thresholds(s)
+    got = (th.lambda_c0, th.lambda_c1, th.lambda_c2)
+    assert got == pytest.approx(_thresholds_mp(s), rel=0.0, abs=THRESHOLD_TOL[s])
+
+
+def test_thresholds_match_the_bench_30_digit_references():
+    # bench/refs.py: 36 bisection steps on [0.01, 0.6] of 30-digit solves,
+    # (lambda_c2, lambda_c0, lambda_c1) by repr(s), s = 1e-3 ... 0.4.
+    with open(os.path.join(BENCH, "ref_cache.json")) as fh:
+        refs = json.load(fh)["gp_thresholds"]
+    assert len(refs) == 8
+    for key, (c2, c0, c1) in refs.items():
+        th = gp_thresholds(float(key))
+        assert (th.lambda_c0, th.lambda_c1, th.lambda_c2) == pytest.approx(
+            (c0, c1, c2), rel=0.0, abs=1e-10), key
+
+
+@pytest.mark.parametrize("s", [0.3, 1e-2, 1e-4, 1e-8, 1e-12])
+def test_survival_space_fixed_point_against_mpmath(s):
+    # P_inf, S_inf, 1 - gamma and phi''(P_inf) of the bisection's closed
+    # forms, against the P-space root solve at _dps(s) digits: within 1.6e-15
+    # relative (1 - gamma at s = 0.1, where e2 is expm1(x) - x), and
+    # 3e-16 for S_inf and P_inf.
+    for lam in (1e-6, 0.2, 0.5, 0.9, 0.99):
+        mu, p_inf, s_inf, g, t, d = _fixed_point(lam, s)
+        curvature = mu * t * t * (mu * d + lam * (1.0 + d)) / (p_inf * d ** 3)
+        with mpmath.workdps(_dps(s)):
+            phi, p, gamma = _gp_fixed_point_mp(mpmath.mpf(lam), mpmath.mpf(s))
+            want = (p, 1 - p, 1 - gamma, mpmath.diff(phi, p, 2))
+            got = (p_inf, s_inf, g, curvature)
+            errors = [float(abs(x / y - 1)) for x, y in zip(got, want)]
+        assert max(errors) <= 3e-15, (lam, errors)
+
+
+def test_e2_is_expm1_minus_x_without_cancellation():
+    with mpmath.workdps(40):
+        for x in (-0.9, -0.5, -0.1000001, -0.0999999, -1e-3, -1e-8, -1e-20, 1e-5, 0.05):
+            want = mpmath.expm1(x) - x
+            assert abs(_e2(x) / want - 1) <= (4.5e-15 if abs(x) >= 0.1 else 4e-16), x
 
 
 def test_small_s_approximations():
@@ -121,6 +195,8 @@ def test_small_s_approximations():
 def test_thresholds_domain():
     with pytest.raises(DomainError):
         gp_thresholds(0.0)
+    with pytest.raises(DomainError):
+        gp_thresholds(9.99e-9)  # below MIN_S, rounding sets the thresholds
     with pytest.raises(DomainError):
         gp_thresholds(0.7)
 

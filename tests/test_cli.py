@@ -1036,3 +1036,60 @@ def test_module_invocation_matches_script():
     assert proc.returncode == 0 and proc.stderr == b""
     with open(os.path.join(GOLDEN, "table2.csv"), "rb") as fh:
         assert proc.stdout == fh.read()
+
+
+def run_python(code):
+    """Run code in a fresh interpreter with the package under test first on
+    PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+
+
+# `python -m gwbounds.cli argv...` after registering an atexit handler that
+# writes a line to stdout, and keeping an object whose __del__ writes to
+# stderr, which runs only where the interpreter tears its modules down.
+AT_EXIT = ("import atexit, runpy, sys\n"
+           "atexit.register(lambda: print('atexit ran'))\n"
+           "class Teardown:\n"
+           "    def __del__(self):\n"
+           "        sys.stderr.write('torn down\\n')\n"
+           "kept = Teardown()\n"
+           "sys.argv = ['gwbounds.cli', *{argv!r}]\n"
+           "runpy.run_module('gwbounds.cli', run_name='__main__', alter_sys=True)\n")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["table", "2"], 0),
+    (["sinf", "--dist", "gp", "--s", "0.2", "--lambda", "0.9", "--strict"], 3),
+], ids=["table-2", "sinf-strict"])
+def test_module_run_calls_atexit_handlers_after_the_output_and_skips_teardown(argv, code):
+    proc = run_python(AT_EXIT.format(argv=argv))
+    assert proc.returncode == code
+    out, done = proc.stdout.rsplit(b"atexit ran\n", 1)
+    assert done == b""
+    if code == 0:
+        with open(os.path.join(GOLDEN, "table2.csv"), "rb") as fh:
+            assert out == fh.read()
+        assert proc.stderr == b""
+    else:
+        with open(os.path.join(GOLDEN, "sinf_gp_strict.err"), "rb") as fh:
+            assert out == b"" and proc.stderr == fh.read()
+
+
+@pytest.mark.parametrize("argv", [["table", "2"], ["figdata", "1"]], ids="-".join)
+def test_a_closed_stdout_pipe_exits_1_with_one_json_line(argv):
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "gwbounds.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line) == {"error": "BrokenPipeError", "message": "[Errno 32] Broken pipe"}

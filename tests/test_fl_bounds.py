@@ -194,7 +194,7 @@ def test_pollak_and_f2_read_the_curvature_bit_for_bit(s):
         fp = extinction_probability(model)
         fl = matching_fl(fp)
         f2 = pgf_derivative(model, fp.p_inf, 2) - pgf_derivative(fl, fp.p_inf, 2)
-        assert f2_at_p_inf(model, fp, fl) == f2, model
+        assert f2_at_p_inf(fp, fl) == f2, model
         for n in range(200):
             dbar = pollak_dbar_reference(model, n, fp)
             assert pollak_dbar(model, n, fp) == dbar, (model, n)

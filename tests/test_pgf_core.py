@@ -1,5 +1,6 @@
 """Core pgf machinery: fixed points, derivatives, moments, iteration."""
 
+import builtins
 import csv
 import importlib
 import math
@@ -606,6 +607,38 @@ class Stray(pgf_core._Family):
 
     def _validate(self):
         pass
+
+
+def test_a_family_compiles_only_the_template_functions_it_does_not_write(monkeypatch):
+    # A family that writes its own orbit, as FL does, has only its pgf
+    # compiled from _phi; one that writes neither gets both, as before.
+    compiled, real_exec = [], builtins.exec
+
+    def recording_exec(source, *rest):
+        compiled.append(source)
+        return real_exec(source, *rest)
+
+    monkeypatch.setattr(builtins, "exec", recording_exec)
+
+    class OwnOrbit(pgf_core._Family):
+        pi: float
+        rho: float
+        _phi, _consts = FractionalLinear._phi, FractionalLinear._consts
+        orbit = FractionalLinear.orbit
+
+    class BothCompiled(pgf_core._Family):
+        m: float
+        _phi, _consts = Poisson._phi, Poisson._consts
+
+    monkeypatch.undo()
+    templates = [src for src in compiled if "def __init__" not in src]
+    assert len(templates) == 3
+    assert "def pgf" in templates[0] and "def orbit" not in templates[0]
+    assert OwnOrbit.orbit is FractionalLinear.orbit
+    assert OwnOrbit.pgf.__code__.co_code == FractionalLinear.pgf.__code__.co_code
+    for cls, name in ((BothCompiled, "pgf"), (BothCompiled, "orbit")):
+        assert getattr(cls, name).__code__.co_code == getattr(Poisson, name).__code__.co_code
+        assert getattr(cls, name).__qualname__.endswith(f"BothCompiled.{name}")
 
 
 @pytest.mark.parametrize("bad", (1.5, math.nan))
