@@ -98,8 +98,8 @@ def _f2_at_p_inf(lam: float, s: float) -> float:
 # The lambda bracket of every threshold's bisection, and the width it stops at.
 BISECT_LO, BISECT_HI, BISECT_TOL = 1e-6, 0.6, 1e-10
 # The least s taken. f'(1) and f''(P_inf) change sign at O(s^2) and O(s) out
-# of O(1) terms, so rounding moves lambda_c1 and lambda_c2 by about 2^-53/s^2
-# and 2^-53/s: 3.3e-8 and 1.9e-8 at s = 1e-8, 1.6e-6 at 1e-10.
+# of terms of size s and 1, so rounding moves lambda_c1 and lambda_c2 by a few
+# 2^-53/s: 3.3e-8 and 1.9e-8 at s = 1e-8, 1.6e-6 at 1e-10.
 MIN_S = 1e-8
 
 

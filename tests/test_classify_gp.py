@@ -77,7 +77,8 @@ def test_threshold_defining_properties():
 def _dps(s: float) -> int:
     """Working digits for a reference at mean 1 + s: P_inf's root solve
     loses about log10(1/s) digits to the slope 1 - phi'(P_inf) ~ s, and f'(1)
-    and f''(P_inf) change sign at O(s^2) and O(s) out of O(1) terms."""
+    and f''(P_inf) change sign at O(s^2) and O(s) out of terms of size s
+    and 1."""
     return 40 + 3 * round(-math.log10(s))
 
 
@@ -131,10 +132,10 @@ def _thresholds_mp(s: float) -> tuple:
                      for f in (f0, f1, f2))
 
 
-# The absolute bound on each threshold by s. Below s = 1e-4 f'(1) and
-# f''(P_inf) change sign at O(s^2) and O(s) out of O(1) terms, so rounding
-# of relative size eps moves lambda_c1 and lambda_c2 by about eps/s (at
-# s = 1e-6 they read 2.0e-10 and 3.2e-10 off, at 1e-8 3.3e-8 and 1.9e-8).
+# The absolute bound on each threshold by s. f'(1) and f''(P_inf) change
+# sign at O(s^2) and O(s) out of terms of size s and 1, so rounding of
+# relative size eps moves lambda_c1 and lambda_c2 by a few eps/s (at s = 1e-6
+# they read 2.0e-10 and 3.2e-10 off, at 1e-8 3.3e-8 and 1.9e-8).
 THRESHOLD_TOL = {0.3: 1e-10, 0.1: 1e-10, 0.01: 1e-10, 1e-3: 1e-10, 1e-4: 1e-10,
                  1e-6: 1e-9, 1e-8: 1e-7}
 
@@ -164,7 +165,7 @@ def test_survival_space_fixed_point_against_mpmath(s):
     # P_inf, S_inf, 1 - gamma and phi''(P_inf) of the bisection's closed
     # forms, against the P-space root solve at _dps(s) digits: within 1.6e-15
     # relative (1 - gamma at s = 0.1, where e2 is expm1(x) - x), and
-    # 3e-16 for S_inf and P_inf.
+    # 5e-16 for S_inf and P_inf.
     for lam in (1e-6, 0.2, 0.5, 0.9, 0.99):
         mu, p_inf, s_inf, g, t, d = _fixed_point(lam, s)
         curvature = mu * t * t * (mu * d + lam * (1.0 + d)) / (p_inf * d ** 3)

@@ -1009,14 +1009,18 @@ def test_figdata_fig4_relative_errors(capsys):
 # Console script
 # ---------------------------------------------------------------------------
 
-def run_module(*argv):
-    """Run `python -m gwbounds.cli` with the package under test first on
-    PYTHONPATH."""
+def package_env():
+    """The environment with the package under test first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_module(*argv):
+    """Run `python -m gwbounds.cli` with the package under test."""
     return subprocess.run([sys.executable, "-m", "gwbounds.cli", *argv],
-                          capture_output=True, env=env)
+                          capture_output=True, env=package_env())
 
 
 @pytest.mark.skipif(shutil.which("gwb") is None,
@@ -1039,12 +1043,8 @@ def test_module_invocation_matches_script():
 
 
 def run_python(code):
-    """Run code in a fresh interpreter with the package under test first on
-    PYTHONPATH."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+    """Run code in a fresh interpreter with the package under test."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, env=package_env())
 
 
 # `python -m gwbounds.cli argv...` after registering an atexit handler that
@@ -1082,12 +1082,9 @@ def test_module_run_calls_atexit_handlers_after_the_output_and_skips_teardown(ar
 def test_a_closed_stdout_pipe_exits_1_with_one_json_line(argv):
     read, write = os.pipe()
     os.close(read)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     try:
         proc = subprocess.run([sys.executable, "-m", "gwbounds.cli", *argv], stdout=write,
-                              stderr=subprocess.PIPE, env=env, text=True)
+                              stderr=subprocess.PIPE, env=package_env(), text=True)
     finally:
         os.close(write)
     assert proc.returncode == 1
