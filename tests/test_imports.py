@@ -93,7 +93,7 @@ PACKAGE_IMPORTS = {
     "pgf_core": {"errors", "specfun"},
     "classify_f3": {"errors", "pgf_core"},
     "fl_bounds": {"classify_f3", "errors", "pgf_core"},
-    "classify_gp": {"errors", "pgf_core"},
+    "classify_gp": {"errors", "fl_bounds", "pgf_core"},
     "sinf_estimates": {"errors", "pgf_core"},
     "genetics": {"errors", "pgf_core", "sinf_estimates", "specfun"},
     "cli": {"errors"},
