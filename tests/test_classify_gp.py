@@ -253,7 +253,7 @@ def test_sign_rule_agrees_with_the_thresholds(s):
 
 
 # Within this many 2^-53/s of lambda_c2, rounding, not the law, sets the sign
-# of f''(P_inf) (MIN_S): bound_direction's side of the 30-digit lambda_c2 was
+# of f''(P_inf) (MIN_S): bound_direction's side of the mpmath lambda_c2 was
 # seen to flip up to 3.25 of them away at s = 1e-4 ... 1e-8.
 ROUNDING_MARGIN = 8.0
 
