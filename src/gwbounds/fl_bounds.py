@@ -278,9 +278,9 @@ def t_eps_app(fp: FixedPoint, eps: float) -> int:
 # Bound-direction classification
 # ---------------------------------------------------------------------------
 
-def switch_generation(model: OffspringModel) -> Optional[int]:
+def switch_generation(model: OffspringModel, p_inf: float, gamma: float) -> Optional[int]:
     """First generation n <= SWITCH_N_MAX at which P^(n) - P^(n)_FL changes
-    sign, or None.
+    sign, or None, for the FL law of the caller's fixed point p_inf and rate gamma.
 
     The scan ends early, with None, once nothing can change: after generation
     n's sign is taken, where P^(n) = P^(n-1) (so every later iterate repeats
@@ -289,8 +289,6 @@ def switch_generation(model: OffspringModel) -> Optional[int]:
     P_inf <= 1, and P^(n)_FL reads P_inf from then on), every later
     generation has generation n's diff. An FL orbit can repeat an iterate
     and rise again, but bound_direction never scans an FL law."""
-    fp = extinction_probability(model)
-    p_inf, gamma = fp.p_inf, fp.gamma
     prev_sign, prev_x = 0, 0.0
     iterates = islice(extinction_iterates(model), 1, SWITCH_N_MAX + 1)
     for n, x in enumerate(iterates, start=1):
@@ -314,22 +312,23 @@ def bound_direction(model: OffspringModel) -> BoundDirection:
     It is proven an upper bound for every Poisson, binomial, negative binomial
     and fractional-linear law, so no fixed point is solved for. An F3 law takes
     the direction of its classify_f3 region; in the Switches region switch_n is
-    the first generation at which the FL iterates fall below P^(n), or None
-    where they never do within SWITCH_N_MAX generations (most of case 3iii and
-    some of 3i). A generalized Poisson law, MIN_S <= s <= 0.5 (else
-    DomainError), is decided by the signs of its own f at its survival-space
-    _fixed_point, the functionals that gp_thresholds bisects on: UpperOnS where
-    f''(P_inf) > 0, else LowerOnS where f(0) < 0, else SwitchesAt; so it lies
-    in gp_thresholds(s)'s zone for its lam, but within a few 2^-53/s of
-    lambda_c2. The rule is conjectured, except at lam = 0 (Poisson), which is
-    proven UpperOnS at any mean."""
+    switch_generation's scan against its closed-form P_inf and gamma (None in
+    most of case 3iii and some of 3i). A generalized Poisson law, MIN_S <= s
+    <= 0.5 (else DomainError), is decided by the signs of its own f at its
+    survival-space _fixed_point, the functionals that gp_thresholds bisects
+    on: UpperOnS where f''(P_inf) > 0, else LowerOnS where f(0) < 0, else
+    SwitchesAt, whose switch_n scans against that same P_inf and gamma, so no
+    family takes a root solve. Its kind lies in gp_thresholds(s)'s zone for its
+    lam, but within a few 2^-53/s of lambda_c2. The rule is conjectured, except
+    at lam = 0 (Poisson), which is proven UpperOnS at any mean."""
     if isinstance(model, FiniteThree):
         region = classify_f3(model).region
         if region == LOWER_BOUND_ON_P:
             return BoundDirection(UPPER_ON_S)
         if region == UPPER_BOUND_ON_P:
             return BoundDirection(LOWER_ON_S)
-        return BoundDirection(SWITCHES, switch_n=switch_generation(model))
+        fp = extinction_probability(model)
+        return BoundDirection(SWITCHES, switch_n=switch_generation(model, fp.p_inf, fp.gamma))
     if not isinstance(model, GeneralizedPoisson) or model.lam == 0.0:
         return BoundDirection(UPPER_ON_S)
     # s <= 0.5, by the float expression gp_from_s(lam, 0.5) evaluates.
@@ -344,7 +343,8 @@ def bound_direction(model: OffspringModel) -> BoundDirection:
         return BoundDirection(UPPER_ON_S, conjectured=True)
     if _f_at_0(fix) < 0.0:
         return BoundDirection(LOWER_ON_S, conjectured=True)
-    return BoundDirection(SWITCHES, switch_n=switch_generation(model), conjectured=True)
+    switch_n = switch_generation(model, fix[3], 1.0 - fix[5])
+    return BoundDirection(SWITCHES, switch_n=switch_n, conjectured=True)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import mpmath
 import pytest
 
 from gwbounds.classify_gp import gp_thresholds
-from gwbounds.errors import ConvergenceError, DomainError
+from gwbounds.errors import DomainError
 from gwbounds.fl_bounds import (
     LOWER_ON_S,
     MIN_S,
@@ -86,13 +86,14 @@ def _dps(s: float) -> int:
     return 40 + 3 * round(-math.log10(s))
 
 
-def _gp_fixed_point_mp(lam, s):
-    """(phi, P_inf, gamma) of the GP law of mean 1 + s at the working
-    precision, in P space: phi through mpmath's Lambert W, P_inf by a
-    bracketed root solve of phi(x) = x polished by the secant method, and
-    gamma = phi'(P_inf) by numerical differentiation."""
+def _gp_fixed_point_mp(lam, s, mu=None):
+    """(phi, P_inf, gamma) of the GP law of mean 1 + s, or of the given mu, at
+    the working precision, in P space: phi through mpmath's Lambert W, P_inf
+    by a bracketed root solve of phi(x) = x polished by the secant method,
+    and gamma = phi'(P_inf) by numerical differentiation."""
     mp = mpmath.mp
-    mu = (1 + s) * (1 - lam)
+    if mu is None:
+        mu = (1 + s) * (1 - lam)
 
     def phi(x):
         if x == 0:
@@ -272,20 +273,35 @@ def test_sign_rule_agrees_with_the_mpmath_zones_near_criticality(s):
             continue
         zone = UPPER_ON_S if lam < c2 else LOWER_ON_S if lam > c0 else SWITCHES
         zones.add(zone)
-        model = gp_from_s(lam, s)
-        if zone == SWITCHES and s < 1e-7:
-            # switch_generation reads extinction_probability's P-space root
-            # solve, which fails on most of these laws at s = 1e-8 (ROADMAP
-            # item 2b). Where it does, bound_direction raises its error, never
-            # a direction from another zone.
-            try:
-                extinction_probability(model)
-            except (ConvergenceError, DomainError) as exc:
-                with pytest.raises(type(exc)):
-                    bound_direction(model)
-                continue
-        assert bound_direction(model).kind == zone, lam
+        assert bound_direction(gp_from_s(lam, s)).kind == zone, lam
     assert zones == {UPPER_ON_S, SWITCHES, LOWER_ON_S}
+
+
+def test_switch_n_near_criticality_against_a_60_digit_p_space_scan():
+    # At s = 1e-8, where the P-space root solve raises on most Switches-zone
+    # laws, switch_n scans against the survival-space fixed point. The
+    # reference iterates the Lambert-W pgf at 60 digits from P^(0) = 0 and
+    # takes the FL law of a 60-digit P-space root: P^(n) - P_FL^(n) must
+    # first leave the sign of n = 1 at switch_n, wherever switch_n <= 20.
+    s = 1e-8
+    checked = []
+    for lam in [0.2501 + 5e-4 * k for k in range(19)] + [0.259]:
+        model = gp_from_s(lam, s)
+        d = bound_direction(model)
+        assert d.kind == SWITCHES, lam
+        if d.switch_n is None or d.switch_n > 20:
+            continue
+        with mpmath.workdps(60):
+            phi, p, gamma = _gp_fixed_point_mp(mpmath.mpf(lam), mpmath.mpf(s),
+                                               mpmath.mpf(model.mu))
+            x, signs = mpmath.mpf(0), []
+            for n in range(1, d.switch_n + 1):
+                x = phi(x)
+                diff = x - p * (1 - gamma ** n) / (1 - gamma ** n * p)
+                signs.append(mpmath.sign(diff))
+        assert signs[:-1] == [signs[0]] * (d.switch_n - 1) and signs[-1] == -signs[0], lam
+        checked.append(lam)
+    assert 0.259 in checked
 
 
 def test_classify_takes_the_thresholds_least_s():

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -941,6 +942,30 @@ def test_classify_gp_near_critical_follows_the_sign_rule(capsys):
     code, out, _ = run_cli(capsys, "classify", "gp", "--s", "1e-5", "--lambda", "0.2499")
     assert code == 0
     assert json.loads(out)["direction"] == want
+
+
+def test_classify_gp_switch_zone_at_the_least_s_exits_0(capsys):
+    # switch_n scans against the survival-space fixed point the direction
+    # was read from; the P-space root solve it read before stepped pgf_eval
+    # past x = 1 here (exit 2).
+    code, out, err = run_cli(capsys, "classify", "gp", "--s", "1e-8", "--lambda", "0.25008")
+    assert code == 0, err
+    assert json.loads(out)["direction"] == "SwitchesAt"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="item 2b: binomial n = 2 takes S_inf = 1 - P_inf from the "
+                          "P-space root solve, which stops at the rounding floor of "
+                          "phi(x) - x, 1900x off at s = 1e-12")
+def test_sinf_binomial_n2_near_critical_matches_exact_rationals(capsys):
+    code, out, err = run_cli(capsys, "sinf", "--dist", "binomial", "--n", "2", "--s", "1e-12",
+                             "--digits", "17")
+    assert code == 0, err
+    rows = {r[0]: r[1] for r in parse_csv(out)[1:]}
+    # phi(x) = (1 - p + p x)^2 has P_inf = ((1 - p)/p)^2, so S_inf = (2p - 1)/p^2
+    p = Fraction(binomial_from_s(2, 1e-12).p)
+    want = (2 * p - 1) / p ** 2
+    assert abs(Fraction(rows["s_inf"]) / want - 1) <= Fraction(1, 10 ** 12), rows["s_inf"]
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -12,6 +12,8 @@ from mpmath import mp
 
 import gwbounds
 from gwbounds import fl_bounds, pgf_core
+from gwbounds.classify_f3 import SWITCHES_REGION, classify_f3
+from gwbounds.classify_gp import gp_thresholds
 from gwbounds.errors import ConvergenceError, DomainError
 from gwbounds.fl_bounds import (
     LOWER_ON_S,
@@ -628,7 +630,9 @@ def test_bound_direction_gp_switch():
 
 def test_switch_generation_gp():
     # Fig. 4 family: lambda = 0.276, s = 0.1, sign change between n=3 and 4.
-    n_star = switch_generation(gp_from_s(0.276, 0.1))
+    model = gp_from_s(0.276, 0.1)
+    fp = extinction_probability(model)
+    n_star = switch_generation(model, fp.p_inf, fp.gamma)
     assert n_star in (3, 4)
 
 
@@ -663,8 +667,44 @@ def test_switch_generation_stops_early_with_the_full_scan_result():
     switched = 0
     for model in laws:
         expected = switch_generation_full_scan(model)
-        assert switch_generation(model) == expected, model
+        fp = extinction_probability(model)
+        assert switch_generation(model, fp.p_inf, fp.gamma) == expected, model
         switched += expected is not None
+    assert switched > 20
+
+
+def test_bound_direction_takes_no_root_solve(monkeypatch):
+    # switch_n scans against the fixed point the direction was read from: a
+    # GP law's survival-space _fixed_point, an F3 law's closed forms. So with
+    # the P-space root solve raising, and no FixedPoint kept, bound_direction
+    # still answers on Switches-zone GP laws near criticality, where that
+    # solve raises or loses digits, and on F3 Switches laws, as the full scan.
+    def no_root_solve(model):
+        raise AssertionError(f"root solve of {model!r}")
+
+    monkeypatch.setattr(pgf_core, "_root_solve_p_inf", no_root_solve)
+    laws = []
+    for s in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
+        th = gp_thresholds(s)
+        laws += [gp_from_s(th.lambda_c2 + k / 8 * (th.lambda_c0 - th.lambda_c2), s)
+                 for k in range(1, 8)]
+    rng = random.Random(29)
+    f3_laws = []
+    while len(f3_laws) < 40:
+        p0, p2, p3 = rng.random(), rng.random(), rng.random()
+        if p0 + p2 + p3 <= 1.0 and p0 > 1e-6 and p0 < p2 + 2.0 * p3:
+            model = FiniteThree(p0=p0, p1=1.0 - p0 - p2 - p3, p2=p2, p3=p3)
+            if classify_f3(model).region == SWITCHES_REGION:
+                f3_laws.append(model)
+    laws += f3_laws
+    switched = 0
+    for model in laws:
+        monkeypatch.setattr(pgf_core, "_last_solved", (None, None))
+        d = bound_direction(model)
+        assert d.kind == SWITCHES, model
+        if isinstance(model, FiniteThree):
+            assert d.switch_n == switch_generation_full_scan(model), model
+        switched += d.switch_n is not None
     assert switched > 20
 
 
